@@ -15,8 +15,9 @@ from .hormander import (QuadraticWitness, VerificationRecord,
                         build_quadratic_witness, eval_quadratic,
                         quadratic_as_expression, verify_quadratic_witness)
 from .levi import (Domain, LeviProbe, LeviReport, Tolerances, classify,
-                   levi_form_at, make_domain, project_to_boundary,
-                   restricted_levi_min, sample_boundary, square_box)
+                   classify_slices, levi_form_at, make_domain,
+                   project_to_boundary, restricted_levi_min, sample_boundary,
+                   square_box)
 from .linalg import (HermitianMatrix, gram_solve_2, hermitian_eig,
                      hermitian_eig_min, tangent_null_basis)
 from .slicing import (Slice, WitnessCertificate, make_slice, phi, phi_inv,
@@ -29,7 +30,7 @@ __all__ = [
     "tangent_null_basis", "gram_solve_2",
     "Domain", "Tolerances", "LeviProbe", "LeviReport", "make_domain",
     "square_box", "project_to_boundary", "sample_boundary", "levi_form_at",
-    "restricted_levi_min", "classify",
+    "restricted_levi_min", "classify", "classify_slices",
     "Slice", "WitnessCertificate", "make_slice", "phi", "phi_inv",
     "pullback_jet", "slice_gradient_check", "witness_slice",
     "QuadraticWitness", "VerificationRecord", "build_quadratic_witness",

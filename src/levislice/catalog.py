@@ -95,8 +95,9 @@ def parse_domain_file(path) -> DomainSpec:
         numbers = [float(x) for x in fields["box"].split(",")]
     except ValueError as err:
         raise DomainFileError(f"{path}: {err}") from err
-    if n < 1:
-        raise DomainFileError(f"{path}: n must be >= 1")
+    if n < 2:
+        raise DomainFileError(
+            f"{path}: n = {n}, but pseudoconvexity analysis needs n >= 2")
     if len(numbers) != 2 * n:
         raise DomainFileError(
             f"{path}: box must list {2 * n} numbers (lo,hi per coordinate), "

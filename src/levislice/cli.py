@@ -112,7 +112,7 @@ def _report_base(command: str, spec: DomainSpec, samples: int, seed: int) -> dic
 
 def _attach_classification(report: dict, result: levi.LeviReport):
     report["verdict"] = result.verdict
-    report["probe_count"] = len(result.probes)
+    report["probe_count"] = len(result.lambdas)
     report["degenerate_count"] = result.degenerate_count
     report["worst"] = (_probe_dict(result.worst_probe)
                        if result.worst is not None else None)
@@ -183,9 +183,10 @@ def _emit(report: dict, as_json: bool, started: float):
 # Commands
 # ---------------------------------------------------------------------------
 
-def _slice_domain(domain: Domain, a, b, c, window: float) -> Domain:
-    ast_h = ex.compose_with_affine(domain.ast, a, b, c)
-    return levi.make_domain(ast_h, box=levi.square_box(2, window), tol=domain.tol)
+def _classify_slice(domain: Domain, s: sl.Slice, window: float, count: int,
+                    seed: int) -> levi.LeviReport:
+    return levi.classify_slices(domain, s.a[None], s.frame[None], window, count,
+                                [seed])[0]
 
 
 def cmd_check(args) -> int:
@@ -216,67 +217,82 @@ def cmd_slice(args) -> int:
         raise InputError(str(err)) from err
     samples = args.samples if args.samples is not None else spec.samples
     seed = args.seed if args.seed is not None else spec.seed
-    domain_h = _slice_domain(domain, s.a, s.b, s.c, args.window)
-    result = levi.classify(domain_h, samples, seed)
+    result = _classify_slice(domain, s, args.window, samples, seed)
     report = _report_base("slice", spec, samples, seed)
     report["slice"] = {"a": _cvec(a), "b": _cvec(b), "c": _cvec(c)}
     _attach_classification(report, result)
     if args.grid:
         path = args.out or "slice_grid.csv"
-        _write_grid(domain_h.ast, args.grid, args.window, path)
+        _write_grid(domain, s, args.grid, args.window, path)
         report["grid_csv"] = path
     _emit(report, args.json, started)
     return VERDICT_EXIT[result.verdict]
 
 
-def _write_grid(ast_h: ex.Ast, k: int, window: float, path: str):
+def _write_grid(domain: Domain, s: sl.Slice, k: int, window: float, path: str):
     """K x K grid of rho_h over the (Re w1, Re w2) window, imaginary parts 0."""
     axis = np.linspace(-window, window, k)
     w1, w2 = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([w1.ravel(), w2.ravel()], axis=1).astype(complex)
-    values = ex.eval_raw(ast_h, pts).real
+    values = ex.eval_raw(domain.ast, s.a + pts @ s.frame.T).real
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("re_w1,im_w1,re_w2,im_w2,rho_h\n")
         for (u, v), val in zip(pts, values):
             fh.write(f"{float(u.real)!r},0.0,{float(v.real)!r},0.0,{float(val)!r}\n")
 
 
-def _forward_slice_sweep(domain: Domain, spec: DomainSpec, slices: int,
-                         seed: int) -> dict:
-    """Empirical forward direction: random slices through boundary-adjacent
-    points of a pseudoconvex-at-samples domain must classify the same way."""
+def _sweep_slices(domain: Domain, slices: int, seed: int):
+    """Random slices through boundary-adjacent points of the domain.
+
+    Slice k passes through a point just inside the boundary point M_k, with
+    random unit directions b, c seeded by (seed, k).  Returns the base points
+    (S, n), the frames [b c] (S, n, 2) and the sampling seed of each slice.
+    """
     boundary = levi.sample_boundary(domain, max(slices, 20), seed)
-    results = []
+    _, grads = ex.eval_value_grad(domain.ast, boundary)
+    bases, frames, seeds = [], [], []
     for k in range(slices):
-        rng = np.random.default_rng((seed, 7919, k))
         M = boundary[k % len(boundary)]
-        _, grads = ex.eval_value_grad(domain.ast, M[None, :])
-        g = grads[0]
+        g = grads[k % len(boundary)]
         gn = np.linalg.norm(g)
         if gn < domain.tol.grad_floor:
             continue
         nu = np.conj(g) / gn
         a = M - 0.05 * (1.0 + np.linalg.norm(M)) * nu
+        rng = np.random.default_rng((seed, 7919, k))
         while True:
-            b = rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n)
-            c = rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n)
+            b = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
+            c = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
             b /= np.linalg.norm(b)
             c /= np.linalg.norm(c)
             try:
-                sl.make_slice(a, b, c)
+                s = sl.make_slice(a, b, c)
                 break
             except sl.SliceError:
                 continue
-        domain_h = _slice_domain(domain, a, b, c, SLICE_WINDOW)
-        result = levi.classify(domain_h, SLICE_PROBES, seed=k)
-        results.append(result)
-    if not results:
+        bases.append(s.a)
+        frames.append(s.frame)
+        seeds.append(k)
+    return np.array(bases), np.array(frames), seeds
+
+
+def _forward_slice_sweep(domain: Domain, spec: DomainSpec, slices: int,
+                         seed: int) -> dict:
+    """Empirical forward direction: random slices through boundary-adjacent
+    points of a pseudoconvex-at-samples domain must classify the same way.
+    All slices are classified in one batch."""
+    bases, frames, seeds = _sweep_slices(domain, slices, seed)
+    if not seeds:
         raise PipelineError("forward-slices", "no usable slices")
-    min_lambda = min(r.worst_probe.lambda_min for r in results
-                     if r.worst is not None)
+    results = levi.classify_slices(domain, bases, frames, SLICE_WINDOW,
+                                   SLICE_PROBES, seeds)
+    lambdas = [r.worst_probe.lambda_min for r in results if r.worst is not None]
+    if not lambdas:
+        raise PipelineError("forward-slices",
+                            f"none of {len(results)} slices returned a probe")
     all_ok = all(r.verdict == VERDICT_PSEUDOCONVEX for r in results)
     return {"count": len(results), "all_pseudoconvex": all_ok,
-            "min_lambda": min_lambda}
+            "min_lambda": min(lambdas)}
 
 
 def cmd_verify_theorem(args) -> int:
@@ -304,12 +320,11 @@ def cmd_verify_theorem(args) -> int:
             if not record.all_passed:
                 raise PipelineError(stage, f"witness checks failed: {record.checks}")
             stage = "witness-slice"
-            cert = sl.witness_slice(domain, probe)
+            cert = sl.witness_slice(domain, probe, quadratic)
             report["certificate"] = _certificate_dict(cert)
             stage = "slice-reclassification"
-            domain_h = _slice_domain(domain, cert.slice.a, cert.slice.b,
-                                     cert.slice.c, SLICE_WINDOW)
-            reclass = levi.classify(domain_h, RECLASSIFY_SAMPLES, seed)
+            reclass = _classify_slice(domain, cert.slice, SLICE_WINDOW,
+                                      RECLASSIFY_SAMPLES, seed)
             report["witness_slice_reclassification"] = {
                 "verdict": reclass.verdict,
                 "worst_lambda": (reclass.worst_probe.lambda_min

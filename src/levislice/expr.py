@@ -230,16 +230,20 @@ def _apply_func(name: str, arg: Node) -> Node:
     return Mul(arg, Conj(arg))
 
 
+def _children(node: Node) -> tuple:
+    if isinstance(node, (Var, Const)):
+        return ()
+    if isinstance(node, (Conj, Exp)):
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    return (node.lhs, node.rhs)
+
+
 def _dimension(node: Node) -> int:
     if isinstance(node, Var):
         return node.index
-    if isinstance(node, Const):
-        return 0
-    if isinstance(node, (Conj, Exp)):
-        return _dimension(node.arg)
-    if isinstance(node, Pow):
-        return _dimension(node.base)
-    return max(_dimension(node.lhs), _dimension(node.rhs))
+    return max(map(_dimension, _children(node)), default=0)
 
 
 def parse(text: str) -> Ast:
@@ -291,8 +295,10 @@ class _Jet:
     """Truncated Taylor data in the 2n formal variables (z, zbar).
 
     Arrays carry a leading batch axis: val (B,), dz/dzb (B, n),
-    dzz/dzzb/dzbzb (B, n, n).  Second-order blocks are None below order 2,
-    first-order blocks are None at order 0.
+    dzz/dzzb/dzbzb (B, n, n).  First-order blocks are None at order 0 and
+    second-order blocks below order 2; the holomorphic blocks dzz/dzbzb are
+    also None when only the mixed block dzzb was asked for.  The operations
+    below propagate exactly the blocks their operands carry.
     """
     val: np.ndarray
     dz: np.ndarray | None = None
@@ -302,160 +308,183 @@ class _Jet:
     dzbzb: np.ndarray | None = None
 
 
-def _zeros(B: int, n: int, order: int, dtype) -> _Jet:
+def _zeros(B: int, n: int, order: int, holo: bool, dtype) -> _Jet:
     jet = _Jet(np.zeros(B, dtype))
     if order >= 1:
         jet.dz = np.zeros((B, n), dtype)
         jet.dzb = np.zeros((B, n), dtype)
     if order >= 2:
-        jet.dzz = np.zeros((B, n, n), dtype)
         jet.dzzb = np.zeros((B, n, n), dtype)
-        jet.dzbzb = np.zeros((B, n, n), dtype)
+        if holo:
+            jet.dzz = np.zeros((B, n, n), dtype)
+            jet.dzbzb = np.zeros((B, n, n), dtype)
     return jet
 
 
-def _const_jet(value: complex, B: int, n: int, order: int, dtype) -> _Jet:
-    jet = _zeros(B, n, order, dtype)
-    jet.val = np.full(B, value, dtype)
-    return jet
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[:, :, None] * y[:, None, :]
 
 
-def _var_jet(points: np.ndarray, j: int, order: int) -> _Jet:
-    B, n = points.shape
-    jet = _zeros(B, n, order, points.dtype)
-    jet.val = points[:, j].copy()
-    if order >= 1:
-        jet.dz[:, j] = 1.0
-    return jet
-
-
-def _add(u: _Jet, v: _Jet, sign: float, order: int) -> _Jet:
+def _add(u: _Jet, v: _Jet, sign: float) -> _Jet:
     out = _Jet(u.val + sign * v.val)
-    if order >= 1:
+    if u.dz is not None:
         out.dz = u.dz + sign * v.dz
         out.dzb = u.dzb + sign * v.dzb
-    if order >= 2:
-        out.dzz = u.dzz + sign * v.dzz
+    if u.dzzb is not None:
         out.dzzb = u.dzzb + sign * v.dzzb
+    if u.dzz is not None:
+        out.dzz = u.dzz + sign * v.dzz
         out.dzbzb = u.dzbzb + sign * v.dzbzb
     return out
 
 
-def _mul(u: _Jet, v: _Jet, order: int) -> _Jet:
+def _mul(u: _Jet, v: _Jet) -> _Jet:
     out = _Jet(u.val * v.val)
-    if order >= 1:
+    if u.dz is not None:
         uv = u.val[:, None]
         vv = v.val[:, None]
         out.dz = u.dz * vv + v.dz * uv
         out.dzb = u.dzb * vv + v.dzb * uv
-    if order >= 2:
+    if u.dzzb is not None:
         uv2 = u.val[:, None, None]
         vv2 = v.val[:, None, None]
-        out.dzz = (u.dzz * vv2 + v.dzz * uv2
-                   + u.dz[:, :, None] * v.dz[:, None, :]
-                   + v.dz[:, :, None] * u.dz[:, None, :])
         out.dzzb = (u.dzzb * vv2 + v.dzzb * uv2
-                    + u.dz[:, :, None] * v.dzb[:, None, :]
-                    + v.dz[:, :, None] * u.dzb[:, None, :])
-        out.dzbzb = (u.dzbzb * vv2 + v.dzbzb * uv2
-                     + u.dzb[:, :, None] * v.dzb[:, None, :]
-                     + v.dzb[:, :, None] * u.dzb[:, None, :])
+                    + _outer(u.dz, v.dzb) + _outer(v.dz, u.dzb))
+        if u.dzz is not None:
+            out.dzz = (u.dzz * vv2 + v.dzz * uv2
+                       + _outer(u.dz, v.dz) + _outer(v.dz, u.dz))
+            out.dzbzb = (u.dzbzb * vv2 + v.dzbzb * uv2
+                         + _outer(u.dzb, v.dzb) + _outer(v.dzb, u.dzb))
     return out
 
 
-def _inv(u: _Jet, order: int) -> _Jet:
+def _inv(u: _Jet) -> _Jet:
     if np.any(u.val == 0):
         raise EvalError("division by zero")
     w = 1.0 / u.val
     out = _Jet(w)
-    if order >= 1:
+    if u.dz is not None:
         w2 = (w * w)[:, None]
         out.dz = -u.dz * w2
         out.dzb = -u.dzb * w2
-    if order >= 2:
+    if u.dzzb is not None:
         w2m = (w * w)[:, None, None]
         w3m = (w * w * w)[:, None, None]
-        out.dzz = -u.dzz * w2m + 2.0 * u.dz[:, :, None] * u.dz[:, None, :] * w3m
-        out.dzzb = -u.dzzb * w2m + 2.0 * u.dz[:, :, None] * u.dzb[:, None, :] * w3m
-        out.dzbzb = -u.dzbzb * w2m + 2.0 * u.dzb[:, :, None] * u.dzb[:, None, :] * w3m
+        out.dzzb = -u.dzzb * w2m + 2.0 * _outer(u.dz, u.dzb) * w3m
+        if u.dzz is not None:
+            out.dzz = -u.dzz * w2m + 2.0 * _outer(u.dz, u.dz) * w3m
+            out.dzbzb = -u.dzbzb * w2m + 2.0 * _outer(u.dzb, u.dzb) * w3m
     return out
 
 
-def _conj(u: _Jet, order: int) -> _Jet:
+def _conj(u: _Jet) -> _Jet:
     out = _Jet(np.conj(u.val))
-    if order >= 1:
+    if u.dz is not None:
         out.dz = np.conj(u.dzb)
         out.dzb = np.conj(u.dz)
-    if order >= 2:
+    if u.dzzb is not None:
+        out.dzzb = np.conj(np.swapaxes(u.dzzb, 1, 2))
+    if u.dzz is not None:
         out.dzz = np.conj(u.dzbzb)
         out.dzbzb = np.conj(u.dzz)
-        out.dzzb = np.conj(np.swapaxes(u.dzzb, 1, 2))
     return out
 
 
-def _exp(u: _Jet, order: int) -> _Jet:
+def _exp(u: _Jet) -> _Jet:
     e = np.exp(u.val)
     out = _Jet(e)
-    if order >= 1:
+    if u.dz is not None:
         em = e[:, None]
         out.dz = u.dz * em
         out.dzb = u.dzb * em
-    if order >= 2:
+    if u.dzzb is not None:
         em2 = e[:, None, None]
-        out.dzz = (u.dzz + u.dz[:, :, None] * u.dz[:, None, :]) * em2
-        out.dzzb = (u.dzzb + u.dz[:, :, None] * u.dzb[:, None, :]) * em2
-        out.dzbzb = (u.dzbzb + u.dzb[:, :, None] * u.dzb[:, None, :]) * em2
+        out.dzzb = (u.dzzb + _outer(u.dz, u.dzb)) * em2
+        if u.dzz is not None:
+            out.dzz = (u.dzz + _outer(u.dz, u.dz)) * em2
+            out.dzbzb = (u.dzbzb + _outer(u.dzb, u.dzb)) * em2
     return out
 
 
-def _pow(u: _Jet, k: int, B: int, n: int, order: int, dtype) -> _Jet:
-    if k == 0:
-        return _const_jet(1.0, B, n, order, dtype)
+def _pow(u: _Jet, k: int) -> _Jet:
     result = None
     base = u
     e = k
     while e:
         if e & 1:
-            result = base if result is None else _mul(result, base, order)
+            result = base if result is None else _mul(result, base)
         e >>= 1
         if e:
-            base = _mul(base, base, order)
+            base = _mul(base, base)
     return result
 
 
-def _eval_node(node: Node, points: np.ndarray, order: int, memo: dict) -> _Jet:
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    B, n = points.shape
-    if isinstance(node, Var):
-        out = _var_jet(points, node.index - 1, order)
-    elif isinstance(node, Const):
-        out = _const_jet(node.value, B, n, order, points.dtype)
-    elif isinstance(node, Conj):
-        out = _conj(_eval_node(node.arg, points, order, memo), order)
-    elif isinstance(node, Add):
-        out = _add(_eval_node(node.lhs, points, order, memo),
-                   _eval_node(node.rhs, points, order, memo), 1.0, order)
-    elif isinstance(node, Sub):
-        out = _add(_eval_node(node.lhs, points, order, memo),
-                   _eval_node(node.rhs, points, order, memo), -1.0, order)
-    elif isinstance(node, Mul):
-        out = _mul(_eval_node(node.lhs, points, order, memo),
-                   _eval_node(node.rhs, points, order, memo), order)
-    elif isinstance(node, Div):
-        out = _mul(_eval_node(node.lhs, points, order, memo),
-                   _inv(_eval_node(node.rhs, points, order, memo), order), order)
-    elif isinstance(node, Pow):
-        out = _pow(_eval_node(node.base, points, order, memo),
-                   node.exponent, B, n, order, points.dtype)
-    elif isinstance(node, Exp):
-        out = _exp(_eval_node(node.arg, points, order, memo), order)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node {node!r}")
-    memo[key] = out
-    return out
+class _Walk:
+    """One evaluation of an AST's jets on a batch of points.
+
+    Shared subtrees (abs2 shares its argument) are evaluated once.  A
+    node's jet is kept only until its last consumer has read it, so the
+    live set stays near the current path instead of the whole tree.
+    """
+
+    def __init__(self, root: Node, points: np.ndarray, order: int, holo: bool):
+        self.points = points
+        self.order = order
+        self.holo = holo
+        self.memo: dict[int, _Jet] = {}
+        self.uses: dict[int, int] = {}
+        stack = [root]
+        while stack:
+            for child in _children(stack.pop()):
+                key = id(child)
+                if key not in self.uses:
+                    stack.append(child)
+                self.uses[key] = self.uses.get(key, 0) + 1
+
+    def take(self, node: Node) -> _Jet:
+        """The jet of a child node, released after its last consumer."""
+        key = id(node)
+        jet = self.memo.pop(key, None)
+        if jet is None:
+            jet = self.eval(node)
+        self.uses[key] -= 1
+        if self.uses[key]:
+            self.memo[key] = jet
+        return jet
+
+    def constant(self, value) -> _Jet:
+        """A jet with the given values and all derivatives zero."""
+        B, n = self.points.shape
+        jet = _zeros(B, n, self.order, self.holo, self.points.dtype)
+        jet.val = np.broadcast_to(value, B).astype(self.points.dtype)
+        return jet
+
+    def eval(self, node: Node) -> _Jet:
+        if isinstance(node, Var):
+            jet = self.constant(self.points[:, node.index - 1])
+            if jet.dz is not None:
+                jet.dz[:, node.index - 1] = 1.0
+            return jet
+        if isinstance(node, Const):
+            return self.constant(node.value)
+        if isinstance(node, Conj):
+            return _conj(self.take(node.arg))
+        if isinstance(node, Exp):
+            return _exp(self.take(node.arg))
+        if isinstance(node, Pow):
+            base = self.take(node.base)
+            return _pow(base, node.exponent) if node.exponent else self.constant(1.0)
+        lhs = self.take(node.lhs)
+        rhs = self.take(node.rhs)
+        if isinstance(node, Add):
+            return _add(lhs, rhs, 1.0)
+        if isinstance(node, Sub):
+            return _add(lhs, rhs, -1.0)
+        if isinstance(node, Mul):
+            return _mul(lhs, rhs)
+        if isinstance(node, Div):
+            return _mul(lhs, _inv(rhs))
+        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 
 def _as_points(ast: Ast, points) -> np.ndarray:
@@ -470,9 +499,8 @@ def _as_points(ast: Ast, points) -> np.ndarray:
     return arr
 
 
-def _run(ast: Ast, points, order: int) -> _Jet:
-    pts = _as_points(ast, points)
-    jet = _eval_node(ast.root, pts, order, {})
+def _run(ast: Ast, points, order: int, holo: bool = False) -> _Jet:
+    jet = _Walk(ast.root, _as_points(ast, points), order, holo).eval(ast.root)
     if not np.all(np.isfinite(jet.val)):
         raise EvalError("non-finite value in evaluation")
     return jet
@@ -488,14 +516,14 @@ class WirtingerJet:
 
     grad[j]     = d rho / d z_j
     mixed[j,k]  = d^2 rho / (d z_j d zbar_k)   (Hermitian)
-    holo[j,k]   = d^2 rho / (d z_j d z_k)      (symmetric)
+    holo[j,k]   = d^2 rho / (d z_j d z_k)      (symmetric; None if not asked for)
 
     The antiholomorphic gradient is conj(grad) and is not stored.
     """
     value: float
     grad: np.ndarray
     mixed: np.ndarray
-    holo: np.ndarray
+    holo: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -503,14 +531,15 @@ class JetBatch:
     value: np.ndarray   # (B,) real
     grad: np.ndarray    # (B, n) complex
     mixed: np.ndarray   # (B, n, n) complex
-    holo: np.ndarray    # (B, n, n) complex
+    holo: np.ndarray | None    # (B, n, n) complex, None if not asked for
 
     def __len__(self) -> int:
         return self.value.shape[0]
 
     def at(self, i: int) -> WirtingerJet:
+        holo = None if self.holo is None else self.holo[i].copy()
         return WirtingerJet(float(self.value[i]), self.grad[i].copy(),
-                            self.mixed[i].copy(), self.holo[i].copy())
+                            self.mixed[i].copy(), holo)
 
 
 def eval_raw(ast: Ast, points) -> np.ndarray:
@@ -524,34 +553,50 @@ def eval_value_grad(ast: Ast, points) -> tuple[np.ndarray, np.ndarray]:
     return jet.val.real.astype(float), jet.dz
 
 
-def eval_jet_batch(ast: Ast, points) -> JetBatch:
-    jet = _run(ast, points, 2)
+def eval_jet_batch(ast: Ast, points, holo: bool = True) -> JetBatch:
+    """Second-order jets at a (B, n) batch of points.
+
+    With holo=False the holomorphic block (dz dz) is neither computed nor
+    returned, which saves a third of the work and memory of the walk.
+    """
+    jet = _run(ast, points, 2, holo)
     for block in (jet.dz, jet.dzz, jet.dzzb):
-        if not np.all(np.isfinite(block)):
+        if block is not None and not np.all(np.isfinite(block)):
             raise EvalError("non-finite derivative in evaluation")
     return JetBatch(jet.val.real.astype(float), jet.dz, jet.dzzb, jet.dzz)
 
 
-def eval_jet(ast: Ast, point) -> WirtingerJet:
-    return eval_jet_batch(ast, np.asarray(point, complex)[None, :]).at(0)
+def eval_jet(ast: Ast, point, holo: bool = True) -> WirtingerJet:
+    return eval_jet_batch(ast, np.asarray(point, complex)[None, :], holo).at(0)
 
 
 def check_real_valued(ast: Ast, trial_count: int, seed: int,
                       box: np.ndarray | None = None,
-                      realness_tol: float = 1e-9) -> bool:
-    """Sampled realness check: max |Im rho| over random points in the box."""
+                      realness_tol: float = 1e-9,
+                      a: np.ndarray | None = None,
+                      frame: np.ndarray | None = None) -> bool:
+    """Sampled realness check: max |Im rho| over random points in the box.
+
+    With a (S, n) and frame (S, n, m), the points w are drawn in the m-variable
+    box and rho is checked at a_k + frame_k w on every map k, each against its
+    own scale, in one evaluation; the result is True iff every map passes.
+    """
     if trial_count < 1:
         raise ValueError("trial_count must be >= 1")
-    n = max(ast.n, 1)
     if box is None:
-        box = np.array([[-1.0, 1.0]] * (2 * n))
+        box = np.array([[-1.0, 1.0]] * (2 * max(ast.n, 1)))
     box = np.asarray(box, float)
     rng = np.random.default_rng(seed)
-    reals = box[:, 0] + rng.random((trial_count, 2 * n)) * (box[:, 1] - box[:, 0])
+    width = box[:, 1] - box[:, 0]
+    reals = box[:, 0] + rng.random((trial_count, box.shape[0])) * width
     pts = reals[:, 0::2] + 1j * reals[:, 1::2]
-    vals = eval_raw(ast, pts)
-    scale = 1.0 + np.max(np.abs(vals))
-    return bool(np.max(np.abs(vals.imag)) <= realness_tol * scale)
+    if frame is None:
+        vals = eval_raw(ast, pts)[None, :]
+    else:
+        z = np.asarray(a)[:, None, :] + np.einsum("sjk,pk->spj", frame, pts)
+        vals = eval_raw(ast, z.reshape(-1, z.shape[2])).reshape(z.shape[:2])
+    scale = 1.0 + np.max(np.abs(vals), axis=1)
+    return bool(np.all(np.max(np.abs(vals.imag), axis=1) <= realness_tol * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -561,17 +606,17 @@ def check_real_valued(ast: Ast, trial_count: int, seed: int,
 def compose_with_affine(ast: Ast, a, b, c) -> Ast:
     """Substitute z_j <- a_j + b_j*w1 + c_j*w2, returning a 2-variable AST.
 
-    The result is the symbolic pullback rho_h = rho . phi and serves as the
-    second, independent route for pullback testing.
+    The result is the symbolic pullback rho_h = rho . phi.  The pipeline
+    pulls jets back by the chain rule instead; this symbolic route is kept
+    as the independent check of that path.
     """
     a = np.asarray(a, complex)
     b = np.asarray(b, complex)
     c = np.asarray(c, complex)
-    n = max(ast.n, 1)
-    if not (len(a) == len(b) == len(c) == n):
-        raise ValueError(f"affine data must have length {n}")
+    if not (len(a) == len(b) == len(c) >= max(ast.n, 1)):
+        raise ValueError(f"affine data must have equal length >= {max(ast.n, 1)}")
     table = {}
-    for j in range(n):
+    for j in range(len(a)):
         table[j + 1] = Add(Const(complex(a[j])),
                            Add(Mul(Const(complex(b[j])), Var(1)),
                                Mul(Const(complex(c[j])), Var(2))))

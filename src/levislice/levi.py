@@ -4,7 +4,13 @@ A Domain is a real-valued defining function rho together with a sampling
 box; the open set is {rho < 0} and its boundary is {rho = 0}.  This module
 projects points onto the boundary, evaluates the Levi form, minimizes it
 over complex tangent directions, and classifies the domain at sampled
-boundary points.
+boundary points.  Every stage works on whole arrays of points: one Newton
+loop, one jet evaluation and one stacked eigensolve per classification.
+
+Two-dimensional affine slices z = a + [b c] w are classified the same way
+without building a new expression: Newton runs in w with rho evaluated at
+z and its gradient pulled back by [b c]^T, and the mixed Hessian is pulled
+back by congruence.  A batch of slices shares each of those calls.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ VERDICT_DEGENERATE = "degenerate"
 BOX_INFLATION = 0.1
 # degenerate-gradient samples tolerated before the verdict becomes "degenerate"
 DEGENERATE_FRACTION = 0.1
+# random points of the sampled realness check, and its seed
+REALNESS_TRIALS = 64
+REALNESS_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,8 @@ class Domain:
 
     @property
     def n(self) -> int:
-        return max(self.ast.n, 1)
+        """Complex dimension, set by the box (rho need not use every variable)."""
+        return self.box.shape[0] // 2
 
 
 def square_box(n: int, half_width: float, center=None) -> np.ndarray:
@@ -64,17 +74,30 @@ def square_box(n: int, half_width: float, center=None) -> np.ndarray:
     return np.stack([centers - half_width, centers + half_width], axis=1)
 
 
-def make_domain(rho, box=None, tol: Tolerances = Tolerances(),
-                check_trials: int = 64, check_seed: int = 0) -> Domain:
-    ast = ex.parse(rho) if isinstance(rho, str) else rho
-    n = max(ast.n, 1)
-    if box is None:
-        box = square_box(n, 1.5)
+def _checked_box(box, n: int) -> np.ndarray:
     box = np.asarray(box, float)
     if box.shape != (2 * n, 2):
         raise DomainError(f"box must have shape ({2 * n}, 2), got {box.shape}")
     if not np.all(box[:, 0] < box[:, 1]):
         raise DomainError("box bounds must satisfy lower < upper")
+    return box
+
+
+def make_domain(rho, box=None, tol: Tolerances = Tolerances(),
+                check_trials: int = REALNESS_TRIALS,
+                check_seed: int = REALNESS_SEED) -> Domain:
+    """Parse and validate a domain in C^n.
+
+    The dimension n is the box's when one is given, else the largest
+    variable index of rho; rho may leave variables out but not go beyond n.
+    """
+    ast = ex.parse(rho) if isinstance(rho, str) else rho
+    n = np.shape(box)[0] // 2 if box is not None else max(ast.n, 1)
+    if n < 2:
+        raise DomainError(f"dimension n = {n}: pseudoconvexity analysis needs n >= 2")
+    if ast.n > n:
+        raise DomainError(f"rho uses z{ast.n} but the domain has dimension {n}")
+    box = _checked_box(square_box(n, 1.5) if box is None else box, n)
     if not ex.check_real_valued(ast, check_trials, check_seed, box=box,
                                 realness_tol=tol.realness_eps):
         raise DomainError("defining function is not real-valued on the sampling box")
@@ -91,17 +114,31 @@ class LeviProbe:
 
 @dataclass(frozen=True)
 class LeviReport:
-    probes: list[LeviProbe]
+    """Probes of one classification as arrays, one row per nondegenerate probe."""
+    points: np.ndarray       # (P, n) boundary points
+    lambdas: np.ndarray      # (P,) restricted Levi minima
+    directions: np.ndarray   # (P, n) unit tangent minimizers
+    grad_norms: np.ndarray   # (P,)
     worst: int | None
     verdict: str
     degenerate_count: int
     sample_count: int
 
+    def probe(self, i: int) -> LeviProbe:
+        return LeviProbe(point=self.points[i].copy(),
+                         lambda_min=float(self.lambdas[i]),
+                         direction=self.directions[i].copy(),
+                         grad_norm=float(self.grad_norms[i]))
+
+    @property
+    def probes(self) -> list[LeviProbe]:
+        return [self.probe(i) for i in range(len(self.lambdas))]
+
     @property
     def worst_probe(self) -> LeviProbe:
         if self.worst is None:
             raise DomainError("report has no probes")
-        return self.probes[self.worst]
+        return self.probe(self.worst)
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +146,13 @@ class LeviReport:
 # ---------------------------------------------------------------------------
 
 def sample_box_points(box: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """Pseudorandom points in the box, one counter-based stream per index.
+    """Pseudorandom points in the box from one stream, filled row by row.
 
-    Sample i depends only on (seed, i), so results are identical no matter
-    how the work is split across threads.
+    Row i is drawn after rows 0..i-1, so a shorter request returns a prefix
+    of a longer one with the same seed.
     """
-    dims = box.shape[0]
-    reals = np.empty((count, dims))
-    for i in range(count):
-        rng = np.random.default_rng((seed, i))
-        reals[i] = box[:, 0] + rng.random(dims) * (box[:, 1] - box[:, 0])
+    rng = np.random.default_rng(seed)
+    reals = box[:, 0] + rng.random((count, box.shape[0])) * (box[:, 1] - box[:, 0])
     return reals[:, 0::2] + 1j * reals[:, 1::2]
 
 
@@ -131,37 +165,79 @@ def _in_inflated_box(box: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.all(np.abs(reals - center) <= half, axis=1)
 
 
-def _newton_batch(domain: Domain, z0: np.ndarray,
-                  max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
+def _ambient(w: np.ndarray, a, frame) -> np.ndarray:
+    """z = a + frame @ w row by row; w itself when there is no frame."""
+    return w if frame is None else a + np.einsum("bjk,bk->bj", frame, w)
+
+
+def _pulled_back_grad(grad: np.ndarray, frame) -> np.ndarray:
+    """Holomorphic gradient in w: frame^T grad row by row."""
+    return grad if frame is None else np.einsum("bjk,bj->bk", frame, grad)
+
+
+def _rows(x, rows):
+    return None if x is None else x[rows]
+
+
+def _newton(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None, frame=None,
+            max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-direction Newton toward {rho = 0} on a batch of points.
 
+    The points are w with z = a + frame @ w per row (z = w without a frame).
     The real gradient of rho is 2*conj(grad); the step is the exact Newton
-    step for the linearization of rho along that direction.  Returns the
-    final points and a convergence mask.
+    step for the linearization of rho along that direction.  Each point's
+    iteration depends on that point alone, so only the points still moving
+    are evaluated.  Returns the final points and a convergence mask.
     """
-    tol = domain.tol
-    z = z0.copy()
-    done = np.zeros(len(z), bool)
-    failed = np.zeros(len(z), bool)
+    w = w0.copy()
+    done = np.zeros(len(w), bool)
+    failed = np.zeros(len(w), bool)
     for _ in range(max_iter):
-        vals, grads = ex.eval_value_grad(domain.ast, z)
+        rows = np.flatnonzero(~(done | failed))
+        if not rows.size:
+            break
+        fr = _rows(frame, rows)
+        vals, grads = ex.eval_value_grad(ast, _ambient(w[rows], _rows(a, rows), fr))
+        grads = _pulled_back_grad(grads, fr)
         gn = np.linalg.norm(grads, axis=1)
         rgn = 2.0 * gn
-        bad = ~np.all(np.isfinite(z), axis=1) | ~np.isfinite(vals)
-        failed |= ~done & (bad | (rgn < tol.grad_floor))
-        done |= ~failed & (np.abs(vals) <= tol.boundary_eps * (1.0 + rgn))
-        active = ~(done | failed)
-        if not active.any():
-            break
-        gn2 = np.maximum(gn * gn, np.finfo(float).tiny)
-        step = (vals / (2.0 * gn2))[:, None] * np.conj(grads)
-        z[active] -= step[active]
-    return z, done & ~failed
+        bad = ~np.all(np.isfinite(w[rows]), axis=1) | ~np.isfinite(vals)
+        fail = bad | (rgn < tol.grad_floor)
+        conv = ~fail & (np.abs(vals) <= tol.boundary_eps * (1.0 + rgn))
+        failed[rows] = fail
+        done[rows] = conv
+        step = ~(fail | conv)
+        gn2 = np.maximum(gn[step] ** 2, np.finfo(float).tiny)
+        w[rows[step]] -= (vals[step] / (2.0 * gn2))[:, None] * np.conj(grads[step])
+    return w, done
+
+
+def _project(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None,
+             frame=None) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on the batch; where evaluation fails, split it so one bad point
+    cannot poison the rest.  A point that fails alone keeps its start and is
+    marked unconverged."""
+    try:
+        return _newton(ast, tol, w0, a, frame)
+    except ex.EvalError:
+        if len(w0) == 1:
+            return w0.copy(), np.zeros(1, bool)
+    halves = [_project(ast, tol, w0[part], _rows(a, part), _rows(frame, part))
+              for part in (slice(None, len(w0) // 2), slice(len(w0) // 2, None))]
+    return (np.concatenate([h[0] for h in halves]),
+            np.concatenate([h[1] for h in halves]))
+
+
+def _require_half(found: int, count: int):
+    if found < 0.5 * count:
+        raise BoundaryNotFoundError(
+            f"only {found}/{count} samples reached the boundary; "
+            "the sampling box likely misses it")
 
 
 def project_to_boundary(domain: Domain, z0) -> np.ndarray:
     z0 = np.asarray(z0, complex)[None, :]
-    pts, ok = _newton_batch(domain, z0)
+    pts, ok = _newton(domain.ast, domain.tol, z0)
     if not ok[0]:
         raise ProjectionError("boundary projection did not converge")
     return pts[0]
@@ -176,26 +252,10 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     starts = sample_box_points(domain.box, count, seed)
-    try:
-        pts, ok = _newton_batch(domain, starts)
-    except ex.EvalError:
-        # fall back to one-at-a-time projection so one bad point cannot
-        # poison the whole batch
-        pts = starts.copy()
-        ok = np.zeros(count, bool)
-        for i in range(count):
-            try:
-                pts[i:i + 1], ok_i = _newton_batch(domain, starts[i:i + 1])
-                ok[i] = ok_i[0]
-            except ex.EvalError:
-                ok[i] = False
+    pts, ok = _project(domain.ast, domain.tol, starts)
     ok &= _in_inflated_box(domain.box, pts)
-    good = pts[ok]
-    if len(good) < 0.5 * count:
-        raise BoundaryNotFoundError(
-            f"only {len(good)}/{count} samples reached the boundary; "
-            "the sampling box likely misses it")
-    return good
+    _require_half(int(np.count_nonzero(ok)), count)
+    return pts[ok]
 
 
 # ---------------------------------------------------------------------------
@@ -205,56 +265,107 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:
 def levi_form_at(domain: Domain, M, Z) -> float:
     """Levi form sum_{j,k} (d^2 rho / dz_j dzbar_k)(M) Z_j conj(Z_k)."""
     Z = np.asarray(Z, complex)
-    jet = ex.eval_jet(domain.ast, M)
+    jet = ex.eval_jet(domain.ast, M, holo=False)
     raw = complex(np.einsum("jk,j,k->", jet.mixed, Z, np.conj(Z)))
     if abs(raw.imag) > 1e-10 * (1.0 + abs(raw)):
         raise DomainError(f"Levi form not real: imaginary part {raw.imag:.3e}")
     return raw.real
 
 
-def _probe_from_jet(domain: Domain, M: np.ndarray, grad: np.ndarray,
-                    mixed: np.ndarray) -> LeviProbe:
-    gn = float(np.linalg.norm(grad))
-    basis = la.tangent_null_basis(grad, grad_floor=domain.tol.grad_floor)
-    restricted = np.einsum("lm,li,mj->ij", mixed, basis, np.conj(basis))
-    lam, vec = la.hermitian_eig_min(la.HermitianMatrix.from_array(restricted))
-    # with restricted = P^T H conj(P), the Levi form of P v is
-    # conj(v)^H restricted conj(v), so the minimizer is P conj(eigvec)
-    Z = basis @ np.conj(vec)
-    Z = Z / np.linalg.norm(Z)
-    return LeviProbe(point=M.copy(), lambda_min=lam, direction=Z, grad_norm=gn)
+def _levi_min(grad: np.ndarray, mixed: np.ndarray, grad_floor: float):
+    """Restricted Levi minima at a batch of jets (grad (B, n), mixed (B, n, n)).
+
+    Returns (ok, lam, Z, gn): ok marks gradients at or above the floor; for
+    those rows lam is the smallest eigenvalue of the Levi form on the complex
+    tangent space and Z a unit minimizer.  Other rows hold nan and zeros.
+    """
+    gn = np.linalg.norm(grad, axis=1)
+    ok = gn >= grad_floor
+    lam = np.full(len(grad), np.nan)
+    Z = np.zeros(grad.shape, complex)
+    if ok.any():
+        basis = la.tangent_null_basis(grad[ok], grad_floor=grad_floor)
+        restricted = np.swapaxes(basis, 1, 2) @ mixed[ok] @ np.conj(basis)
+        eigvals, vecs = la.hermitian_eig(restricted)
+        # with restricted = P^T H conj(P), the Levi form of P v is
+        # conj(v)^H restricted conj(v), so the minimizer is P conj(eigvec)
+        Zok = (basis @ np.conj(vecs[:, :, :1]))[:, :, 0]
+        Z[ok] = Zok / np.linalg.norm(Zok, axis=1)[:, None]
+        lam[ok] = eigvals[:, 0]
+    return ok, lam, Z, gn
 
 
-def restricted_levi_min(domain: Domain, M) -> LeviProbe:
-    M = np.asarray(M, complex)
-    jet = ex.eval_jet(domain.ast, M)
-    if np.linalg.norm(jet.grad) < domain.tol.grad_floor:
-        raise la.DegenerateGradientError(
-            f"gradient norm {np.linalg.norm(jet.grad):.3e} below floor")
-    return _probe_from_jet(domain, M, jet.grad, jet.mixed)
-
-
-def classify(domain: Domain, count: int = 200, seed: int = 0) -> LeviReport:
-    """Probe sampled boundary points and classify the domain.
+def _report(points, ok, lam, Z, gn, levi_eps: float) -> LeviReport:
+    """Verdict of one classification from its per-point Levi minima.
 
     Degenerate-gradient samples are skipped and counted; they force the
     "degenerate" verdict once they exceed 10% of the samples.
     """
-    points = sample_boundary(domain, count, seed)
-    jets = ex.eval_jet_batch(domain.ast, points)
-    probes: list[LeviProbe] = []
-    degenerate = 0
-    for i in range(len(jets)):
-        try:
-            probes.append(_probe_from_jet(domain, points[i],
-                                          jets.grad[i], jets.mixed[i]))
-        except la.DegenerateGradientError:
-            degenerate += 1
-    if not probes or degenerate > DEGENERATE_FRACTION * len(points):
-        return LeviReport(probes, None, VERDICT_DEGENERATE, degenerate, len(points))
-    worst = int(np.argmin([p.lambda_min for p in probes]))
-    if probes[worst].lambda_min < -domain.tol.levi_eps:
+    degenerate = int(np.count_nonzero(~ok))
+    kept = (points[ok], lam[ok], Z[ok], gn[ok])
+    if not ok.any() or degenerate > DEGENERATE_FRACTION * len(points):
+        return LeviReport(*kept, None, VERDICT_DEGENERATE, degenerate, len(points))
+    worst = int(np.argmin(kept[1]))
+    if kept[1][worst] < -levi_eps:
         verdict = VERDICT_NONPSEUDOCONVEX
     else:
         verdict = VERDICT_PSEUDOCONVEX
-    return LeviReport(probes, worst, verdict, degenerate, len(points))
+    return LeviReport(*kept, worst, verdict, degenerate, len(points))
+
+
+def restricted_levi_min(domain: Domain, M) -> LeviProbe:
+    M = np.asarray(M, complex)
+    jet = ex.eval_jet(domain.ast, M, holo=False)
+    ok, lam, Z, gn = _levi_min(jet.grad[None, :], jet.mixed[None],
+                               domain.tol.grad_floor)
+    if not ok[0]:
+        raise la.DegenerateGradientError(f"gradient norm {gn[0]:.3e} below floor")
+    return LeviProbe(point=M.copy(), lambda_min=float(lam[0]), direction=Z[0],
+                     grad_norm=float(gn[0]))
+
+
+def classify(domain: Domain, count: int = 200, seed: int = 0) -> LeviReport:
+    """Probe sampled boundary points and classify the domain."""
+    points = sample_boundary(domain, count, seed)
+    jets = ex.eval_jet_batch(domain.ast, points, holo=False)
+    return _report(points, *_levi_min(jets.grad, jets.mixed, domain.tol.grad_floor),
+                   domain.tol.levi_eps)
+
+
+def classify_slices(domain: Domain, a, frame, window: float, count: int,
+                    seeds) -> list[LeviReport]:
+    """Classify the two-dimensional slices z = a_k + frame_k w, all in one batch.
+
+    a is (S, n) and frame (S, n, 2).  Slice k is sampled in the w-box
+    [-window, window]^4 with seed seeds[k], and its report equals what
+    `classify` gives on the domain {rho(a_k + frame_k w) < 0} over that box:
+    the realness check, the fewer-than-half-converged error, the inflated-box
+    filter and the degenerate rule all hold per slice.  Points and directions
+    of the reports are in w.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    a = np.asarray(a, complex)
+    frame = np.asarray(frame, complex)
+    if len(seeds) != len(a) or frame.shape != (*a.shape, 2):
+        raise ValueError("need one seed and one n x 2 frame per slice base point")
+    tol = domain.tol
+    box = _checked_box(square_box(2, window), 2)
+    if not ex.check_real_valued(domain.ast, REALNESS_TRIALS, REALNESS_SEED, box=box,
+                                realness_tol=tol.realness_eps, a=a, frame=frame):
+        raise DomainError("defining function is not real-valued on the sampling box")
+    rows = np.repeat(np.arange(len(a)), count)
+    starts = np.concatenate([sample_box_points(box, count, s) for s in seeds])
+    w, ok = _project(domain.ast, tol, starts, a[rows], frame[rows])
+    ok &= _in_inflated_box(box, w)
+    for found in np.bincount(rows[ok], minlength=len(a)):
+        _require_half(int(found), count)
+    w, rows = w[ok], rows[ok]
+    F = frame[rows]
+    jets = ex.eval_jet_batch(domain.ast, _ambient(w, a[rows], F), holo=False)
+    grad = _pulled_back_grad(jets.grad, F)
+    mixed = np.einsum("bli,blm,bmj->bij", F, jets.mixed, np.conj(F))
+    levi_min = _levi_min(grad, mixed, tol.grad_floor)
+    bounds = np.searchsorted(rows, np.arange(len(a) + 1))
+    return [_report(w[lo:hi], *(x[lo:hi] for x in levi_min), tol.levi_eps)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]

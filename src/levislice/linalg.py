@@ -1,9 +1,9 @@
-"""Small dense complex linear algebra.
+"""Small dense complex linear algebra, batched over a leading axis.
 
-Everything here operates on matrices of dimension at most 16: a cyclic
-Jacobi eigensolver for Hermitian matrices, orthonormal bases of complex
-tangent spaces via a Householder reflector, and the 2x2 Gram solve behind
-the affine-slice inverse map.
+Hermitian eigendecompositions of single matrices or stacks (LAPACK through
+numpy.linalg.eigh), orthonormal bases of complex tangent spaces via a
+Householder reflector per row, and the 2x2 Gram solve behind the
+affine-slice inverse map.
 """
 
 from __future__ import annotations
@@ -20,16 +20,22 @@ class LinalgError(Exception):
     pass
 
 
-class ConvergenceError(LinalgError):
-    pass
-
-
 class DependentVectorsError(LinalgError):
     pass
 
 
 class DegenerateGradientError(LinalgError):
     pass
+
+
+def _symmetrized(a) -> np.ndarray:
+    """(A + A^H)/2 for one m x m matrix or a stack (..., m, m), 1 <= m <= MAX_DIM."""
+    a = np.asarray(a, complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise LinalgError(f"expected square matrices, got shape {a.shape}")
+    if not 1 <= a.shape[-1] <= MAX_DIM:
+        raise LinalgError(f"dimension {a.shape[-1]} outside 1..{MAX_DIM}")
+    return (a + np.conj(np.swapaxes(a, -1, -2))) / 2.0
 
 
 @dataclass(frozen=True)
@@ -40,110 +46,61 @@ class HermitianMatrix:
     @classmethod
     def from_array(cls, a) -> "HermitianMatrix":
         a = np.asarray(a, complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim != 2:
             raise LinalgError(f"expected a square matrix, got shape {a.shape}")
-        if not 1 <= a.shape[0] <= MAX_DIM:
-            raise LinalgError(f"dimension {a.shape[0]} outside 1..{MAX_DIM}")
-        return cls((a + a.conj().T) / 2.0)
+        return cls(_symmetrized(a))
 
     @property
     def m(self) -> int:
         return self.data.shape[0]
 
 
-def _as_hermitian(a) -> np.ndarray:
-    if isinstance(a, HermitianMatrix):
-        return a.data.copy()
-    return HermitianMatrix.from_array(a).data
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix or a stack (..., m, m).
 
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def hermitian_eig(a, tol_factor: float = 1e-13,
-                  max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, eigenvectors as matching columns).
-    Sweeps stop when the off-diagonal Frobenius norm drops below
-    tol_factor * ||A||_F; exceeding max_sweeps raises ConvergenceError.
+    Returns (eigenvalues ascending, eigenvectors as matching columns), with
+    the same leading axes as the input.  The input is symmetrized first.
     """
-    a = _as_hermitian(a)
-    m = a.shape[0]
-    v = np.eye(m, dtype=complex)
-    scale = max(float(np.linalg.norm(a)), np.finfo(float).tiny)
-    if m == 1:
-        return np.array([a[0, 0].real]), v
-
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= tol_factor * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                beta = a[p, q]
-                ab = abs(beta)
-                if ab <= 1e-300:
-                    continue
-                phase = beta / ab
-                alpha = a[p, p].real
-                gamma = a[q, q].real
-                tau = (gamma - alpha) / (2.0 * ab)
-                sign = 1.0 if tau >= 0 else -1.0
-                # smaller-magnitude root of t^2 - 2*tau*t - 1 = 0
-                t = -sign / (abs(tau) + np.sqrt(tau * tau + 1.0))
-                cth = 1.0 / np.sqrt(1.0 + t * t)
-                sth = t * cth
-                # unitary rotation in the (p, q) plane zeroing a[p, q]
-                jb = np.array([[cth, -sth * phase],
-                               [sth * np.conj(phase), cth]], dtype=complex)
-                idx = [p, q]
-                a[:, idx] = a[:, idx] @ jb
-                a[idx, :] = jb.conj().T @ a[idx, :]
-                v[:, idx] = v[:, idx] @ jb
-    else:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal {_offdiag_norm(a):.3e}, scale {scale:.3e})")
-
-    eigvals = np.diag(a).real.copy()
-    order = np.argsort(eigvals)
-    return eigvals[order], v[:, order]
+    a = a.data if isinstance(a, HermitianMatrix) else _symmetrized(a)
+    return np.linalg.eigh(a)
 
 
 def hermitian_eig_min(a) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a unit eigenvector."""
+    """Smallest eigenvalue and a unit eigenvector of one Hermitian matrix."""
     eigvals, vecs = hermitian_eig(a)
-    vec = vecs[:, 0]
-    return float(eigvals[0]), vec / np.linalg.norm(vec)
+    return float(eigvals[0]), vecs[:, 0]
 
 
 def tangent_null_basis(g, grad_floor: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis of {Z : sum_j g_j Z_j = 0} as columns of an n x (n-1) matrix.
+    """Orthonormal bases of {Z : sum_j g_j Z_j = 0}.
 
-    Built from the Householder reflector sending conj(g)/|g| to a multiple of
-    e1 and keeping columns 2..n.  Column phases are normalized so the largest
-    entry of each column is real positive.
+    For one gradient g of length n, the basis is the columns of an
+    n x (n-1) matrix; for a stack (B, n) the result is (B, n, n-1).  Each is
+    built from the Householder reflector sending conj(g)/|g| to a multiple
+    of e1, keeping columns 2..n.  Column phases are normalized so the
+    largest entry of each column is real positive.
     """
     g = np.asarray(g, complex)
-    n = len(g)
-    gn = np.linalg.norm(g)
-    if gn < grad_floor:
-        raise DegenerateGradientError(f"|gradient| = {gn:.3e} below floor {grad_floor:.1e}")
+    single = g.ndim == 1
+    g = np.atleast_2d(g)
+    n = g.shape[1]
+    gn = np.linalg.norm(g, axis=1)
+    if np.any(gn < grad_floor):
+        raise DegenerateGradientError(
+            f"|gradient| = {gn.min():.3e} below floor {grad_floor:.1e}")
     if n < 2:
         raise LinalgError("tangent basis requires dimension >= 2")
-    x = np.conj(g) / gn
-    phase = x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0
+    x = np.conj(g) / gn[:, None]
+    x0 = np.abs(x[:, 0])
     v = x.copy()
-    v[0] += phase
-    h = np.eye(n, dtype=complex) - 2.0 * np.outer(v, np.conj(v)) / np.vdot(v, v).real
-    basis = h[:, 1:].copy()
-    for k in range(n - 1):
-        col = basis[:, k]
-        top = col[np.argmax(np.abs(col))]
-        basis[:, k] = col * (np.conj(top) / abs(top))
-    return basis
+    v[:, 0] += np.where(x0 > 0, x[:, 0] / np.where(x0 > 0, x0, 1.0), 1.0)
+    vv = np.sum(v.real ** 2 + v.imag ** 2, axis=1)
+    outer = v[:, :, None] * np.conj(v)[:, None, :]
+    basis = (np.eye(n) - 2.0 * outer / vv[:, None, None])[:, :, 1:]
+    top = np.take_along_axis(basis, np.argmax(np.abs(basis), axis=1)[:, None, :],
+                             axis=1)
+    basis = basis * (np.conj(top) / np.abs(top))
+    return basis[0] if single else basis
 
 
 def gram_solve_2(b, c, r) -> tuple[complex, complex, float]:

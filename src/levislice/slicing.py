@@ -98,8 +98,8 @@ def slice_gradient_check(s: Slice, domain: Domain, mu) -> bool:
     This holds exactly when b or c is not complex tangent to the boundary at
     phi(mu), which is what makes rho_h a local defining function there.
     """
-    jet = ex.eval_jet(domain.ast, phi(s, mu))
-    grad_h = s.frame.T @ jet.grad
+    _, grads = ex.eval_value_grad(domain.ast, phi(s, mu)[None, :])
+    grad_h = s.frame.T @ grads[0]
     return bool(np.linalg.norm(grad_h) > domain.tol.grad_floor)
 
 
@@ -117,12 +117,14 @@ class WitnessCertificate:
     quadratic: QuadraticWitness
 
 
-def witness_slice(domain: Domain, probe: LeviProbe) -> WitnessCertificate:
+def witness_slice(domain: Domain, probe: LeviProbe,
+                  quadratic: QuadraticWitness | None = None) -> WitnessCertificate:
     """Construct the two-dimensional witness slice for a bad boundary probe.
 
     The slice passes through an interior point p0 found by backtracking
     along the inward complex normal, with b = M - p0 and c = Z.  All
-    certificate invariants are checked before returning.
+    certificate invariants are checked before returning.  The quadratic
+    witness at the probe is built here unless the caller already has it.
     """
     tol = domain.tol
     if probe.lambda_min >= -tol.levi_eps:
@@ -167,7 +169,8 @@ def witness_slice(domain: Domain, probe: LeviProbe) -> WitnessCertificate:
             f"Levi transport failed: lambda_slice {lambda_slice!r} vs "
             f"lambda {probe.lambda_min!r}")
 
-    quadratic = build_quadratic_witness(domain, probe)
+    if quadratic is None:
+        quadratic = build_quadratic_witness(domain, probe)
     return WitnessCertificate(M=M, Z=Z, lam=probe.lambda_min, p0=p0, t=t,
                               slice=s, mu=mu, zeta=zeta,
                               lambda_slice=lambda_slice, quadratic=quadratic)

@@ -1,9 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from levislice import cli
+from levislice import hormander as hm
+from levislice import levi
+from levislice import slicing as sl
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -57,6 +63,23 @@ def test_check_domain_file(capsys, tmp_path):
     assert payload["samples"] == 40 and payload["seed"] == 3
 
 
+def test_check_uses_declared_dimension(capsys):
+    # rho = abs2(z1)-1 leaves z2 out; the domain is still the cylinder in C^2
+    code, payload = run_json(capsys, "check", str(DATA / "cylinder.dom"))
+    assert code == cli.EXIT_OK
+    assert payload["n"] == 2
+    assert payload["verdict"] == "pseudoconvex-at-samples"
+    assert payload["worst"]["lambda_min"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["check", "verify-theorem"])
+def test_dimension_one_is_an_input_error(capsys, command):
+    code, out, err = run(capsys, command, str(DATA / "disc.dom"))
+    assert code == cli.EXIT_INPUT
+    assert "n >= 2" in err
+    assert out == ""
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/file.dom")
     assert code == cli.EXIT_INPUT
@@ -65,7 +88,7 @@ def test_check_missing_file(capsys):
 
 def test_check_bad_expression(capsys, tmp_path):
     path = tmp_path / "bad.dom"
-    path.write_text("name = bad\nn = 1\nrho = sin(z1)\nbox = -1,1\n")
+    path.write_text("name = bad\nn = 2\nrho = sin(z1)\nbox = -1,1,-1,1\n")
     code, _, err = run(capsys, "check", str(path))
     assert code == cli.EXIT_INPUT
 
@@ -143,6 +166,50 @@ def test_verify_theorem_ball_forward(capsys):
     assert fwd["all_pseudoconvex"] is True
     assert fwd["count"] == 15
     assert fwd["min_lambda"] >= -1e-7
+
+
+def test_verify_theorem_cylinder_forward(capsys):
+    code, payload = run_json(capsys, "verify-theorem", str(DATA / "cylinder.dom"),
+                             "--samples", "10")
+    assert code == cli.EXIT_OK
+    assert payload["forward_slices"]["all_pseudoconvex"] is True
+
+
+def test_forward_sweep_without_probes_is_a_pipeline_failure(capsys, monkeypatch):
+    # every slice classifies degenerate, so no slice has a worst probe
+    classify_slices = levi.classify_slices
+
+    def all_degenerate(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(levi, "DEGENERATE_FRACTION", -1.0)
+            return classify_slices(*args, **kwargs)
+
+    monkeypatch.setattr(levi, "classify_slices", all_degenerate)
+    code, out, err = run(capsys, "verify-theorem", "ball", "--samples", "8")
+    assert code == cli.EXIT_PIPELINE
+    assert "forward-slices" in err and "returned a probe" in err
+    assert out == ""
+
+
+def test_verify_theorem_builds_the_quadratic_witness_once(capsys, monkeypatch):
+    calls = []
+    build = hm.build_quadratic_witness
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hm, "build_quadratic_witness", counted)
+    monkeypatch.setattr(sl, "build_quadratic_witness", counted)
+    code, payload = run_json(capsys, "verify-theorem", "saddle2", "--samples", "40",
+                             "--containment-samples", "500")
+    assert code == cli.EXIT_OK
+    assert len(calls) == 1
+    assert list(payload) == [
+        "tool", "version", "command", "domain", "n", "rho", "samples", "seed",
+        "verdict", "probe_count", "degenerate_count", "worst", "hormander",
+        "certificate", "witness_slice_reclassification", "theorem_consistent",
+        "timing"]
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,26 @@ def test_conj_swaps_jet_blocks(rng):
     assert np.allclose(j2.mixed, np.conj(np.swapaxes(j1.mixed, 1, 2)))
 
 
+def test_jet_walk_releases_every_intermediate(rng):
+    # abs2 shares its argument; the shared jet is read twice, then dropped
+    ast = E.parse("abs2(z1+z2)^2+exp(re(z1))*abs2(z2)-1")
+    walk = E._Walk(ast.root, random_points(rng, 2, 4), 2, True)
+    walk.eval(ast.root)
+    assert walk.memo == {}
+    assert set(walk.uses.values()) == {0}
+
+
+def test_mixed_only_jets_match_full_jets(rng):
+    ast = E.parse("abs2(z1)^2+re(z1*conj(z2))+exp(im(z2))/(2+abs2(z1))")
+    pts = random_points(rng, 2, 7, scale=0.8)
+    full = E.eval_jet_batch(ast, pts)
+    mixed_only = E.eval_jet_batch(ast, pts, holo=False)
+    assert mixed_only.holo is None and full.holo is not None
+    assert np.array_equal(mixed_only.mixed, full.mixed)
+    assert np.array_equal(mixed_only.grad, full.grad)
+    assert np.array_equal(mixed_only.value, full.value)
+
+
 # ---------------------------------------------------------------------------
 # realness
 # ---------------------------------------------------------------------------
@@ -138,6 +158,19 @@ def test_check_real_valued():
     assert not E.check_real_valued(E.parse("z1"), 50, 3)
     assert E.check_real_valued(E.parse("re(z1)+im(z2)"), 50, 3)
     assert not E.check_real_valued(E.parse("z1*z2+1"), 50, 3)
+
+
+def test_check_real_valued_on_affine_maps():
+    # abs2(z1)+z2 is real exactly where z2 is; the first map keeps z2 = 0.5
+    ast = E.parse("abs2(z1)+z2")
+    box = np.array([[-2.0, 2.0]] * 4)
+    a = np.array([[0, 0.5], [0, 0.5]], complex)
+    frame = np.array([[[1, 0], [0, 0]], [[1, 0], [0, 1]]], complex)
+    assert E.check_real_valued(ast, 64, 0, box=box, a=a[:1], frame=frame[:1])
+    assert not E.check_real_valued(ast, 64, 0, box=box, a=a, frame=frame)
+    composed = [E.compose_with_affine(ast, a[k], frame[k, :, 0], frame[k, :, 1])
+                for k in range(2)]
+    assert [E.check_real_valued(c, 64, 0, box=box) for c in composed] == [True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from levislice import cli
 from levislice import expr as E
 from levislice import levi
 from levislice.catalog import CATALOG
+from rotated import rotated_domain
 
 
 def domain_of(name):
@@ -70,6 +72,19 @@ def test_sample_boundary_box_misses_boundary():
 def test_sample_boundary_single_point():
     pts = levi.sample_boundary(domain_of("ball"), 1, seed=11)
     assert pts.shape == (1, 2)
+
+
+def test_projection_drops_only_points_that_fail_to_evaluate():
+    # the extra term is 0 except at re(z1) = 0.5, where it divides by zero
+    ast = E.parse("abs2(z1)+abs2(z2)-1+0*(1/(re(z1)-0.5))")
+    tol = levi.Tolerances()
+    starts = np.array([[0.3, 0.2j], [0.5, 0.3], [2.0, 0.0], [0.1j, -0.9]], complex)
+    pts, ok = levi._project(ast, tol, starts)
+    assert ok.tolist() == [True, False, True, True]
+    assert np.array_equal(pts[1], starts[1])
+    for i in (0, 2, 3):
+        alone, ok_alone = levi._newton(ast, tol, starts[i:i + 1])
+        assert ok_alone[0] and np.array_equal(pts[i], alone[0])
 
 
 def test_sample_boundary_deterministic_per_index():
@@ -200,3 +215,61 @@ def test_classify_positive_scaling_of_rho_keeps_verdict_sign():
     # probes land on the same boundary; values scale by the constant
     assert r2.worst_probe.lambda_min == pytest.approx(
         2 * r1.worst_probe.lambda_min, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["ellipsoid", "saddle"])
+def test_batched_classify_matches_pointwise_minimum(kind):
+    dom = rotated_domain(kind, 4, seed=41)
+    report = levi.classify(dom, 120, seed=5)
+    assert report.verdict == (levi.VERDICT_PSEUDOCONVEX if kind == "ellipsoid"
+                              else levi.VERDICT_NONPSEUDOCONVEX)
+    for i, M in enumerate(report.points):
+        assert report.lambdas[i] == pytest.approx(
+            levi.restricted_levi_min(dom, M).lambda_min, abs=1e-12)
+        # independent route: SVD null space of Z -> grad . Z, then eigvalsh
+        jet = E.eval_jet(dom.ast, M)
+        null = np.linalg.svd(jet.grad[None, :])[2][1:].conj().T
+        restricted = null.T @ jet.mixed @ null.conj()
+        scale = 1.0 + np.max(np.abs(jet.mixed))
+        assert report.lambdas[i] == pytest.approx(
+            np.linalg.eigvalsh(restricted)[0], abs=1e-12 * scale)
+        Z = report.directions[i]
+        assert levi.levi_form_at(dom, M, Z) == pytest.approx(
+            report.lambdas[i], abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("name", ["ball", "polyball", "rot-ellipsoid3"])
+def test_batched_slices_match_composed_slice_domains(name):
+    # the batched sweep against classify on the symbolic slice rho(a + b w1 + c w2)
+    dom = (rotated_domain("ellipsoid", 3, seed=17) if name.startswith("rot")
+           else domain_of(name))
+    bases, frames, seeds = cli._sweep_slices(dom, 12, seed=23)
+    reports = levi.classify_slices(dom, bases, frames, cli.SLICE_WINDOW,
+                                   cli.SLICE_PROBES, seeds)
+    assert len(reports) == 12
+    for a, frame, k, report in zip(bases, frames, seeds, reports):
+        composed = E.compose_with_affine(dom.ast, a, frame[:, 0], frame[:, 1])
+        dom_h = levi.make_domain(composed, box=levi.square_box(2, cli.SLICE_WINDOW),
+                                 tol=dom.tol)
+        oracle = levi.classify(dom_h, cli.SLICE_PROBES, seed=k)
+        assert report.verdict == oracle.verdict == levi.VERDICT_PSEUDOCONVEX
+        assert report.sample_count == oracle.sample_count
+        assert report.degenerate_count == oracle.degenerate_count
+        assert report.worst_probe.lambda_min == pytest.approx(
+            oracle.worst_probe.lambda_min, abs=1e-12)
+
+
+def test_classify_slices_rejects_a_window_without_interior():
+    dom = domain_of("ball")
+    with pytest.raises(levi.DomainError):
+        levi.classify_slices(dom, np.zeros((1, 2)), np.eye(2)[None], 0.0, 10, [0])
+
+
+def test_classify_slices_reports_a_slice_that_misses_the_boundary():
+    # the second slice lies far outside the ball: rho_h >= 3 on its window
+    dom = domain_of("ball")
+    bases = np.array([[0, 0], [5, 5]], complex)
+    frames = np.repeat(np.eye(2, dtype=complex)[None] * 0.1, 2, axis=0)
+    frames[0] = np.eye(2)
+    with pytest.raises(levi.BoundaryNotFoundError):
+        levi.classify_slices(dom, bases, frames, 2.0, 20, [0, 1])

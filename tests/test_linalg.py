@@ -68,6 +68,16 @@ def test_eig_2x2_closed_form(seed):
     assert w[1] == pytest.approx((tr + disc) / 2, abs=1e-12)
 
 
+def test_eig_stack_matches_single_matrices(rng):
+    stack = np.array([random_hermitian(rng, 4) for _ in range(6)])
+    w, v = la.hermitian_eig(stack)
+    assert w.shape == (6, 4) and v.shape == (6, 4, 4)
+    for k in range(6):
+        wk, vk = la.hermitian_eig(stack[k])
+        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+        assert np.max(np.abs(stack[k] @ v[k] - v[k] * w[k])) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # tangent basis
 # ---------------------------------------------------------------------------
@@ -107,6 +117,20 @@ def test_tangent_basis_properties(seed, n):
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(n - 1))) <= 1e-12
     # bilinear tangency convention: sum_j g_j v_j = 0 (no conjugate on g)
     assert np.max(np.abs(g @ basis)) <= 1e-12 * np.linalg.norm(g)
+
+
+def test_tangent_basis_stack_matches_rows(rng):
+    g = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+    g[0] = [0, 2, 0, 0]          # first coordinate zero: the unit-phase fallback
+    stack = la.tangent_null_basis(g)
+    assert stack.shape == (9, 4, 3)
+    for k in range(9):
+        assert np.allclose(stack[k], la.tangent_null_basis(g[k]), atol=1e-15)
+
+
+def test_tangent_basis_stack_gradient_floor():
+    with pytest.raises(la.DegenerateGradientError):
+        la.tangent_null_basis(np.array([[1.0, 0.0], [1e-10, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
