@@ -9,6 +9,12 @@ Differentiation is forward-mode over the doubled variable set (z, zbar)
 treated as formally independent, so conj is exact: it swaps the holomorphic
 and antiholomorphic components of a jet.  All evaluation is batched over
 points; scalar entry points wrap a batch of one.
+
+The jet walk propagates only nonzero derivative structure: a missing
+derivative block is an exact zero, a constant is a scalar with no blocks,
+and a variable carries only its one-hot d/dz.  Terms with a missing factor
+are never formed.  The public entry points fill the missing blocks in at
+the root, so they always return full-shape arrays.
 """
 
 from __future__ import annotations
@@ -294,11 +300,12 @@ def to_string(ast: Ast) -> str:
 class _Jet:
     """Truncated Taylor data in the 2n formal variables (z, zbar).
 
-    Arrays carry a leading batch axis: val (B,), dz/dzb (B, n),
-    dzz/dzzb/dzbzb (B, n, n).  First-order blocks are None at order 0 and
-    second-order blocks below order 2; the holomorphic blocks dzz/dzbzb are
-    also None when only the mixed block dzzb was asked for.  The operations
-    below propagate exactly the blocks their operands carry.
+    A block that is None is an exact zero, and a constant is a 0-d val with
+    no blocks.  Present arrays broadcast against a leading batch axis of
+    length B: val is 0-d or (B,), dz/dzb are (1 or B, n) and dzz/dzzb/dzbzb
+    are (1 or B, n, n); a leading 1 means the block is the same at every
+    point.  Which blocks can exist at all is fixed by the walk: none above
+    its order, and no dzz/dzbzb unless it asks for the holomorphic block.
     """
     val: np.ndarray
     dz: np.ndarray | None = None
@@ -308,115 +315,41 @@ class _Jet:
     dzbzb: np.ndarray | None = None
 
 
-def _zeros(B: int, n: int, order: int, holo: bool, dtype) -> _Jet:
-    jet = _Jet(np.zeros(B, dtype))
-    if order >= 1:
-        jet.dz = np.zeros((B, n), dtype)
-        jet.dzb = np.zeros((B, n), dtype)
-    if order >= 2:
-        jet.dzzb = np.zeros((B, n, n), dtype)
-        if holo:
-            jet.dzz = np.zeros((B, n, n), dtype)
-            jet.dzbzb = np.zeros((B, n, n), dtype)
-    return jet
+def _sum(*terms):
+    """The sum of the present terms, left to right; None if there are none."""
+    out = None
+    for term in terms:
+        if term is not None:
+            out = term if out is None else out + term
+    return out
 
 
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _scale(block, val):
+    """block times a per-point value, broadcast over the derivative axes."""
+    if block is None:
+        return None
+    if np.ndim(val):
+        val = val.reshape(val.shape + (1,) * (block.ndim - 1))
+    return block * val
+
+
+def _outer(x, y):
+    if x is None or y is None:
+        return None
     return x[:, :, None] * y[:, None, :]
 
 
-def _add(u: _Jet, v: _Jet, sign: float) -> _Jet:
-    out = _Jet(u.val + sign * v.val)
-    if u.dz is not None:
-        out.dz = u.dz + sign * v.dz
-        out.dzb = u.dzb + sign * v.dzb
-    if u.dzzb is not None:
-        out.dzzb = u.dzzb + sign * v.dzzb
-    if u.dzz is not None:
-        out.dzz = u.dzz + sign * v.dzz
-        out.dzbzb = u.dzbzb + sign * v.dzbzb
-    return out
+def _neg(x):
+    return None if x is None else -x
 
 
-def _mul(u: _Jet, v: _Jet) -> _Jet:
-    out = _Jet(u.val * v.val)
-    if u.dz is not None:
-        uv = u.val[:, None]
-        vv = v.val[:, None]
-        out.dz = u.dz * vv + v.dz * uv
-        out.dzb = u.dzb * vv + v.dzb * uv
-    if u.dzzb is not None:
-        uv2 = u.val[:, None, None]
-        vv2 = v.val[:, None, None]
-        out.dzzb = (u.dzzb * vv2 + v.dzzb * uv2
-                    + _outer(u.dz, v.dzb) + _outer(v.dz, u.dzb))
-        if u.dzz is not None:
-            out.dzz = (u.dzz * vv2 + v.dzz * uv2
-                       + _outer(u.dz, v.dz) + _outer(v.dz, u.dz))
-            out.dzbzb = (u.dzbzb * vv2 + v.dzbzb * uv2
-                         + _outer(u.dzb, v.dzb) + _outer(v.dzb, u.dzb))
-    return out
-
-
-def _inv(u: _Jet) -> _Jet:
-    if np.any(u.val == 0):
-        raise EvalError("division by zero")
-    w = 1.0 / u.val
-    out = _Jet(w)
-    if u.dz is not None:
-        w2 = (w * w)[:, None]
-        out.dz = -u.dz * w2
-        out.dzb = -u.dzb * w2
-    if u.dzzb is not None:
-        w2m = (w * w)[:, None, None]
-        w3m = (w * w * w)[:, None, None]
-        out.dzzb = -u.dzzb * w2m + 2.0 * _outer(u.dz, u.dzb) * w3m
-        if u.dzz is not None:
-            out.dzz = -u.dzz * w2m + 2.0 * _outer(u.dz, u.dz) * w3m
-            out.dzbzb = -u.dzbzb * w2m + 2.0 * _outer(u.dzb, u.dzb) * w3m
-    return out
-
-
-def _conj(u: _Jet) -> _Jet:
-    out = _Jet(np.conj(u.val))
-    if u.dz is not None:
-        out.dz = np.conj(u.dzb)
-        out.dzb = np.conj(u.dz)
-    if u.dzzb is not None:
-        out.dzzb = np.conj(np.swapaxes(u.dzzb, 1, 2))
-    if u.dzz is not None:
-        out.dzz = np.conj(u.dzbzb)
-        out.dzbzb = np.conj(u.dzz)
-    return out
-
-
-def _exp(u: _Jet) -> _Jet:
-    e = np.exp(u.val)
-    out = _Jet(e)
-    if u.dz is not None:
-        em = e[:, None]
-        out.dz = u.dz * em
-        out.dzb = u.dzb * em
-    if u.dzzb is not None:
-        em2 = e[:, None, None]
-        out.dzzb = (u.dzzb + _outer(u.dz, u.dzb)) * em2
-        if u.dzz is not None:
-            out.dzz = (u.dzz + _outer(u.dz, u.dz)) * em2
-            out.dzbzb = (u.dzbzb + _outer(u.dzb, u.dzb)) * em2
-    return out
-
-
-def _pow(u: _Jet, k: int) -> _Jet:
-    result = None
-    base = u
-    e = k
-    while e:
-        if e & 1:
-            result = base if result is None else _mul(result, base)
-        e >>= 1
-        if e:
-            base = _mul(base, base)
-    return result
+def _plus(x, y, sign: float):
+    """x + sign*y for sign = +-1, with None as zero."""
+    if y is None:
+        return x
+    if x is None:
+        return y if sign > 0 else -y
+    return x + y if sign > 0 else x - y
 
 
 class _Walk:
@@ -424,7 +357,10 @@ class _Walk:
 
     Shared subtrees (abs2 shares its argument) are evaluated once.  A
     node's jet is kept only until its last consumer has read it, so the
-    live set stays near the current path instead of the whole tree.
+    live set stays near the current path instead of the whole tree.  The
+    operations skip structural zeros: a term with a missing factor is not
+    formed, and second-order terms are formed only at order 2 (the
+    holomorphic ones only with holo).
     """
 
     def __init__(self, root: Node, points: np.ndarray, order: int, holo: bool):
@@ -452,39 +388,111 @@ class _Walk:
             self.memo[key] = jet
         return jet
 
-    def constant(self, value) -> _Jet:
-        """A jet with the given values and all derivatives zero."""
-        B, n = self.points.shape
-        jet = _zeros(B, n, self.order, self.holo, self.points.dtype)
-        jet.val = np.broadcast_to(value, B).astype(self.points.dtype)
-        return jet
-
     def eval(self, node: Node) -> _Jet:
         if isinstance(node, Var):
-            jet = self.constant(self.points[:, node.index - 1])
-            if jet.dz is not None:
-                jet.dz[:, node.index - 1] = 1.0
+            # the column as a view; d/dz is one-hot and the same at every point
+            jet = _Jet(self.points[:, node.index - 1])
+            if self.order >= 1:
+                jet.dz = np.zeros((1, self.points.shape[1]), self.points.dtype)
+                jet.dz[0, node.index - 1] = 1.0
             return jet
         if isinstance(node, Const):
-            return self.constant(node.value)
+            return _Jet(self.points.dtype.type(node.value))
         if isinstance(node, Conj):
-            return _conj(self.take(node.arg))
+            return self.conj(self.take(node.arg))
         if isinstance(node, Exp):
-            return _exp(self.take(node.arg))
+            return self.exp(self.take(node.arg))
         if isinstance(node, Pow):
             base = self.take(node.base)
-            return _pow(base, node.exponent) if node.exponent else self.constant(1.0)
+            if node.exponent == 0:
+                return _Jet(self.points.dtype.type(1.0))
+            return self.pow(base, node.exponent)
         lhs = self.take(node.lhs)
         rhs = self.take(node.rhs)
         if isinstance(node, Add):
-            return _add(lhs, rhs, 1.0)
+            return self.add(lhs, rhs, 1.0)
         if isinstance(node, Sub):
-            return _add(lhs, rhs, -1.0)
+            return self.add(lhs, rhs, -1.0)
         if isinstance(node, Mul):
-            return _mul(lhs, rhs)
+            return self.mul(lhs, rhs)
         if isinstance(node, Div):
-            return _mul(lhs, _inv(rhs))
+            return self.mul(lhs, self.inv(rhs))
         raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+    def add(self, u: _Jet, v: _Jet, sign: float) -> _Jet:
+        return _Jet(u.val + sign * v.val,
+                    dz=_plus(u.dz, v.dz, sign), dzb=_plus(u.dzb, v.dzb, sign),
+                    dzz=_plus(u.dzz, v.dzz, sign), dzzb=_plus(u.dzzb, v.dzzb, sign),
+                    dzbzb=_plus(u.dzbzb, v.dzbzb, sign))
+
+    def mul(self, u: _Jet, v: _Jet) -> _Jet:
+        out = _Jet(u.val * v.val)
+        if self.order >= 1:
+            out.dz = _sum(_scale(u.dz, v.val), _scale(v.dz, u.val))
+            out.dzb = _sum(_scale(u.dzb, v.val), _scale(v.dzb, u.val))
+        if self.order >= 2:
+            out.dzzb = _sum(_scale(u.dzzb, v.val), _scale(v.dzzb, u.val),
+                            _outer(u.dz, v.dzb), _outer(v.dz, u.dzb))
+            if self.holo:
+                out.dzz = _sum(_scale(u.dzz, v.val), _scale(v.dzz, u.val),
+                               _outer(u.dz, v.dz), _outer(v.dz, u.dz))
+                out.dzbzb = _sum(_scale(u.dzbzb, v.val), _scale(v.dzbzb, u.val),
+                                 _outer(u.dzb, v.dzb), _outer(v.dzb, u.dzb))
+        return out
+
+    def inv(self, u: _Jet) -> _Jet:
+        if np.any(u.val == 0):
+            raise EvalError("division by zero")
+        w = 1.0 / u.val
+        out = _Jet(w)
+        if self.order >= 1:
+            w2 = w * w
+            out.dz = _scale(_neg(u.dz), w2)
+            out.dzb = _scale(_neg(u.dzb), w2)
+        if self.order >= 2:
+            w3 = w * w * w
+
+            def second(hess, x, y):
+                cross = _outer(x, y)
+                return _sum(_scale(_neg(hess), w2),
+                            None if cross is None else _scale(2.0 * cross, w3))
+            out.dzzb = second(u.dzzb, u.dz, u.dzb)
+            if self.holo:
+                out.dzz = second(u.dzz, u.dz, u.dz)
+                out.dzbzb = second(u.dzbzb, u.dzb, u.dzb)
+        return out
+
+    def conj(self, u: _Jet) -> _Jet:
+        def c(x):
+            return None if x is None else np.conj(x)
+        return _Jet(np.conj(u.val), dz=c(u.dzb), dzb=c(u.dz), dzz=c(u.dzbzb),
+                    dzzb=None if u.dzzb is None else c(np.swapaxes(u.dzzb, 1, 2)),
+                    dzbzb=c(u.dzz))
+
+    def exp(self, u: _Jet) -> _Jet:
+        e = np.exp(u.val)
+        out = _Jet(e)
+        if self.order >= 1:
+            out.dz = _scale(u.dz, e)
+            out.dzb = _scale(u.dzb, e)
+        if self.order >= 2:
+            out.dzzb = _scale(_sum(u.dzzb, _outer(u.dz, u.dzb)), e)
+            if self.holo:
+                out.dzz = _scale(_sum(u.dzz, _outer(u.dz, u.dz)), e)
+                out.dzbzb = _scale(_sum(u.dzbzb, _outer(u.dzb, u.dzb)), e)
+        return out
+
+    def pow(self, u: _Jet, k: int) -> _Jet:
+        result = None
+        base = u
+        e = k
+        while e:
+            if e & 1:
+                result = base if result is None else self.mul(result, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        return result
 
 
 def _as_points(ast: Ast, points) -> np.ndarray:
@@ -500,10 +508,33 @@ def _as_points(ast: Ast, points) -> np.ndarray:
 
 
 def _run(ast: Ast, points, order: int, holo: bool = False) -> _Jet:
-    jet = _Walk(ast.root, _as_points(ast, points), order, holo).eval(ast.root)
-    if not np.all(np.isfinite(jet.val)):
+    """The root jet at full shape, with the blocks callers read: val, dz,
+    dzzb and, with holo, dzz.
+
+    val is a fresh (B,) array that never aliases the points, a missing block
+    is filled with zeros, and a present block gets + 0.0, which turns a -0.0
+    left by a skipped zero term into the +0.0 that adding the term gives.
+    """
+    points = _as_points(ast, points)
+    jet = _Walk(ast.root, points, order, holo).eval(ast.root)
+    B, n = points.shape
+    val = np.array(np.broadcast_to(jet.val, (B,)))
+    if not np.all(np.isfinite(val)):
         raise EvalError("non-finite value in evaluation")
-    return jet
+
+    def full(block, ndim):
+        shape = (B,) + (n,) * ndim
+        if block is None:
+            return np.zeros(shape, points.dtype)
+        return np.broadcast_to(block, shape) + 0.0
+    out = _Jet(val)
+    if order >= 1:
+        out.dz = full(jet.dz, 1)
+    if order >= 2:
+        out.dzzb = full(jet.dzzb, 2)
+        if holo:
+            out.dzz = full(jet.dzz, 2)
+    return out
 
 
 # ---------------------------------------------------------------------------

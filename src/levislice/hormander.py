@@ -59,11 +59,11 @@ def eval_quadratic(q: QuadraticWitness, z) -> np.ndarray | float:
     z = np.asarray(z, complex)
     single = z.ndim == 1
     d = (z[None, :] if single else z) - q.center[None, :]
-    lin_t = 2.0 * (d @ q.lin).real
-    holo_t = np.einsum("jk,bj,bk->b", q.holo2, d, d).real
-    mixed_t = np.einsum("jk,bj,bk->b", q.mixed2, d, np.conj(d)).real
-    eps_t = q.eps * np.sum(np.abs(d) ** 2, axis=1)
-    out = lin_t + holo_t + mixed_t + eps_t
+    dbar = np.conj(d)
+    out = 2.0 * (d @ q.lin).real
+    out += np.einsum("bk,bk->b", d @ q.holo2, d).real
+    out += np.einsum("bk,bk->b", d @ q.mixed2, dbar).real
+    out += q.eps * np.einsum("bk,bk->b", d, dbar).real
     return float(out[0]) if single else out
 
 

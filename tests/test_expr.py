@@ -150,6 +150,72 @@ def test_mixed_only_jets_match_full_jets(rng):
 
 
 # ---------------------------------------------------------------------------
+# structural zeros: missing jet blocks come back as full-shape zeros
+# ---------------------------------------------------------------------------
+
+def jets_on_every_path(ast, pts):
+    """Evaluate through every public batch entry point; check they agree."""
+    raw = E.eval_raw(ast, pts)
+    value, grad = E.eval_value_grad(ast, pts)
+    full = E.eval_jet_batch(ast, pts, holo=True)
+    mixed_only = E.eval_jet_batch(ast, pts, holo=False)
+    B, n = pts.shape
+    assert raw.shape == value.shape == (B,)
+    assert grad.shape == (B, n) and full.mixed.shape == full.holo.shape == (B, n, n)
+    for block in (raw, grad, full.grad, full.mixed, full.holo, mixed_only.mixed):
+        assert block.dtype == np.complex128
+    assert mixed_only.holo is None
+    assert np.array_equal(value, raw.real)
+    for jets in (full, mixed_only):
+        assert np.array_equal(jets.value, value)
+        assert np.array_equal(jets.grad, grad)
+    assert np.array_equal(mixed_only.mixed, full.mixed)
+    return value, grad, full.mixed, full.holo
+
+
+def test_constant_expression_has_zero_blocks(rng):
+    pts = random_points(rng, 2, 5)
+    value, grad, mixed, holo = jets_on_every_path(E.parse("3"), pts)
+    assert np.array_equal(value, np.full(5, 3.0))
+    for block in (grad, mixed, holo):
+        assert not np.any(block)
+        assert not np.any(np.signbit(block.real)) and not np.any(np.signbit(block.imag))
+
+
+def test_unused_variable_has_zero_derivatives(rng):
+    pts = random_points(rng, 2, 6)
+    _, grad, mixed, holo = jets_on_every_path(E.parse("abs2(z1)-1"), pts)
+    assert not np.any(grad[:, 1])
+    assert not np.any(mixed[:, 1, :]) and not np.any(mixed[:, :, 1])
+    assert not np.any(holo)
+    assert np.allclose(grad[:, 0], np.conj(pts[:, 0]))
+    assert np.array_equal(mixed[:, 0, 0], np.ones(6))
+
+
+@pytest.mark.parametrize("text", ["z1^0", "z1-z1", "2/(3+abs2(z1))", "exp(2)+abs2(z2)"])
+def test_constant_heavy_jets_match_finite_differences(text, rng):
+    ast = E.parse(text)
+    pts = random_points(rng, 2, 4, scale=0.7)
+    value, grad, mixed, holo = jets_on_every_path(ast, pts)
+    for k, point in enumerate(pts):
+        fd_val, fd_grad, fd_mixed, fd_holo = fd_wirtinger_jet(ast, point)
+        scale = 1.0 + max(abs(fd_val), np.max(np.abs(fd_mixed)))
+        assert abs(value[k] - fd_val) <= 1e-6 * scale
+        assert np.max(np.abs(grad[k] - fd_grad)) <= 1e-6 * scale
+        assert np.max(np.abs(mixed[k] - fd_mixed)) <= 1e-6 * scale
+        assert np.max(np.abs(holo[k] - fd_holo)) <= 1e-6 * scale
+
+
+def test_variable_values_do_not_alias_points(rng):
+    pts = random_points(rng, 2, 3)
+    before = pts.copy()
+    raw = E.eval_raw(E.parse("z1"), pts)
+    assert not np.shares_memory(raw, pts)
+    raw[:] = 99.0
+    assert np.array_equal(pts, before)
+
+
+# ---------------------------------------------------------------------------
 # realness
 # ---------------------------------------------------------------------------
 
