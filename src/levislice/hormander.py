@@ -5,7 +5,9 @@ second-order Taylor jet of rho plus a strictly positive eps*|z - M|^2 term
 yields a real-valued quadratic q with q(M) = 0, nonzero gradient, a complex
 tangent direction of negative Levi form, and {q < 0} locally contained in
 the domain.  Containment is verified statistically by sampling; the record
-keeps the final radius for auditability.
+keeps the final radius for auditability.  q is evaluated in real
+coordinates: d = z - M as x = (Re d1, Im d1, Re d2, ...) = d.view(float), the
+interleaved layout of complex128, gives q(M + d) = g.x + x^T A x, A symmetric.
 """
 
 from __future__ import annotations
@@ -54,17 +56,22 @@ class VerificationRecord:
         return all(self.checks.values())
 
 
+def _eval_offsets(q: QuadraticWitness, x: np.ndarray) -> np.ndarray:
+    """q(M + d) at the (B, 2n) real offsets x = d.view(float); d = P x with
+    P = I (x) [1, i], so g and A are real parts of P-congruences of q's blocks."""
+    n = len(q.center)
+    P = np.kron(np.eye(n), [1.0, 1j])
+    g = 2.0 * (q.lin @ P).real
+    A = (P.T @ q.holo2 @ P).real + (P.T @ q.mixed2 @ P.conj()).real
+    A += q.eps * np.eye(2 * n)
+    return x @ g + np.einsum("bk,bk->b", x @ A, x)
+
+
 def eval_quadratic(q: QuadraticWitness, z) -> np.ndarray | float:
-    """q(z) = 2 Re(lin . d) + Re(d^T holo2 d) + dbar^H mixed2-ish d + eps|d|^2."""
+    """q(z) = 2 Re(lin . d) + Re(d^T holo2 d) + Re(d^T mixed2 dbar) + eps|d|^2."""
     z = np.asarray(z, complex)
-    single = z.ndim == 1
-    d = (z[None, :] if single else z) - q.center[None, :]
-    dbar = np.conj(d)
-    out = 2.0 * (d @ q.lin).real
-    out += np.einsum("bk,bk->b", d @ q.holo2, d).real
-    out += np.einsum("bk,bk->b", d @ q.mixed2, dbar).real
-    out += q.eps * np.einsum("bk,bk->b", d, dbar).real
-    return float(out[0]) if single else out
+    out = _eval_offsets(q, (np.atleast_2d(z) - q.center).view(float))
+    return float(out[0]) if z.ndim == 1 else out
 
 
 def build_quadratic_witness(domain: Domain, probe: LeviProbe) -> QuadraticWitness:
@@ -110,22 +117,17 @@ def verify_quadratic_witness(domain: Domain, q: QuadraticWitness,
     checks["negative_levi"] = levi_value < 0.0
 
     n = len(q.center)
-    radius = q.radius
-    halvings = 0
-    for attempt in range(MAX_HALVINGS + 1):
-        rng = np.random.default_rng((seed, attempt))
-        dirs = rng.standard_normal((samples, 2 * n))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        radii = radius * rng.random(samples) ** (1.0 / (2 * n))
-        d = (dirs[:, 0::2] + 1j * dirs[:, 1::2]) * radii[:, None]
-        zs = q.center[None, :] + d
-        qv = eval_quadratic(q, zs)
-        rv = ex.eval_raw(domain.ast, zs).real
+    for halvings in range(MAX_HALVINGS + 1):
+        radius = q.radius / 2.0 ** halvings
+        rng = np.random.default_rng((seed, halvings))
+        x = rng.standard_normal((samples, 2 * n))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        x *= (radius * rng.random(samples) ** (1.0 / (2 * n)))[:, None]
+        qv = _eval_offsets(q, x)
+        rv = ex.eval_raw(domain.ast, x.view(complex) + q.center).real
         if not np.any((qv < 0.0) & (rv >= 0.0)):
             checks["containment"] = True
             break
-        radius /= 2.0
-        halvings += 1
     else:
         raise ContainmentError(
             f"containment still violated after {MAX_HALVINGS} radius halvings")
@@ -138,25 +140,20 @@ def verify_quadratic_witness(domain: Domain, q: QuadraticWitness,
 # Rendering q in the expression grammar (used for cross-checks)
 # ---------------------------------------------------------------------------
 
-def _const_str(c: complex) -> str:
-    sign = "+" if c.imag >= 0 else "-"
-    return f"({repr(float(c.real))}{sign}{repr(abs(float(c.imag)))}*i)"
-
-
 def quadratic_as_expression(q: QuadraticWitness) -> str:
     """Render q as a parseable expression string in z1..zn."""
     n = len(q.center)
-    dvar = [f"(z{j + 1}-{_const_str(q.center[j])})" for j in range(n)]
+    dvar = [f"(z{j + 1}-{ex._fmt_const(q.center[j])})" for j in range(n)]
     terms = []
-    lin_parts = [f"{_const_str(q.lin[j])}*{dvar[j]}"
+    lin_parts = [f"{ex._fmt_const(q.lin[j])}*{dvar[j]}"
                  for j in range(n) if q.lin[j] != 0]
     if lin_parts:
         terms.append(f"2*re({'+'.join(lin_parts)})")
-    holo_parts = [f"{_const_str(q.holo2[j, k])}*{dvar[j]}*{dvar[k]}"
+    holo_parts = [f"{ex._fmt_const(q.holo2[j, k])}*{dvar[j]}*{dvar[k]}"
                   for j in range(n) for k in range(n) if q.holo2[j, k] != 0]
     if holo_parts:
         terms.append(f"re({'+'.join(holo_parts)})")
-    mixed_parts = [f"{_const_str(q.mixed2[j, k])}*{dvar[j]}*conj({dvar[k]})"
+    mixed_parts = [f"{ex._fmt_const(q.mixed2[j, k])}*{dvar[j]}*conj({dvar[k]})"
                    for j in range(n) for k in range(n) if q.mixed2[j, k] != 0]
     if mixed_parts:
         terms.append(f"re({'+'.join(mixed_parts)})")

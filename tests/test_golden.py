@@ -29,6 +29,9 @@ CASES = {
                              "--samples", "200"),
     "verify_ball": ("verify-theorem", "ball", "--samples", "25"),
     "verify_saddle3": ("verify-theorem", "saddle3", "--containment-samples", "2000"),
+    # the one case whose quadratic witness has holo2 != 0
+    "verify_holo_saddle3": ("verify-theorem", str(DATA / "holo_saddle3.dom"),
+                            "--containment-samples", "20000", "--seed", "3"),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ import pytest
 from levislice import expr as E
 from levislice import hormander as hm
 from levislice import levi
-from levislice.catalog import CATALOG
+from levislice.catalog import CATALOG, parse_domain_file
+from rotated import rotated_domain
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def domain_of(name):
@@ -17,6 +22,25 @@ def saddle2_witness():
     dom = domain_of("saddle2")
     probe = levi.restricted_levi_min(dom, [0, 0])
     return dom, probe, hm.build_quadratic_witness(dom, probe)
+
+
+def worst_probe_witness(dom, count, seed):
+    probe = levi.classify(dom, count, seed).worst_probe
+    return dom, hm.build_quadratic_witness(dom, probe)
+
+
+# a cubic saddle whose witness needs two halvings; its holo2 is nonzero
+HALVING_RHO = "re(z2)-abs2(z1)+50*abs2(z1)*re(z1)"
+
+
+def halving_witness():
+    return worst_probe_witness(
+        levi.make_domain(HALVING_RHO, levi.square_box(2, 1.0)), 200, 1)
+
+
+def holo_saddle3_witness():
+    spec = parse_domain_file(DATA / "holo_saddle3.dom")
+    return worst_probe_witness(spec.domain(), 200, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +86,42 @@ def test_quadratic_matches_taylor_plus_bump(rng):
             expected, abs=1e-12)
 
 
+WITNESSES = {
+    "rot_saddle2": lambda: worst_probe_witness(rotated_domain("saddle", 2, 31), 50, 1),
+    "rot_saddle3": lambda: worst_probe_witness(rotated_domain("saddle", 3, 37), 50, 1),
+    "rot_saddle4": lambda: worst_probe_witness(rotated_domain("saddle", 4, 41), 50, 1),
+    "holo_saddle3": holo_saddle3_witness,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_real_form_matches_complex_formula(name, rng):
+    # q(M + d) = 2 Re(lin.d) + Re(d^T H d) + Re(d^T M dbar) + eps |d|^2
+    _, q = WITNESSES[name]()
+    n = len(q.center)
+    d = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
+    d *= (q.radius * rng.random(200) ** (1 / (2 * n))
+          / np.linalg.norm(d, axis=1))[:, None]
+    terms = np.stack([
+        2 * (d @ q.lin).real,
+        np.einsum("bj,jk,bk->b", d, q.holo2, d).real,
+        np.einsum("bj,jk,bk->b", d, q.mixed2, np.conj(d)).real,
+        q.eps * np.sum(np.abs(d) ** 2, axis=1),
+    ])
+    scale = np.max(np.sum(np.abs(terms), axis=0))
+    batch = hm.eval_quadratic(q, q.center + d)
+    assert np.max(np.abs(batch - terms.sum(axis=0))) <= 1e-13 * scale
+    single = [hm.eval_quadratic(q, z) for z in q.center + d[:5]]
+    assert np.max(np.abs(np.subtract(single, batch[:5]))) <= 1e-15 * scale
+    assert hm.eval_quadratic(q, q.center) == 0.0
+
+
+def test_witnesses_with_holo2_are_covered():
+    # the holo2 term of q is pinned only if some tested witness has one
+    assert np.any(np.abs(holo_saddle3_witness()[1].holo2.imag) > 0.1)
+    assert np.any(np.abs(halving_witness()[1].holo2) > 0.1)
+
+
 def test_levi_of_quadratic_is_half_lambda():
     _, probe, q = saddle2_witness()
     assert hm.levi_form_of_quadratic(q, q.direction) == pytest.approx(
@@ -101,6 +161,24 @@ def test_verify_saddle3():
     record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=5)
     assert record.all_passed
     assert record.levi_value == pytest.approx(-0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_halves_radius(seed):
+    # values written from the complex-coordinate implementation
+    dom, q = halving_witness()
+    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=seed)
+    assert record.all_passed
+    assert record.halvings == 2
+    assert record.radius == 0.046907330972367864
+
+
+def test_verify_raises_when_containment_never_holds():
+    # with -lin, {q < 0} lies on the outside of the boundary at every radius
+    dom, q = halving_witness()
+    flipped = dataclasses.replace(q, lin=-q.lin)
+    with pytest.raises(hm.ContainmentError):
+        hm.verify_quadratic_witness(dom, flipped, samples=2000, seed=1)
 
 
 def test_verify_rejects_tiny_sample_count():
