@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Walk through the full witness construction on one nonpseudoconvex domain.
 
-Finds the worst boundary probe, builds the two-dimensional witness slice and
-the local quadratic witness, verifies both, and prints every intermediate
-quantity.
+Runs the library pipeline (`levislice.pipeline.verify_theorem`) and prints
+every part of its result: the worst boundary probe, the quadratic witness
+and its checks, the two-dimensional witness slice, and the reclassification
+of that slice.
 
 Usage: python scripts/witness_demo.py [domain] [--samples N] [--seed S]
 """
@@ -13,9 +14,8 @@ import argparse
 import numpy as np
 
 from levislice import expr as E
-from levislice import hormander as hm
 from levislice import levi
-from levislice import slicing as sl
+from levislice import pipeline
 from levislice.catalog import load_domain_spec
 
 
@@ -34,9 +34,14 @@ def main():
     domain = spec.domain()
     print(f"domain {spec.name}: rho = {spec.rho}  (n = {spec.n})")
 
-    result = levi.classify(domain, args.samples, args.seed)
+    run = pipeline.verify_theorem(domain, args.samples, args.seed,
+                                  containment_samples=10000)
+    result = run.classification
     print(f"verdict at {args.samples} boundary samples: {result.verdict}")
     if result.verdict != levi.VERDICT_NONPSEUDOCONVEX:
+        if run.forward is not None:
+            print(f"forward sweep: {run.forward.count} slices, all pseudoconvex: "
+                  f"{run.forward.all_pseudoconvex}")
         print("no negative Levi probe found; nothing to witness")
         return
     probe = result.worst_probe
@@ -44,19 +49,7 @@ def main():
     print(f"  lambda_min  = {probe.lambda_min:.6g}")
     print(f"  direction Z = {fmt(probe.direction)}")
 
-    cert = sl.witness_slice(domain, probe)
-    print("witness slice h(a, b, c):")
-    print(f"  a = p0 = {fmt(cert.p0)}  (inward point, t = {cert.t:.6g})")
-    print(f"  b = M - p0 = {fmt(cert.slice.b)}")
-    print(f"  c = Z = {fmt(cert.slice.c)}")
-    print(f"  lambda on the slice at mu = {cert.lambda_slice:.6g}")
-
-    composed = E.compose_with_affine(domain.ast, cert.slice.a, cert.slice.b,
-                                     cert.slice.c)
-    print(f"  rho_h = {E.to_string(composed)}")
-
-    record = hm.verify_quadratic_witness(domain, cert.quadratic,
-                                         samples=10000, seed=args.seed)
+    record = run.record
     print("quadratic witness verification:")
     for name, passed in record.checks.items():
         print(f"  {name:18s} {'ok' if passed else 'FAILED'}")
@@ -64,6 +57,21 @@ def main():
           f"(= lambda/2 = {probe.lambda_min / 2:.6g})")
     print(f"  containment radius = {record.radius:.6g} "
           f"after {record.halvings} halvings, {record.samples} samples")
+
+    cert = run.certificate
+    print("witness slice h(a, b, c):")
+    print(f"  a = p0 = {fmt(cert.p0)}  (inward point, t = {cert.t:.6g})")
+    print(f"  b = M - p0 = {fmt(cert.slice.b)}")
+    print(f"  c = Z = {fmt(cert.slice.c)}")
+    print(f"  lambda on the slice at mu = {cert.lambda_slice:.6g}")
+    composed = E.compose_with_affine(domain.ast, cert.slice.a, cert.slice.b,
+                                     cert.slice.c)
+    print(f"  rho_h = {E.to_string(composed)}")
+
+    reclass = run.reclassification
+    print(f"witness slice reclassified at {pipeline.RECLASSIFY_SAMPLES} samples "
+          f"of the w-box [-{pipeline.SLICE_WINDOW}, {pipeline.SLICE_WINDOW}]^4: "
+          f"{reclass.verdict} (worst lambda {reclass.worst_probe.lambda_min:.6g})")
 
 
 if __name__ == "__main__":

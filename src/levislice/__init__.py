@@ -18,16 +18,16 @@ from .levi import (Domain, LeviProbe, LeviReport, Tolerances, classify,
                    classify_slices, levi_form_at, make_domain,
                    project_to_boundary, restricted_levi_min, sample_boundary,
                    square_box)
-from .linalg import (HermitianMatrix, gram_solve_2, hermitian_eig,
-                     hermitian_eig_min, tangent_null_basis)
+from .linalg import gram_solve_2, hermitian_eig, tangent_null_basis
+from .pipeline import (ForwardSweep, PipelineError, TheoremRun,
+                       verify_theorem)
 from .slicing import (Slice, WitnessCertificate, make_slice, phi, phi_inv,
                       pullback_jet, slice_gradient_check, witness_slice)
 
 __all__ = [
     "Ast", "WirtingerJet", "parse", "to_string", "eval_jet", "eval_jet_batch",
     "eval_raw", "check_real_valued", "compose_with_affine",
-    "HermitianMatrix", "hermitian_eig", "hermitian_eig_min",
-    "tangent_null_basis", "gram_solve_2",
+    "hermitian_eig", "tangent_null_basis", "gram_solve_2",
     "Domain", "Tolerances", "LeviProbe", "LeviReport", "make_domain",
     "square_box", "project_to_boundary", "sample_boundary", "levi_form_at",
     "restricted_levi_min", "classify", "classify_slices",
@@ -35,5 +35,6 @@ __all__ = [
     "pullback_jet", "slice_gradient_check", "witness_slice",
     "QuadraticWitness", "VerificationRecord", "build_quadratic_witness",
     "eval_quadratic", "verify_quadratic_witness", "quadratic_as_expression",
+    "verify_theorem", "TheoremRun", "ForwardSweep", "PipelineError",
     "__version__",
 ]

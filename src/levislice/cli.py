@@ -6,15 +6,21 @@ Subcommands:
     verify-theorem   run the full witness pipeline (or the forward slice sweep)
     catalog          list the built-in model domains
 
+The theorem pipeline lives in `levislice.pipeline`; this module parses
+arguments and serializes results.
+
 Exit codes: 0 ok/pseudoconvex, 2 input error, 3 nonpseudoconvex,
-4 degenerate, 5 pipeline failure.  All reports serialize complex numbers
-as [re, im] pairs; identical inputs and seeds give byte-identical JSON
-apart from the timing block.
+4 degenerate, 5 pipeline failure.  An input error is any failure to load or
+classify the domain, in every command; a pipeline failure is a failed stage
+of verify-theorem after the classification.  All reports serialize complex
+numbers as [re, im] pairs; identical inputs and seeds give byte-identical
+JSON apart from the timing block.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -23,12 +29,13 @@ import numpy as np
 
 from . import __version__
 from . import expr as ex
-from . import hormander as hm
 from . import levi
-from . import slicing as sl
-from .catalog import CATALOG, DomainFileError, DomainSpec, load_domain_spec
+from .catalog import CATALOG, DomainFileError, load_domain_spec
 from .levi import (VERDICT_DEGENERATE, VERDICT_NONPSEUDOCONVEX,
                    VERDICT_PSEUDOCONVEX, Domain)
+from .pipeline import (SLICE_WINDOW, PipelineError, classify_slice,
+                       verify_theorem)
+from .slicing import SliceError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -42,36 +49,25 @@ VERDICT_EXIT = {
     VERDICT_DEGENERATE: EXIT_DEGENERATE,
 }
 
-SLICE_WINDOW = 2.0          # half-width of the w-plane sampling box
-SLICE_PROBES = 50           # boundary probes per slice in the forward sweep
-RECLASSIFY_SAMPLES = 200    # boundary probes on a witness slice
-
 
 class InputError(Exception):
     pass
-
-
-class PipelineError(Exception):
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"stage {stage!r}: {message}")
-        self.stage = stage
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _c(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _cvec(v) -> list[list[float]]:
-    return [_c(z) for z in np.asarray(v, complex)]
-
-
-def _cmat(m) -> list[list[list[float]]]:
-    return [_cvec(row) for row in np.asarray(m, complex)]
+def _jsonable(x):
+    """A result as JSON data: dataclasses become dicts of their fields and
+    complex arrays nested [re, im] pairs."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, np.ndarray):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, complex):
+        return [float(x.real), float(x.imag)]
+    return x
 
 
 def parse_cvector(text: str) -> np.ndarray:
@@ -88,69 +84,31 @@ def parse_cvector(text: str) -> np.ndarray:
     return np.array(entries, complex)
 
 
-def _probe_dict(probe: levi.LeviProbe) -> dict:
-    return {
-        "point": _cvec(probe.point),
-        "lambda_min": probe.lambda_min,
-        "direction": _cvec(probe.direction),
-        "grad_norm": probe.grad_norm,
-    }
-
-
-def _report_base(command: str, spec: DomainSpec, samples: int, seed: int) -> dict:
-    return {
+def _start(args, command: str) -> tuple[float, Domain, dict]:
+    """Load the domain named by the arguments and open the command's report,
+    which holds the resolved sample count and seed."""
+    started = time.monotonic()
+    spec = load_domain_spec(args.domain)
+    domain = spec.domain()
+    report = {
         "tool": "levislice",
         "version": __version__,
         "command": command,
         "domain": spec.name,
         "n": spec.n,
         "rho": spec.rho,
-        "samples": samples,
-        "seed": seed,
+        "samples": args.samples if args.samples is not None else spec.samples,
+        "seed": args.seed if args.seed is not None else spec.seed,
     }
+    return started, domain, report
 
 
 def _attach_classification(report: dict, result: levi.LeviReport):
     report["verdict"] = result.verdict
     report["probe_count"] = len(result.lambdas)
     report["degenerate_count"] = result.degenerate_count
-    report["worst"] = (_probe_dict(result.worst_probe)
+    report["worst"] = (_jsonable(result.worst_probe)
                        if result.worst is not None else None)
-
-
-def _certificate_dict(cert: sl.WitnessCertificate) -> dict:
-    return {
-        "M": _cvec(cert.M),
-        "Z": _cvec(cert.Z),
-        "lambda": cert.lam,
-        "p0": _cvec(cert.p0),
-        "t": cert.t,
-        "slice": {"a": _cvec(cert.slice.a), "b": _cvec(cert.slice.b),
-                  "c": _cvec(cert.slice.c)},
-        "mu": _cvec(cert.mu),
-        "zeta": _cvec(cert.zeta),
-        "lambda_slice": cert.lambda_slice,
-        "quadratic": {
-            "center": _cvec(cert.quadratic.center),
-            "lin": _cvec(cert.quadratic.lin),
-            "holo2": _cmat(cert.quadratic.holo2),
-            "mixed2": _cmat(cert.quadratic.mixed2),
-            "eps": cert.quadratic.eps,
-            "radius": cert.quadratic.radius,
-            "direction": _cvec(cert.quadratic.direction),
-        },
-    }
-
-
-def _verification_dict(rec: hm.VerificationRecord) -> dict:
-    return {
-        "checks": dict(rec.checks),
-        "levi_value": rec.levi_value,
-        "radius": rec.radius,
-        "samples": rec.samples,
-        "seed": rec.seed,
-        "halvings": rec.halvings,
-    }
 
 
 def _emit(report: dict, as_json: bool, started: float):
@@ -183,172 +141,69 @@ def _emit(report: dict, as_json: bool, started: float):
 # Commands
 # ---------------------------------------------------------------------------
 
-def _classify_slice(domain: Domain, s: sl.Slice, window: float, count: int,
-                    seed: int) -> levi.LeviReport:
-    return levi.classify_slices(domain, s.a[None], s.frame[None], window, count,
-                                [seed])[0]
-
-
 def cmd_check(args) -> int:
-    started = time.monotonic()
-    spec = load_domain_spec(args.domain)
-    domain = spec.domain()
-    samples = args.samples if args.samples is not None else spec.samples
-    seed = args.seed if args.seed is not None else spec.seed
-    result = levi.classify(domain, samples, seed)
-    report = _report_base("check", spec, samples, seed)
+    started, domain, report = _start(args, "check")
+    result = levi.classify(domain, report["samples"], report["seed"])
     _attach_classification(report, result)
     _emit(report, args.json, started)
     return VERDICT_EXIT[result.verdict]
 
 
 def cmd_slice(args) -> int:
-    started = time.monotonic()
-    spec = load_domain_spec(args.domain)
-    domain = spec.domain()
-    a = parse_cvector(args.a) if args.a else np.zeros(spec.n, complex)
+    started, domain, report = _start(args, "slice")
+    a = parse_cvector(args.a) if args.a else np.zeros(domain.n, complex)
     b = parse_cvector(args.b)
     c = parse_cvector(args.c)
-    if not (len(a) == len(b) == len(c) == spec.n):
-        raise InputError(f"slice vectors must have length {spec.n}")
-    try:
-        s = sl.make_slice(a, b, c)
-    except sl.SliceError as err:
-        raise InputError(str(err)) from err
-    samples = args.samples if args.samples is not None else spec.samples
-    seed = args.seed if args.seed is not None else spec.seed
-    result = _classify_slice(domain, s, args.window, samples, seed)
-    report = _report_base("slice", spec, samples, seed)
-    report["slice"] = {"a": _cvec(a), "b": _cvec(b), "c": _cvec(c)}
+    if not (len(a) == len(b) == len(c) == domain.n):
+        raise InputError(f"slice vectors must have length {domain.n}")
+    result = classify_slice(domain, a, b, c, args.window, report["samples"],
+                            report["seed"])
+    report["slice"] = {"a": _jsonable(a), "b": _jsonable(b), "c": _jsonable(c)}
     _attach_classification(report, result)
     if args.grid:
         path = args.out or "slice_grid.csv"
-        _write_grid(domain, s, args.grid, args.window, path)
+        _write_grid(domain, a, np.stack([b, c], axis=1), args.grid, args.window,
+                    path)
         report["grid_csv"] = path
     _emit(report, args.json, started)
     return VERDICT_EXIT[result.verdict]
 
 
-def _write_grid(domain: Domain, s: sl.Slice, k: int, window: float, path: str):
+def _write_grid(domain: Domain, a, frame, k: int, window: float, path: str):
     """K x K grid of rho_h over the (Re w1, Re w2) window, imaginary parts 0."""
     axis = np.linspace(-window, window, k)
     w1, w2 = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([w1.ravel(), w2.ravel()], axis=1).astype(complex)
-    values = ex.eval_raw(domain.ast, s.a + pts @ s.frame.T).real
+    values = ex.eval_raw(domain.ast, a + pts @ frame.T).real
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("re_w1,im_w1,re_w2,im_w2,rho_h\n")
         for (u, v), val in zip(pts, values):
             fh.write(f"{float(u.real)!r},0.0,{float(v.real)!r},0.0,{float(val)!r}\n")
 
 
-def _sweep_slices(domain: Domain, slices: int, seed: int):
-    """Random slices through boundary-adjacent points of the domain.
-
-    Slice k passes through a point just inside the boundary point M_k, with
-    random unit directions b, c seeded by (seed, k).  Returns the base points
-    (S, n), the frames [b c] (S, n, 2) and the sampling seed of each slice.
-    """
-    boundary = levi.sample_boundary(domain, max(slices, 20), seed)
-    _, grads = ex.eval_value_grad(domain.ast, boundary)
-    bases, frames, seeds = [], [], []
-    for k in range(slices):
-        M = boundary[k % len(boundary)]
-        g = grads[k % len(boundary)]
-        gn = np.linalg.norm(g)
-        if gn < domain.tol.grad_floor:
-            continue
-        nu = np.conj(g) / gn
-        a = M - 0.05 * (1.0 + np.linalg.norm(M)) * nu
-        rng = np.random.default_rng((seed, 7919, k))
-        while True:
-            b = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
-            c = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
-            b /= np.linalg.norm(b)
-            c /= np.linalg.norm(c)
-            try:
-                s = sl.make_slice(a, b, c)
-                break
-            except sl.SliceError:
-                continue
-        bases.append(s.a)
-        frames.append(s.frame)
-        seeds.append(k)
-    return np.array(bases), np.array(frames), seeds
-
-
-def _forward_slice_sweep(domain: Domain, spec: DomainSpec, slices: int,
-                         seed: int) -> dict:
-    """Empirical forward direction: random slices through boundary-adjacent
-    points of a pseudoconvex-at-samples domain must classify the same way.
-    All slices are classified in one batch."""
-    bases, frames, seeds = _sweep_slices(domain, slices, seed)
-    if not seeds:
-        raise PipelineError("forward-slices", "no usable slices")
-    results = levi.classify_slices(domain, bases, frames, SLICE_WINDOW,
-                                   SLICE_PROBES, seeds)
-    lambdas = [r.worst_probe.lambda_min for r in results if r.worst is not None]
-    if not lambdas:
-        raise PipelineError("forward-slices",
-                            f"none of {len(results)} slices returned a probe")
-    all_ok = all(r.verdict == VERDICT_PSEUDOCONVEX for r in results)
-    return {"count": len(results), "all_pseudoconvex": all_ok,
-            "min_lambda": min(lambdas)}
-
-
 def cmd_verify_theorem(args) -> int:
-    started = time.monotonic()
-    spec = load_domain_spec(args.domain)
-    samples = args.samples if args.samples is not None else spec.samples
-    seed = args.seed if args.seed is not None else spec.seed
-    report = _report_base("verify-theorem", spec, samples, seed)
-    stage = "load"
-    try:
-        domain = spec.domain()
-        stage = "classify"
-        result = levi.classify(domain, samples, seed)
-        _attach_classification(report, result)
-        if result.verdict == VERDICT_DEGENERATE:
-            _emit(report, args.json, started)
-            return EXIT_DEGENERATE
-        if result.verdict == VERDICT_NONPSEUDOCONVEX:
-            probe = result.worst_probe
-            stage = "hormander-witness"
-            quadratic = hm.build_quadratic_witness(domain, probe)
-            record = hm.verify_quadratic_witness(
-                domain, quadratic, samples=args.containment_samples, seed=seed)
-            report["hormander"] = _verification_dict(record)
-            if not record.all_passed:
-                raise PipelineError(stage, f"witness checks failed: {record.checks}")
-            stage = "witness-slice"
-            cert = sl.witness_slice(domain, probe, quadratic)
-            report["certificate"] = _certificate_dict(cert)
-            stage = "slice-reclassification"
-            reclass = _classify_slice(domain, cert.slice, SLICE_WINDOW,
-                                      RECLASSIFY_SAMPLES, seed)
-            report["witness_slice_reclassification"] = {
-                "verdict": reclass.verdict,
-                "worst_lambda": (reclass.worst_probe.lambda_min
-                                 if reclass.worst is not None else None),
-            }
-            if reclass.verdict != VERDICT_NONPSEUDOCONVEX:
-                raise PipelineError(stage,
-                                    f"witness slice classified {reclass.verdict}")
-        else:
-            stage = "forward-slices"
-            forward = _forward_slice_sweep(domain, spec, samples, seed)
-            report["forward_slices"] = forward
-            if not forward["all_pseudoconvex"]:
-                raise PipelineError(stage, "a slice of a pseudoconvex-at-samples "
-                                           "domain classified nonpseudoconvex")
-        report["theorem_consistent"] = True
+    started, domain, report = _start(args, "verify-theorem")
+    run = verify_theorem(domain, report["samples"], report["seed"],
+                         args.containment_samples)
+    _attach_classification(report, run.classification)
+    if run.classification.verdict == VERDICT_DEGENERATE:
         _emit(report, args.json, started)
-        return EXIT_OK
-    except PipelineError:
-        raise
-    except (levi.DomainError, levi.BoundaryNotFoundError, levi.ProjectionError,
-            sl.SliceError, hm.WitnessPreconditionError, hm.ContainmentError,
-            ex.EvalError) as err:
-        raise PipelineError(stage, str(err)) from err
+        return EXIT_DEGENERATE
+    if run.forward is not None:
+        report["forward_slices"] = _jsonable(run.forward)
+    else:
+        report["hormander"] = _jsonable(run.record)
+        cert = _jsonable(run.certificate)
+        report["certificate"] = {("lambda" if key == "lam" else key): value
+                                 for key, value in cert.items()}
+        # a witness slice that reclassifies nonpseudoconvex has a worst probe
+        report["witness_slice_reclassification"] = {
+            "verdict": run.reclassification.verdict,
+            "worst_lambda": run.reclassification.worst_probe.lambda_min,
+        }
+    report["theorem_consistent"] = True
+    _emit(report, args.json, started)
+    return EXIT_OK
 
 
 def cmd_catalog(args) -> int:
@@ -410,15 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PipelineError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PIPELINE
-    except (InputError, DomainFileError, ex.ExprSyntaxError, levi.DomainError,
-            levi.BoundaryNotFoundError, OSError, ValueError) as err:
+    except (InputError, DomainFileError, ex.ExprError, levi.DomainError,
+            levi.BoundaryNotFoundError, SliceError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

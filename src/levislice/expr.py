@@ -543,7 +543,8 @@ def _run(ast: Ast, points, order: int, holo: bool = False) -> _Jet:
 
 @dataclass(frozen=True)
 class WirtingerJet:
-    """Second-order Wirtinger jet of a real-valued expression at a point.
+    """Second-order Wirtinger jet of a real-valued expression, at one point
+    or at a batch of B points (then every field has a leading axis of B).
 
     grad[j]     = d rho / d z_j
     mixed[j,k]  = d^2 rho / (d z_j d zbar_k)   (Hermitian)
@@ -551,26 +552,14 @@ class WirtingerJet:
 
     The antiholomorphic gradient is conj(grad) and is not stored.
     """
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
     mixed: np.ndarray
     holo: np.ndarray | None
 
-
-@dataclass(frozen=True)
-class JetBatch:
-    value: np.ndarray   # (B,) real
-    grad: np.ndarray    # (B, n) complex
-    mixed: np.ndarray   # (B, n, n) complex
-    holo: np.ndarray | None    # (B, n, n) complex, None if not asked for
-
     def __len__(self) -> int:
-        return self.value.shape[0]
-
-    def at(self, i: int) -> WirtingerJet:
-        holo = None if self.holo is None else self.holo[i].copy()
-        return WirtingerJet(float(self.value[i]), self.grad[i].copy(),
-                            self.mixed[i].copy(), holo)
+        """Number of points of a batch."""
+        return len(self.value)
 
 
 def eval_raw(ast: Ast, points) -> np.ndarray:
@@ -584,8 +573,8 @@ def eval_value_grad(ast: Ast, points) -> tuple[np.ndarray, np.ndarray]:
     return jet.val.real.astype(float), jet.dz
 
 
-def eval_jet_batch(ast: Ast, points, holo: bool = True) -> JetBatch:
-    """Second-order jets at a (B, n) batch of points.
+def eval_jet_batch(ast: Ast, points, holo: bool = True) -> WirtingerJet:
+    """Second-order jets at a (B, n) batch of points, as one batched jet.
 
     With holo=False the holomorphic block (dz dz) is neither computed nor
     returned, which saves a third of the work and memory of the walk.
@@ -594,11 +583,14 @@ def eval_jet_batch(ast: Ast, points, holo: bool = True) -> JetBatch:
     for block in (jet.dz, jet.dzz, jet.dzzb):
         if block is not None and not np.all(np.isfinite(block)):
             raise EvalError("non-finite derivative in evaluation")
-    return JetBatch(jet.val.real.astype(float), jet.dz, jet.dzzb, jet.dzz)
+    return WirtingerJet(jet.val.real.astype(float), jet.dz, jet.dzzb, jet.dzz)
 
 
 def eval_jet(ast: Ast, point, holo: bool = True) -> WirtingerJet:
-    return eval_jet_batch(ast, np.asarray(point, complex)[None, :], holo).at(0)
+    """The jet at one point, without the batch axis."""
+    jet = eval_jet_batch(ast, np.asarray(point, complex)[None, :], holo)
+    return WirtingerJet(float(jet.value[0]), jet.grad[0], jet.mixed[0],
+                        None if jet.holo is None else jet.holo[0])
 
 
 def check_real_valued(ast: Ast, trial_count: int, seed: int,

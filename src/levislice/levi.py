@@ -78,14 +78,12 @@ def _checked_box(box, n: int) -> np.ndarray:
     box = np.asarray(box, float)
     if box.shape != (2 * n, 2):
         raise DomainError(f"box must have shape ({2 * n}, 2), got {box.shape}")
-    if not np.all(box[:, 0] < box[:, 1]):
-        raise DomainError("box bounds must satisfy lower < upper")
+    if not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
+        raise DomainError("box bounds must be finite with lower < upper")
     return box
 
 
-def make_domain(rho, box=None, tol: Tolerances = Tolerances(),
-                check_trials: int = REALNESS_TRIALS,
-                check_seed: int = REALNESS_SEED) -> Domain:
+def make_domain(rho, box=None, tol: Tolerances = Tolerances()) -> Domain:
     """Parse and validate a domain in C^n.
 
     The dimension n is the box's when one is given, else the largest
@@ -98,7 +96,7 @@ def make_domain(rho, box=None, tol: Tolerances = Tolerances(),
     if ast.n > n:
         raise DomainError(f"rho uses z{ast.n} but the domain has dimension {n}")
     box = _checked_box(square_box(n, 1.5) if box is None else box, n)
-    if not ex.check_real_valued(ast, check_trials, check_seed, box=box,
+    if not ex.check_real_valued(ast, REALNESS_TRIALS, REALNESS_SEED, box=box,
                                 realness_tol=tol.realness_eps):
         raise DomainError("defining function is not real-valued on the sampling box")
     return Domain(ast, box, tol)
@@ -179,9 +177,10 @@ def _rows(x, rows):
     return None if x is None else x[rows]
 
 
-def _newton(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None, frame=None,
-            max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient-direction Newton toward {rho = 0} on a batch of points.
+def _newton(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None,
+            frame=None) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient-direction Newton toward {rho = 0} on a batch of points, for at
+    most 50 iterations.
 
     The points are w with z = a + frame @ w per row (z = w without a frame).
     The real gradient of rho is 2*conj(grad); the step is the exact Newton
@@ -192,7 +191,7 @@ def _newton(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None, frame=None,
     w = w0.copy()
     done = np.zeros(len(w), bool)
     failed = np.zeros(len(w), bool)
-    for _ in range(max_iter):
+    for _ in range(50):
         rows = np.flatnonzero(~(done | failed))
         if not rows.size:
             break
@@ -228,11 +227,30 @@ def _project(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None,
             np.concatenate([h[1] for h in halves]))
 
 
-def _require_half(found: int, count: int):
-    if found < 0.5 * count:
-        raise BoundaryNotFoundError(
-            f"only {found}/{count} samples reached the boundary; "
-            "the sampling box likely misses it")
+def _boundary_batch(domain: Domain, box: np.ndarray, count: int, seeds, a=None,
+                    frame=None) -> tuple[np.ndarray, np.ndarray]:
+    """Project `count` box samples per seed onto the boundary; drop failures.
+
+    With a (S, n) and frame (S, n, 2), the samples of seed k are points w of
+    the slice z = a_k + frame_k w.  Returns the points that converged inside
+    the (slightly inflated) box and the seed index of each.  Errors if fewer
+    than half of some seed's samples are kept, which usually means the box
+    misses the boundary entirely.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    rows = np.repeat(np.arange(len(seeds)), count)
+    starts = np.concatenate([sample_box_points(box, count, s) for s in seeds])
+    if frame is not None:
+        a, frame = a[rows], frame[rows]
+    pts, ok = _project(domain.ast, domain.tol, starts, a, frame)
+    ok &= _in_inflated_box(box, pts)
+    for found in np.bincount(rows[ok], minlength=len(seeds)):
+        if found < 0.5 * count:
+            raise BoundaryNotFoundError(
+                f"only {found}/{count} samples reached the boundary; "
+                "the sampling box likely misses it")
+    return pts[ok], rows[ok]
 
 
 def project_to_boundary(domain: Domain, z0) -> np.ndarray:
@@ -246,16 +264,9 @@ def project_to_boundary(domain: Domain, z0) -> np.ndarray:
 def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:
     """Project `count` box samples onto the boundary; drop failures.
 
-    Errors if fewer than half converge inside the (slightly inflated) box,
-    which usually means the box misses the boundary entirely.
+    Errors if fewer than half converge inside the (slightly inflated) box.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    starts = sample_box_points(domain.box, count, seed)
-    pts, ok = _project(domain.ast, domain.tol, starts)
-    ok &= _in_inflated_box(domain.box, pts)
-    _require_half(int(np.count_nonzero(ok)), count)
-    return pts[ok]
+    return _boundary_batch(domain, domain.box, count, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +354,6 @@ def classify_slices(domain: Domain, a, frame, window: float, count: int,
     filter and the degenerate rule all hold per slice.  Points and directions
     of the reports are in w.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     a = np.asarray(a, complex)
     frame = np.asarray(frame, complex)
     if len(seeds) != len(a) or frame.shape != (*a.shape, 2):
@@ -354,13 +363,7 @@ def classify_slices(domain: Domain, a, frame, window: float, count: int,
     if not ex.check_real_valued(domain.ast, REALNESS_TRIALS, REALNESS_SEED, box=box,
                                 realness_tol=tol.realness_eps, a=a, frame=frame):
         raise DomainError("defining function is not real-valued on the sampling box")
-    rows = np.repeat(np.arange(len(a)), count)
-    starts = np.concatenate([sample_box_points(box, count, s) for s in seeds])
-    w, ok = _project(domain.ast, tol, starts, a[rows], frame[rows])
-    ok &= _in_inflated_box(box, w)
-    for found in np.bincount(rows[ok], minlength=len(a)):
-        _require_half(int(found), count)
-    w, rows = w[ok], rows[ok]
+    w, rows = _boundary_batch(domain, box, count, seeds, a, frame)
     F = frame[rows]
     jets = ex.eval_jet_batch(domain.ast, _ambient(w, a[rows], F), holo=False)
     grad = _pulled_back_grad(jets.grad, F)

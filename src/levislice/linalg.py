@@ -8,8 +8,6 @@ affine-slice inverse map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MAX_DIM = 16
@@ -38,37 +36,13 @@ def _symmetrized(a) -> np.ndarray:
     return (a + np.conj(np.swapaxes(a, -1, -2))) / 2.0
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """An m x m complex matrix symmetrized to A = (A + A^H)/2 at construction."""
-    data: np.ndarray
-
-    @classmethod
-    def from_array(cls, a) -> "HermitianMatrix":
-        a = np.asarray(a, complex)
-        if a.ndim != 2:
-            raise LinalgError(f"expected a square matrix, got shape {a.shape}")
-        return cls(_symmetrized(a))
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[0]
-
-
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix or a stack (..., m, m).
 
     Returns (eigenvalues ascending, eigenvectors as matching columns), with
     the same leading axes as the input.  The input is symmetrized first.
     """
-    a = a.data if isinstance(a, HermitianMatrix) else _symmetrized(a)
-    return np.linalg.eigh(a)
-
-
-def hermitian_eig_min(a) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a unit eigenvector of one Hermitian matrix."""
-    eigvals, vecs = hermitian_eig(a)
-    return float(eigvals[0]), vecs[:, 0]
+    return np.linalg.eigh(_symmetrized(a))
 
 
 def tangent_null_basis(g, grad_floor: float = 1e-8) -> np.ndarray:

@@ -1,0 +1,167 @@
+"""The theorem pipeline: both directions of the slice theorem, at samples.
+
+A domain that classifies nonpseudoconvex at its samples gets the witness
+chain at its worst probe: the quadratic witness and its five checks, the
+two-dimensional witness slice, and the reclassification of that slice,
+which must come out nonpseudoconvex.  A domain that classifies
+pseudoconvex-at-samples gets the forward sweep: random slices through
+points just inside its boundary, all of which must classify pseudoconvex.
+
+Errors of loading and classifying the domain propagate unchanged; a failure
+in a later stage is a PipelineError that names the stage.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import expr as ex
+from . import hormander as hm
+from . import levi
+from . import slicing as sl
+from .levi import (VERDICT_DEGENERATE, VERDICT_NONPSEUDOCONVEX,
+                   VERDICT_PSEUDOCONVEX, Domain, LeviReport)
+
+SLICE_WINDOW = 2.0          # half-width of the w-plane sampling box
+SLICE_PROBES = 50           # boundary probes per slice in the forward sweep
+RECLASSIFY_SAMPLES = 200    # boundary probes on a witness slice
+
+
+class PipelineError(Exception):
+    def __init__(self, stage: str, message: str):
+        super().__init__(f"stage {stage!r}: {message}")
+        self.stage = stage
+
+
+@contextmanager
+def _stage(name: str):
+    """Report a numerical failure inside the block as a failure of the stage."""
+    try:
+        yield
+    except (levi.DomainError, levi.BoundaryNotFoundError, levi.ProjectionError,
+            sl.SliceError, hm.WitnessPreconditionError, hm.ContainmentError,
+            ex.EvalError) as err:
+        raise PipelineError(name, str(err)) from err
+
+
+def classify_slice(domain: Domain, a, b, c, window: float, count: int,
+                   seed: int) -> LeviReport:
+    """Classify the slice z = a + b w1 + c w2 over the w-box [-window, window]^4."""
+    s = sl.make_slice(a, b, c)
+    return levi.classify_slices(domain, s.a[None], s.frame[None], window, count,
+                                [seed])[0]
+
+
+def sweep_slices(domain: Domain, slices: int, seed: int):
+    """Random slices through boundary-adjacent points of the domain.
+
+    Slice k passes through a point just inside the boundary point M_k, with
+    random unit directions b, c seeded by (seed, k).  Returns the base points
+    (S, n), the frames [b c] (S, n, 2) and the sampling seed of each slice.
+    """
+    boundary = levi.sample_boundary(domain, max(slices, 20), seed)
+    _, grads = ex.eval_value_grad(domain.ast, boundary)
+    bases, frames, seeds = [], [], []
+    for k in range(slices):
+        M = boundary[k % len(boundary)]
+        g = grads[k % len(boundary)]
+        gn = np.linalg.norm(g)
+        if gn < domain.tol.grad_floor:
+            continue
+        nu = np.conj(g) / gn
+        a = M - 0.05 * (1.0 + np.linalg.norm(M)) * nu
+        rng = np.random.default_rng((seed, 7919, k))
+        while True:
+            b = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
+            c = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
+            b /= np.linalg.norm(b)
+            c /= np.linalg.norm(c)
+            try:
+                s = sl.make_slice(a, b, c)
+                break
+            except sl.SliceError:
+                continue
+        bases.append(s.a)
+        frames.append(s.frame)
+        seeds.append(k)
+    return np.array(bases), np.array(frames), seeds
+
+
+@dataclass(frozen=True)
+class ForwardSweep:
+    count: int               # slices classified
+    all_pseudoconvex: bool
+    min_lambda: float        # smallest worst-probe lambda over the slices
+
+
+def forward_slice_sweep(domain: Domain, slices: int, seed: int) -> ForwardSweep:
+    """Empirical forward direction: random slices through boundary-adjacent
+    points of a pseudoconvex-at-samples domain must classify the same way.
+    All slices are classified in one batch."""
+    bases, frames, seeds = sweep_slices(domain, slices, seed)
+    if not seeds:
+        raise PipelineError("forward-slices", "no usable slices")
+    results = levi.classify_slices(domain, bases, frames, SLICE_WINDOW,
+                                   SLICE_PROBES, seeds)
+    lambdas = [r.worst_probe.lambda_min for r in results if r.worst is not None]
+    if not lambdas:
+        raise PipelineError("forward-slices",
+                            f"none of {len(results)} slices returned a probe")
+    return ForwardSweep(count=len(results),
+                        all_pseudoconvex=all(r.verdict == VERDICT_PSEUDOCONVEX
+                                             for r in results),
+                        min_lambda=min(lambdas))
+
+
+@dataclass(frozen=True)
+class TheoremRun:
+    """One run of the pipeline.  A nonpseudoconvex domain carries the witness
+    chain (record, certificate, reclassification), a pseudoconvex-at-samples
+    one the forward sweep, and a degenerate one only its classification."""
+    classification: LeviReport
+    record: hm.VerificationRecord | None = None
+    certificate: sl.WitnessCertificate | None = None
+    reclassification: LeviReport | None = None
+    forward: ForwardSweep | None = None
+
+
+def verify_theorem(domain: Domain, samples: int, seed: int,
+                   containment_samples: int = 10000) -> TheoremRun:
+    """Classify the domain at `samples` boundary points, then check the
+    direction of the theorem that its verdict calls for.
+
+    Raises PipelineError when a stage after the classification fails: a
+    witness check fails, the witness slice does not reclassify
+    nonpseudoconvex, or a forward slice classifies otherwise than
+    pseudoconvex.
+    """
+    classification = levi.classify(domain, samples, seed)
+    if classification.verdict == VERDICT_DEGENERATE:
+        return TheoremRun(classification)
+    if classification.verdict == VERDICT_PSEUDOCONVEX:
+        with _stage("forward-slices"):
+            forward = forward_slice_sweep(domain, samples, seed)
+        if not forward.all_pseudoconvex:
+            raise PipelineError("forward-slices", "a slice of a pseudoconvex-"
+                                "at-samples domain classified nonpseudoconvex")
+        return TheoremRun(classification, forward=forward)
+    probe = classification.worst_probe
+    with _stage("hormander-witness"):
+        quadratic = hm.build_quadratic_witness(domain, probe)
+        record = hm.verify_quadratic_witness(domain, quadratic,
+                                             samples=containment_samples, seed=seed)
+    if not record.all_passed:
+        raise PipelineError("hormander-witness",
+                            f"witness checks failed: {record.checks}")
+    with _stage("witness-slice"):
+        cert = sl.witness_slice(domain, probe, quadratic)
+    with _stage("slice-reclassification"):
+        reclass = classify_slice(domain, cert.slice.a, cert.slice.b, cert.slice.c,
+                                 SLICE_WINDOW, RECLASSIFY_SAMPLES, seed)
+    if reclass.verdict != VERDICT_NONPSEUDOCONVEX:
+        raise PipelineError("slice-reclassification",
+                            f"witness slice classified {reclass.verdict}")
+    return TheoremRun(classification, record, cert, reclass)

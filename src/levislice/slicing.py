@@ -124,7 +124,8 @@ def witness_slice(domain: Domain, probe: LeviProbe,
     The slice passes through an interior point p0 found by backtracking
     along the inward complex normal, with b = M - p0 and c = Z.  All
     certificate invariants are checked before returning.  The quadratic
-    witness at the probe is built here unless the caller already has it.
+    witness at the probe is built here unless the caller already has it;
+    its blocks are the jet of rho at M that the checks read.
     """
     tol = domain.tol
     if probe.lambda_min >= -tol.levi_eps:
@@ -133,7 +134,10 @@ def witness_slice(domain: Domain, probe: LeviProbe,
             "nonpseudoconvexity")
     M = np.asarray(probe.point, complex)
     Z = np.asarray(probe.direction, complex)
-    jet = ex.eval_jet(domain.ast, M)
+    if quadratic is None:
+        quadratic = build_quadratic_witness(domain, probe)
+    # rho's value at M is about 0 and goes unused
+    jet = ex.WirtingerJet(0.0, quadratic.lin, quadratic.mixed2, quadratic.holo2)
     gn = float(np.linalg.norm(jet.grad))
     if gn < tol.grad_floor:
         raise la.DegenerateGradientError(f"gradient norm {gn:.3e} below floor")
@@ -169,8 +173,6 @@ def witness_slice(domain: Domain, probe: LeviProbe,
             f"Levi transport failed: lambda_slice {lambda_slice!r} vs "
             f"lambda {probe.lambda_min!r}")
 
-    if quadratic is None:
-        quadratic = build_quadratic_witness(domain, probe)
     return WitnessCertificate(M=M, Z=Z, lam=probe.lambda_min, p0=p0, t=t,
                               slice=s, mu=mu, zeta=zeta,
                               lambda_slice=lambda_slice, quadratic=quadratic)

@@ -14,6 +14,7 @@ from levislice import expr as E
 from levislice import hormander as hm
 from levislice import levi
 from levislice import linalg as la
+from levislice import pipeline
 from levislice import slicing as sl
 from levislice.catalog import CATALOG
 from fd_oracle import fd_wirtinger_jet
@@ -109,10 +110,9 @@ def test_criterion_5_forward_direction_slices():
     min_lambda = np.inf
     for name in ("ball", "polyball"):
         spec = CATALOG[name]
-        sweep = cli._forward_slice_sweep(spec.domain(), spec, slices=100,
-                                         seed=505)
-        assert sweep["count"] == 100
-        min_lambda = min(min_lambda, sweep["min_lambda"])
+        sweep = pipeline.forward_slice_sweep(spec.domain(), slices=100, seed=505)
+        assert sweep.count == 100
+        min_lambda = min(min_lambda, sweep.min_lambda)
     report(5, f"forward slices of ball/polyball, min lambda {min_lambda:.3e}",
            min_lambda >= -1e-7)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,7 +8,9 @@ import pytest
 from levislice import cli
 from levislice import hormander as hm
 from levislice import levi
+from levislice import pipeline
 from levislice import slicing as sl
+from levislice.catalog import CATALOG
 
 DATA = Path(__file__).parent / "data"
 
@@ -74,10 +77,16 @@ def test_check_uses_declared_dimension(capsys):
 
 @pytest.mark.parametrize("command", ["check", "verify-theorem"])
 def test_dimension_one_is_an_input_error(capsys, command):
-    code, out, err = run(capsys, command, str(DATA / "disc.dom"))
-    assert code == cli.EXIT_INPUT
-    assert "n >= 2" in err
-    assert out == ""
+    # so are a rho that overflows on the box, a rho that is not real-valued
+    # and a box that misses the boundary, under every command
+    for name, message in [("disc.dom", "n >= 2"),
+                          ("overflow.dom", "non-finite value"),
+                          ("nonreal.dom", "not real-valued"),
+                          ("no_boundary.dom", "reached the boundary")]:
+        code, out, err = run(capsys, command, str(DATA / name))
+        assert code == cli.EXIT_INPUT, name
+        assert message in err and "stage" not in err, name
+        assert out == ""
 
 
 def test_check_missing_file(capsys):
@@ -121,6 +130,14 @@ def test_slice_dependent_directions(capsys):
 def test_slice_wrong_vector_length(capsys):
     code, _, err = run(capsys, "slice", "ball", "--b", "1:0", "--c", "0:0,1:0")
     assert code == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("flag, value", [("--window", "inf"), ("--a", "nan:0,0:0")])
+def test_slice_nonfinite_input_is_an_input_error(capsys, flag, value):
+    code, out, err = run(capsys, "slice", "ball", "--b", "1:0,0:0",
+                         "--c", "0:0,1:0", flag, value)
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("error:") and out == ""
 
 
 def test_slice_grid_csv(capsys, tmp_path):
@@ -173,6 +190,44 @@ def test_verify_theorem_cylinder_forward(capsys):
                              "--samples", "10")
     assert code == cli.EXIT_OK
     assert payload["forward_slices"]["all_pseudoconvex"] is True
+
+
+def test_verify_theorem_stops_at_a_degenerate_classification(capsys, monkeypatch):
+    monkeypatch.setattr(levi, "DEGENERATE_FRACTION", -1.0)
+    code, payload = run_json(capsys, "verify-theorem", "ball", "--samples", "20")
+    assert code == cli.EXIT_DEGENERATE
+    assert payload["verdict"] == "degenerate"
+    assert list(payload) == [
+        "tool", "version", "command", "domain", "n", "rho", "samples", "seed",
+        "verdict", "probe_count", "degenerate_count", "worst", "timing"]
+
+
+@pytest.mark.parametrize("name", ["saddle2", "ball"])
+def test_library_pipeline_returns_what_the_cli_prints(capsys, name):
+    spec = CATALOG[name]
+    result = pipeline.verify_theorem(spec.domain(), 40, spec.seed,
+                                     containment_samples=500)
+    code, payload = run_json(capsys, "verify-theorem", name, "--samples", "40",
+                             "--containment-samples", "500")
+    assert code == cli.EXIT_OK
+    assert result.classification.verdict == payload["verdict"]
+    worst = result.classification.worst_probe
+    assert worst.lambda_min == payload["worst"]["lambda_min"]
+    assert worst.point.tolist() == [complex(*z) for z in payload["worst"]["point"]]
+    if name == "ball":
+        assert result.record is result.certificate is result.reclassification is None
+        assert dataclasses.asdict(result.forward) == payload["forward_slices"]
+        return
+    assert result.forward is None
+    assert dataclasses.asdict(result.record) == payload["hormander"]
+    cert = result.certificate
+    assert cert.lam == payload["certificate"]["lambda"]
+    assert cert.lambda_slice == payload["certificate"]["lambda_slice"]
+    assert cert.slice.b.tolist() == [complex(*z) for z in
+                                     payload["certificate"]["slice"]["b"]]
+    reclass = payload["witness_slice_reclassification"]
+    assert result.reclassification.verdict == reclass["verdict"]
+    assert result.reclassification.worst_probe.lambda_min == reclass["worst_lambda"]
 
 
 def test_forward_sweep_without_probes_is_a_pipeline_failure(capsys, monkeypatch):

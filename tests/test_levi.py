@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from levislice import cli
 from levislice import expr as E
 from levislice import levi
+from levislice import pipeline
 from levislice.catalog import CATALOG
 from rotated import rotated_domain
 
@@ -243,15 +243,15 @@ def test_batched_slices_match_composed_slice_domains(name):
     # the batched sweep against classify on the symbolic slice rho(a + b w1 + c w2)
     dom = (rotated_domain("ellipsoid", 3, seed=17) if name.startswith("rot")
            else domain_of(name))
-    bases, frames, seeds = cli._sweep_slices(dom, 12, seed=23)
-    reports = levi.classify_slices(dom, bases, frames, cli.SLICE_WINDOW,
-                                   cli.SLICE_PROBES, seeds)
+    bases, frames, seeds = pipeline.sweep_slices(dom, 12, seed=23)
+    reports = levi.classify_slices(dom, bases, frames, pipeline.SLICE_WINDOW,
+                                   pipeline.SLICE_PROBES, seeds)
     assert len(reports) == 12
     for a, frame, k, report in zip(bases, frames, seeds, reports):
         composed = E.compose_with_affine(dom.ast, a, frame[:, 0], frame[:, 1])
-        dom_h = levi.make_domain(composed, box=levi.square_box(2, cli.SLICE_WINDOW),
-                                 tol=dom.tol)
-        oracle = levi.classify(dom_h, cli.SLICE_PROBES, seed=k)
+        dom_h = levi.make_domain(
+            composed, box=levi.square_box(2, pipeline.SLICE_WINDOW), tol=dom.tol)
+        oracle = levi.classify(dom_h, pipeline.SLICE_PROBES, seed=k)
         assert report.verdict == oracle.verdict == levi.VERDICT_PSEUDOCONVEX
         assert report.sample_count == oracle.sample_count
         assert report.degenerate_count == oracle.degenerate_count
