@@ -13,7 +13,6 @@ import argparse
 
 import numpy as np
 
-from levislice import expr as E
 from levislice import levi
 from levislice import pipeline
 from levislice.catalog import load_domain_spec
@@ -55,8 +54,13 @@ def main():
         print(f"  {name:18s} {'ok' if passed else 'FAILED'}")
     print(f"  Levi value at Z = {record.levi_value:.6g} "
           f"(= lambda/2 = {probe.lambda_min / 2:.6g})")
-    print(f"  containment radius = {record.radius:.6g} "
-          f"after {record.halvings} halvings, {record.samples} samples")
+    print(f"  containment {record.method} at radius {record.radius:.6g} "
+          f"after {record.halvings} halvings")
+    if record.method == "proven":
+        print(f"  Hessian bound delta = {record.hessian_bound:.6g} "
+              f"(< eps), exception radius r0 = {record.exception_radius:.6g}")
+    else:
+        print(f"  by {record.samples} random samples per radius")
 
     cert = run.certificate
     print("witness slice h(a, b, c):")
@@ -64,9 +68,6 @@ def main():
     print(f"  b = M - p0 = {fmt(cert.slice.b)}")
     print(f"  c = Z = {fmt(cert.slice.c)}")
     print(f"  lambda on the slice at mu = {cert.lambda_slice:.6g}")
-    composed = E.compose_with_affine(domain.ast, cert.slice.a, cert.slice.b,
-                                     cert.slice.c)
-    print(f"  rho_h = {E.to_string(composed)}")
 
     reclass = run.reclassification
     print(f"witness slice reclassified at {pipeline.RECLASSIFY_SAMPLES} samples "

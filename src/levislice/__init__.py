@@ -9,32 +9,31 @@ verifies the whole chain numerically.
 
 __version__ = "0.1.0"
 
-from .expr import (Ast, WirtingerJet, check_real_valued, compose_with_affine,
-                   eval_jet, eval_jet_batch, eval_raw, parse, to_string)
+from .expr import (Ast, WirtingerJet, check_real_valued, eval_jet,
+                   eval_jet_batch, eval_raw, parse, to_string)
 from .hormander import (QuadraticWitness, VerificationRecord,
                         build_quadratic_witness, eval_quadratic,
-                        quadratic_as_expression, verify_quadratic_witness)
+                        sample_containment, verify_quadratic_witness)
 from .levi import (Domain, LeviProbe, LeviReport, Tolerances, classify,
-                   classify_slices, levi_form_at, make_domain,
-                   project_to_boundary, restricted_levi_min, sample_boundary,
-                   square_box)
+                   classify_slices, make_domain, restricted_levi_min,
+                   sample_boundary, square_box)
 from .linalg import gram_solve_2, hermitian_eig, tangent_null_basis
 from .pipeline import (ForwardSweep, PipelineError, TheoremRun,
                        verify_theorem)
-from .slicing import (Slice, WitnessCertificate, make_slice, phi, phi_inv,
-                      pullback_jet, slice_gradient_check, witness_slice)
+from .slicing import (Slice, WitnessCertificate, make_slice, phi, pullback_jet,
+                      witness_slice)
 
 __all__ = [
     "Ast", "WirtingerJet", "parse", "to_string", "eval_jet", "eval_jet_batch",
-    "eval_raw", "check_real_valued", "compose_with_affine",
+    "eval_raw", "check_real_valued",
     "hermitian_eig", "tangent_null_basis", "gram_solve_2",
     "Domain", "Tolerances", "LeviProbe", "LeviReport", "make_domain",
-    "square_box", "project_to_boundary", "sample_boundary", "levi_form_at",
+    "square_box", "sample_boundary",
     "restricted_levi_min", "classify", "classify_slices",
-    "Slice", "WitnessCertificate", "make_slice", "phi", "phi_inv",
-    "pullback_jet", "slice_gradient_check", "witness_slice",
+    "Slice", "WitnessCertificate", "make_slice", "phi", "pullback_jet",
+    "witness_slice",
     "QuadraticWitness", "VerificationRecord", "build_quadratic_witness",
-    "eval_quadratic", "verify_quadratic_witness", "quadratic_as_expression",
+    "eval_quadratic", "verify_quadratic_witness", "sample_containment",
     "verify_theorem", "TheoremRun", "ForwardSweep", "PipelineError",
     "__version__",
 ]

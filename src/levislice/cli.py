@@ -255,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify-theorem",
                               help="run the witness pipeline end to end")
     add_common(p_verify)
-    p_verify.add_argument("--containment-samples", type=int, default=10000)
+    p_verify.add_argument("--containment-samples", type=int, default=10000,
+                          help="random points per radius of the sampling "
+                               "fallback, used only when the witness's "
+                               "containment cannot be proved")
     p_verify.set_defaults(func=cmd_verify_theorem)
 
     p_cat = sub.add_parser("catalog", help="list built-in domains")

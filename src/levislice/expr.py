@@ -15,6 +15,10 @@ derivative block is an exact zero, a constant is a scalar with no blocks,
 and a variable carries only its one-hot d/dz.  Terms with a missing factor
 are never formed.  The public entry points fill the missing blocks in at
 the root, so they always return full-shape arrays.
+
+The same walk also runs on midpoint-radius discs instead of points: over a
+polydisc it returns discs that enclose every value the jet takes there,
+rounding included.  The quadratic witness proves its containment with it.
 """
 
 from __future__ import annotations
@@ -352,6 +356,116 @@ def _plus(x, y, sign: float):
     return x + y if sign > 0 else x - y
 
 
+# Relative and absolute slack added to every disc radius.  One numpy
+# operation on complex doubles (+, *, 1/x, exp, abs) errs by a few units of
+# 2**-53 of its result; 2**-45 covers that, and the rounding of the radius
+# arithmetic itself, many times over.  The absolute term covers underflow.
+_SLACK = 2.0 ** -45
+_TINY = 2.0 ** -1000
+
+
+class _Disc:
+    """Complex midpoint-radius array: entry k stands for the closed disc
+    |z - mid[k]| <= rad[k], with rad a float array of mid's shape.
+
+    Every operation returns discs that contain the exact result for every
+    choice of operands in the operands' discs; the rounding of the computed
+    midpoint and radius is added to the radius, as in Rump, "Fast and
+    parallel interval arithmetic", BIT 39 (1999).  A plain array or number
+    operand is taken as exact.  The numpy ufuncs the jet walk applies
+    dispatch here, so the walk runs on discs unchanged.
+    """
+
+    __slots__ = ("mid", "rad")
+
+    def __init__(self, mid, rad):
+        self.mid = mid
+        self.rad = rad
+
+    @staticmethod
+    def of(x) -> "_Disc":
+        if isinstance(x, _Disc):
+            return x
+        x = np.asarray(x, complex)
+        return _Disc(x, np.zeros(x.shape))
+
+    shape = property(lambda self: self.mid.shape)
+    ndim = property(lambda self: self.mid.ndim)
+    dtype = property(lambda self: self.mid.dtype)
+
+    def __getitem__(self, key) -> "_Disc":
+        return _Disc(self.mid[key], self.rad[key])
+
+    def reshape(self, shape) -> "_Disc":
+        return _Disc(self.mid.reshape(shape), self.rad.reshape(shape))
+
+    def swapaxes(self, a: int, b: int) -> "_Disc":
+        return _Disc(self.mid.swapaxes(a, b), self.rad.swapaxes(a, b))
+
+    def __add__(self, other) -> "_Disc":
+        other = _Disc.of(other)
+        mid = self.mid + other.mid
+        return _Disc(mid, _rounded(self.rad + other.rad, np.abs(mid)))
+
+    def __sub__(self, other) -> "_Disc":
+        other = _Disc.of(other)
+        mid = self.mid - other.mid
+        return _Disc(mid, _rounded(self.rad + other.rad, np.abs(mid)))
+
+    def __neg__(self) -> "_Disc":
+        return _Disc(-self.mid, self.rad)
+
+    def __mul__(self, other) -> "_Disc":
+        # |xy - ab| <= |a| s + r |b| + r s for |x - a| <= r, |y - b| <= s
+        other = _Disc.of(other)
+        a, b = np.abs(self.mid), np.abs(other.mid)
+        rad = a * other.rad + self.rad * (b + other.rad)
+        return _Disc(self.mid * other.mid, _rounded(rad, a * b))
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, other) -> "_Disc":
+        return _Disc.of(other) * self.reciprocal()
+
+    def conj(self) -> "_Disc":
+        return _Disc(np.conj(self.mid), self.rad)
+
+    def exp(self) -> "_Disc":
+        # |e^x - e^a| = |e^a| |e^(x - a) - 1| <= |e^a| (e^r - 1)
+        e = np.exp(self.mid)
+        size = np.abs(e)
+        return _Disc(e, _rounded(size * np.expm1(self.rad), size))
+
+    def gap(self) -> np.ndarray:
+        """A lower bound on |z| over each disc; <= 0 where it may hold 0."""
+        return np.abs(self.mid) * (1.0 - _SLACK) - self.rad
+
+    def reciprocal(self) -> "_Disc":
+        # |1/x - 1/a| = |x - a| / (|x| |a|) <= r / ((|a| - r) |a|)
+        gap = self.gap()
+        if not np.all(gap > 0.0):
+            raise EvalError("division by a disc that may contain zero")
+        size = np.abs(self.mid) * (1.0 - _SLACK)
+        return _Disc(1.0 / self.mid, _rounded(self.rad / (gap * size), 1.0 / size))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        op = _DISC_UFUNCS.get(ufunc)
+        if method != "__call__" or kwargs or op is None:
+            return NotImplemented
+        return op(*map(_Disc.of, inputs))
+
+
+def _rounded(rad, size):
+    """A propagated radius rounded up, plus the rounding error of a computed
+    midpoint of modulus at most about `size`."""
+    return rad * (1.0 + _SLACK) + size * _SLACK + _TINY
+
+
+_DISC_UFUNCS = {np.add: _Disc.__add__, np.subtract: _Disc.__sub__,
+                np.multiply: _Disc.__mul__, np.negative: _Disc.__neg__,
+                np.conjugate: _Disc.conj, np.exp: _Disc.exp}
+
+
 class _Walk:
     """One evaluation of an AST's jets on a batch of points.
 
@@ -361,9 +475,14 @@ class _Walk:
     operations skip structural zeros: a term with a missing factor is not
     formed, and second-order terms are formed only at order 2 (the
     holomorphic ones only with holo).
+
+    The points are a (B, n) complex array or a _Disc of that shape; the walk
+    touches its numbers only through arithmetic, numpy ufuncs and the two
+    hooks const and may_vanish, which serve both number types.
     """
 
-    def __init__(self, root: Node, points: np.ndarray, order: int, holo: bool):
+    def __init__(self, root: Node, points, order: int, holo: bool):
+        self.root = root
         self.points = points
         self.order = order
         self.holo = holo
@@ -376,6 +495,24 @@ class _Walk:
                 if key not in self.uses:
                     stack.append(child)
                 self.uses[key] = self.uses.get(key, 0) + 1
+
+    def run(self) -> _Jet:
+        """The root jet.  Overflow and invalid operations make inf or nan,
+        which the callers turn into an EvalError, so numpy need not warn."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.eval(self.root)
+
+    def const(self, value: complex):
+        """A constant of the walk's number type; a thin disc among discs, so
+        that arithmetic on constants is enclosed too."""
+        c = self.points.dtype.type(value)
+        return _Disc.of(c) if isinstance(self.points, _Disc) else c
+
+    def may_vanish(self, x) -> bool:
+        """Whether x may be zero at some point of the batch."""
+        if isinstance(x, _Disc):
+            return not np.all(x.gap() > 0.0)
+        return bool(np.any(x == 0))
 
     def take(self, node: Node) -> _Jet:
         """The jet of a child node, released after its last consumer."""
@@ -397,7 +534,7 @@ class _Walk:
                 jet.dz[0, node.index - 1] = 1.0
             return jet
         if isinstance(node, Const):
-            return _Jet(self.points.dtype.type(node.value))
+            return _Jet(self.const(node.value))
         if isinstance(node, Conj):
             return self.conj(self.take(node.arg))
         if isinstance(node, Exp):
@@ -405,7 +542,7 @@ class _Walk:
         if isinstance(node, Pow):
             base = self.take(node.base)
             if node.exponent == 0:
-                return _Jet(self.points.dtype.type(1.0))
+                return _Jet(self.const(1.0))
             return self.pow(base, node.exponent)
         lhs = self.take(node.lhs)
         rhs = self.take(node.rhs)
@@ -441,7 +578,7 @@ class _Walk:
         return out
 
     def inv(self, u: _Jet) -> _Jet:
-        if np.any(u.val == 0):
+        if self.may_vanish(u.val):
             raise EvalError("division by zero")
         w = 1.0 / u.val
         out = _Jet(w)
@@ -516,7 +653,7 @@ def _run(ast: Ast, points, order: int, holo: bool = False) -> _Jet:
     left by a skipped zero term into the +0.0 that adding the term gives.
     """
     points = _as_points(ast, points)
-    jet = _Walk(ast.root, points, order, holo).eval(ast.root)
+    jet = _Walk(ast.root, points, order, holo).run()
     B, n = points.shape
     val = np.array(np.broadcast_to(jet.val, (B,)))
     if not np.all(np.isfinite(val)):
@@ -593,6 +730,32 @@ def eval_jet(ast: Ast, point, holo: bool = True) -> WirtingerJet:
                         None if jet.holo is None else jet.holo[0])
 
 
+def enclose_jet_batch(ast: Ast, centers, radii) -> _Jet:
+    """Discs that enclose the second-order jet over a batch of polydiscs.
+
+    Row b is the polydisc of the points z with |z_j - centers[b, j]| <=
+    radii[b, j]; radii broadcast against the (B, n) centers, and a row of
+    radius 0 encloses the jet at its center up to rounding.  Returns val
+    (B,), dz (B, n), dzz and dzzb (B, n, n) as _Disc arrays with fields mid
+    and rad: each entry of the jet at each point of the row's polydisc lies
+    in its disc.  Raises EvalError when a divisor's disc may contain 0 or a
+    bound is not finite.
+    """
+    centers = _as_points(ast, centers)
+    points = _Disc(centers, np.broadcast_to(np.asarray(radii, float), centers.shape))
+    jet = _Walk(ast.root, points, 2, True).run()
+    B, n = centers.shape
+
+    def full(block, ndim):
+        block = _Disc.of(0.0 if block is None else block)
+        shape = (B,) + (n,) * ndim
+        if not (np.all(np.isfinite(block.mid)) and np.all(np.isfinite(block.rad))):
+            raise EvalError("non-finite bound in enclosure")
+        return _Disc(np.broadcast_to(block.mid, shape), np.broadcast_to(block.rad, shape))
+    return _Jet(full(jet.val, 0), dz=full(jet.dz, 1), dzz=full(jet.dzz, 2),
+                dzzb=full(jet.dzzb, 2))
+
+
 def check_real_valued(ast: Ast, trial_count: int, seed: int,
                       box: np.ndarray | None = None,
                       realness_tol: float = 1e-9,
@@ -620,50 +783,3 @@ def check_real_valued(ast: Ast, trial_count: int, seed: int,
         vals = eval_raw(ast, z.reshape(-1, z.shape[2])).reshape(z.shape[:2])
     scale = 1.0 + np.max(np.abs(vals), axis=1)
     return bool(np.all(np.max(np.abs(vals.imag), axis=1) <= realness_tol * scale))
-
-
-# ---------------------------------------------------------------------------
-# Affine composition
-# ---------------------------------------------------------------------------
-
-def compose_with_affine(ast: Ast, a, b, c) -> Ast:
-    """Substitute z_j <- a_j + b_j*w1 + c_j*w2, returning a 2-variable AST.
-
-    The result is the symbolic pullback rho_h = rho . phi.  The pipeline
-    pulls jets back by the chain rule instead; this symbolic route is kept
-    as the independent check of that path.
-    """
-    a = np.asarray(a, complex)
-    b = np.asarray(b, complex)
-    c = np.asarray(c, complex)
-    if not (len(a) == len(b) == len(c) >= max(ast.n, 1)):
-        raise ValueError(f"affine data must have equal length >= {max(ast.n, 1)}")
-    table = {}
-    for j in range(len(a)):
-        table[j + 1] = Add(Const(complex(a[j])),
-                           Add(Mul(Const(complex(b[j])), Var(1)),
-                               Mul(Const(complex(c[j])), Var(2))))
-    root = _substitute(ast.root, table, {})
-    return Ast(root, 2)
-
-
-def _substitute(node: Node, table: dict[int, Node], memo: dict) -> Node:
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(node, Var):
-        out = table[node.index]
-    elif isinstance(node, Const):
-        out = node
-    elif isinstance(node, Conj):
-        out = Conj(_substitute(node.arg, table, memo))
-    elif isinstance(node, Exp):
-        out = Exp(_substitute(node.arg, table, memo))
-    elif isinstance(node, Pow):
-        out = Pow(_substitute(node.base, table, memo), node.exponent)
-    else:
-        out = type(node)(_substitute(node.lhs, table, memo),
-                         _substitute(node.rhs, table, memo))
-    memo[key] = out
-    return out

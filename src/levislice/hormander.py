@@ -4,10 +4,24 @@ At a boundary point M whose restricted Levi minimum is negative, the
 second-order Taylor jet of rho plus a strictly positive eps*|z - M|^2 term
 yields a real-valued quadratic q with q(M) = 0, nonzero gradient, a complex
 tangent direction of negative Levi form, and {q < 0} locally contained in
-the domain.  Containment is verified statistically by sampling; the record
-keeps the final radius for auditability.  q is evaluated in real
-coordinates: d = z - M as x = (Re d1, Im d1, Re d2, ...) = d.view(float), the
-interleaved layout of complex128, gives q(M + d) = g.x + x^T A x, A symmetric.
+the domain.  q is evaluated in real coordinates: d = z - M as
+x = (Re d1, Im d1, Re d2, ...) = d.view(float), the interleaved layout of
+complex128, gives q(M + d) = g.x + x^T A x, A symmetric.
+
+Containment is proved, not sampled.  With A_q = A - eps*I, A(xi) half the
+real Hessian of rho at xi and f = rho - q, Taylor's theorem with the
+Lagrange remainder gives, on the ball |x| <= r,
+
+    f(M + x) <= f(M)+ + gamma |x| - (eps - delta) |x|^2,
+
+where delta bounds ||A(xi) - A_q||_2 over the ball and gamma bounds
+|grad rho(M) - g|, which is rounding error only.  When delta < eps, q < 0
+implies rho < 0 at every point of the ball outside the exception ball of
+radius r0, the positive root of the right-hand side.  delta comes from one
+jet walk over midpoint-radius discs (expr.enclose_jet_batch) on the polydisc
+around M, which contains the ball; f(M) and gamma from the same walk at the
+thin point M.  The radius is halved until the proof holds; if it never
+does, containment falls back to random sampling, as the record says.
 """
 
 from __future__ import annotations
@@ -29,6 +43,9 @@ class ContainmentError(Exception):
 
 
 MAX_HALVINGS = 20
+# upward rounding of the few float operations that combine the enclosures
+# into delta, gamma and r0, each of which errs by a few units of 2**-53
+ROUND_UP = 1.0 + 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -47,20 +64,28 @@ class VerificationRecord:
     checks: dict
     levi_value: float     # Levi form of q in direction Z (= lambda + eps)
     radius: float
-    samples: int
+    samples: int          # size of the sampling fallback
     seed: int
     halvings: int
+    method: str           # "proven" or "sampled"
+    hessian_bound: float | None      # delta of the proof; None when sampled
+    exception_radius: float | None   # r0 of the proof; None when sampled
 
     @property
     def all_passed(self) -> bool:
         return all(self.checks.values())
 
 
+def _offset_map(n: int) -> np.ndarray:
+    """P = I (x) [1, i], which maps the real offsets x = d.view(float) to d."""
+    return np.kron(np.eye(n), [1.0, 1j])
+
+
 def _eval_offsets(q: QuadraticWitness, x: np.ndarray) -> np.ndarray:
-    """q(M + d) at the (B, 2n) real offsets x = d.view(float); d = P x with
-    P = I (x) [1, i], so g and A are real parts of P-congruences of q's blocks."""
+    """q(M + d) at the (B, 2n) real offsets x = d.view(float); d = P x, so g
+    and A are real parts of P-congruences of q's blocks."""
     n = len(q.center)
-    P = np.kron(np.eye(n), [1.0, 1j])
+    P = _offset_map(n)
     g = 2.0 * (q.lin @ P).real
     A = (P.T @ q.holo2 @ P).real + (P.T @ q.mixed2 @ P.conj()).real
     A += q.eps * np.eye(2 * n)
@@ -98,12 +123,77 @@ def levi_form_of_quadratic(q: QuadraticWitness, W) -> float:
     return float(base + q.eps * np.vdot(W, W).real)
 
 
+def _norm_bound(dev, conj_right: bool) -> float:
+    """Bound on ||S||_2 for the symmetric part S of Re(P^T X P), or of
+    Re(P^T X conj(P)), over the matrices X in the disc matrix dev.
+
+    Each entry of the congruence is +-Re or +-Im of one entry of X, so
+    |congruence of dev.mid| + rad of X_jk on the 2 x 2 block (j, k) bounds
+    the congruence entrywise; the larger of its largest row and column sums
+    bounds ||S||_2 even where rounding left X's blocks not quite symmetric.
+    """
+    P = _offset_map(len(dev.mid))
+    mid = (P.T @ dev.mid @ (P.conj() if conj_right else P)).real
+    bound = np.abs(mid) + np.kron(dev.rad, np.ones((2, 2)))
+    return float(max(np.max(np.sum(bound, axis=0)), np.max(np.sum(bound, axis=1))))
+
+
+def containment_bounds(domain: Domain, q: QuadraticWitness,
+                       radius: float) -> tuple[float, float]:
+    """(delta, r0) on the ball of `radius` around M, both rounded up.
+
+    delta bounds ||A(xi) - A_q||_2 over the ball, r0 the exception radius;
+    r0 is inf when delta >= eps.  Raises expr.EvalError when rho cannot be
+    enclosed there (a divisor's disc may contain 0, or a bound overflows).
+    """
+    M = q.center
+    # row 0: the polydisc of radius `radius`, which contains the ball;
+    # row 1: the thin point M
+    jet = ex.enclose_jet_batch(domain.ast, [M, M], [[radius], [0.0]])
+    delta = ROUND_UP * (_norm_bound(jet.dzz[0] - q.holo2, conj_right=False)
+                        + _norm_bound(jet.dzzb[0] - q.mixed2, conj_right=True))
+    grad = jet.dz[1] - q.lin
+    gamma = ROUND_UP * 2.0 * float(np.linalg.norm(np.abs(grad.mid) + grad.rad))
+    f0 = ROUND_UP * max(float(jet.val.mid[1].real + jet.val.rad[1]), 0.0)
+    curvature = (q.eps - delta) / ROUND_UP
+    if not curvature > 0.0:
+        return delta, np.inf
+    r0 = ROUND_UP * (gamma + np.sqrt(gamma * gamma + 4.0 * curvature * f0)) / (2.0 * curvature)
+    return delta, float(r0)
+
+
+def sample_containment(domain: Domain, q: QuadraticWitness, samples: int,
+                       seed: int) -> tuple[int, float]:
+    """Containment by sampling: (halvings, radius) of the first radius at which
+    no sampled z in the ball around M has q(z) < 0 while rho(z) >= 0.
+
+    A violation halves the radius, at most MAX_HALVINGS times; then
+    ContainmentError.  The draws of halving h come from the stream
+    (seed, h).
+    """
+    n = len(q.center)
+    for halvings in range(MAX_HALVINGS + 1):
+        radius = q.radius / 2.0 ** halvings
+        rng = np.random.default_rng((seed, halvings))
+        x = rng.standard_normal((samples, 2 * n))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        x *= (radius * rng.random(samples) ** (1.0 / (2 * n)))[:, None]
+        qv = _eval_offsets(q, x)
+        rv = ex.eval_raw(domain.ast, x.view(complex) + q.center).real
+        if not np.any((qv < 0.0) & (rv >= 0.0)):
+            return halvings, radius
+    raise ContainmentError(
+        f"containment still violated after {MAX_HALVINGS} radius halvings")
+
+
 def verify_quadratic_witness(domain: Domain, q: QuadraticWitness,
                              samples: int = 10000, seed: int = 0) -> VerificationRecord:
     """Run the five witness checks; shrink the radius until containment holds.
 
-    Containment means: no sampled z in the ball around M has q(z) < 0 while
-    rho(z) >= 0.  A violation halves the radius (at most 20 times).
+    Containment is proved at the first radius q.radius / 2**h, h <= 20, with
+    delta < eps and r0 below the radius (see the module docstring).  If no
+    radius proves it, `samples` random points per radius decide it, as in
+    sample_containment, which raises ContainmentError when that fails too.
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
@@ -116,47 +206,20 @@ def verify_quadratic_witness(domain: Domain, q: QuadraticWitness,
     levi_value = levi_form_of_quadratic(q, Z)
     checks["negative_levi"] = levi_value < 0.0
 
-    n = len(q.center)
     for halvings in range(MAX_HALVINGS + 1):
         radius = q.radius / 2.0 ** halvings
-        rng = np.random.default_rng((seed, halvings))
-        x = rng.standard_normal((samples, 2 * n))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        x *= (radius * rng.random(samples) ** (1.0 / (2 * n)))[:, None]
-        qv = _eval_offsets(q, x)
-        rv = ex.eval_raw(domain.ast, x.view(complex) + q.center).real
-        if not np.any((qv < 0.0) & (rv >= 0.0)):
-            checks["containment"] = True
+        try:
+            delta, r0 = containment_bounds(domain, q, radius)
+        except ex.EvalError:
+            continue
+        if r0 < radius:
+            method = "proven"
             break
     else:
-        raise ContainmentError(
-            f"containment still violated after {MAX_HALVINGS} radius halvings")
+        halvings, radius = sample_containment(domain, q, samples, seed)
+        method, delta, r0 = "sampled", None, None
+    checks["containment"] = True
     return VerificationRecord(checks=checks, levi_value=levi_value,
                               radius=radius, samples=samples, seed=seed,
-                              halvings=halvings)
-
-
-# ---------------------------------------------------------------------------
-# Rendering q in the expression grammar (used for cross-checks)
-# ---------------------------------------------------------------------------
-
-def quadratic_as_expression(q: QuadraticWitness) -> str:
-    """Render q as a parseable expression string in z1..zn."""
-    n = len(q.center)
-    dvar = [f"(z{j + 1}-{ex._fmt_const(q.center[j])})" for j in range(n)]
-    terms = []
-    lin_parts = [f"{ex._fmt_const(q.lin[j])}*{dvar[j]}"
-                 for j in range(n) if q.lin[j] != 0]
-    if lin_parts:
-        terms.append(f"2*re({'+'.join(lin_parts)})")
-    holo_parts = [f"{ex._fmt_const(q.holo2[j, k])}*{dvar[j]}*{dvar[k]}"
-                  for j in range(n) for k in range(n) if q.holo2[j, k] != 0]
-    if holo_parts:
-        terms.append(f"re({'+'.join(holo_parts)})")
-    mixed_parts = [f"{ex._fmt_const(q.mixed2[j, k])}*{dvar[j]}*conj({dvar[k]})"
-                   for j in range(n) for k in range(n) if q.mixed2[j, k] != 0]
-    if mixed_parts:
-        terms.append(f"re({'+'.join(mixed_parts)})")
-    abs_parts = "+".join(f"abs2({dvar[j]})" for j in range(n))
-    terms.append(f"{repr(float(q.eps))}*({abs_parts})")
-    return "+".join(terms)
+                              halvings=halvings, method=method,
+                              hessian_bound=delta, exception_radius=r0)

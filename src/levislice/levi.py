@@ -27,10 +27,6 @@ class DomainError(Exception):
     pass
 
 
-class ProjectionError(Exception):
-    pass
-
-
 class BoundaryNotFoundError(Exception):
     pass
 
@@ -253,14 +249,6 @@ def _boundary_batch(domain: Domain, box: np.ndarray, count: int, seeds, a=None,
     return pts[ok], rows[ok]
 
 
-def project_to_boundary(domain: Domain, z0) -> np.ndarray:
-    z0 = np.asarray(z0, complex)[None, :]
-    pts, ok = _newton(domain.ast, domain.tol, z0)
-    if not ok[0]:
-        raise ProjectionError("boundary projection did not converge")
-    return pts[0]
-
-
 def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:
     """Project `count` box samples onto the boundary; drop failures.
 
@@ -272,16 +260,6 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Levi form
 # ---------------------------------------------------------------------------
-
-def levi_form_at(domain: Domain, M, Z) -> float:
-    """Levi form sum_{j,k} (d^2 rho / dz_j dzbar_k)(M) Z_j conj(Z_k)."""
-    Z = np.asarray(Z, complex)
-    jet = ex.eval_jet(domain.ast, M, holo=False)
-    raw = complex(np.einsum("jk,j,k->", jet.mixed, Z, np.conj(Z)))
-    if abs(raw.imag) > 1e-10 * (1.0 + abs(raw)):
-        raise DomainError(f"Levi form not real: imaginary part {raw.imag:.3e}")
-    return raw.real
-
 
 def _levi_min(grad: np.ndarray, mixed: np.ndarray, grad_floor: float):
     """Restricted Levi minima at a batch of jets (grad (B, n), mixed (B, n, n)).

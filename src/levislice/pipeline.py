@@ -41,8 +41,8 @@ def _stage(name: str):
     """Report a numerical failure inside the block as a failure of the stage."""
     try:
         yield
-    except (levi.DomainError, levi.BoundaryNotFoundError, levi.ProjectionError,
-            sl.SliceError, hm.WitnessPreconditionError, hm.ContainmentError,
+    except (levi.DomainError, levi.BoundaryNotFoundError, sl.SliceError,
+            hm.WitnessPreconditionError, hm.ContainmentError,
             ex.EvalError) as err:
         raise PipelineError(name, str(err)) from err
 

@@ -1,7 +1,7 @@
 """Affine two-dimensional slices and the witness-slice construction.
 
 A slice is the plane h(a, b, c) = {a + b*w1 + c*w2} with b, c linearly
-independent, viewed through the maps phi and phi^{-1}.  Jets of rho pull
+independent, parametrised by the map phi(w).  Jets of rho pull
 back to jets of rho_h by congruence with the n x 2 matrix [b c].  Any
 boundary probe with a negative restricted Levi minimum yields a witness
 certificate: a slice through an interior point p0 and the boundary point M,
@@ -22,10 +22,6 @@ from .levi import Domain, LeviProbe
 
 
 class SliceError(Exception):
-    pass
-
-
-class OffPlaneError(SliceError):
     pass
 
 
@@ -73,14 +69,6 @@ def phi(s: Slice, w) -> np.ndarray:
     return s.a + s.b * w[0] + s.c * w[1]
 
 
-def phi_inv(s: Slice, z) -> np.ndarray:
-    z = np.asarray(z, complex)
-    w1, w2, resid = la.gram_solve_2(s.b, s.c, z - s.a)
-    if resid > 1e-8 * (1.0 + np.linalg.norm(z)):
-        raise OffPlaneError(f"point is off the slice plane (residual {resid:.3e})")
-    return np.array([w1, w2])
-
-
 def pullback_jet(s: Slice, jet: ex.WirtingerJet) -> ex.WirtingerJet:
     """Chain rule for rho_h = rho . phi: congruence with the frame [b c]."""
     B = s.frame
@@ -90,17 +78,6 @@ def pullback_jet(s: Slice, jet: ex.WirtingerJet) -> ex.WirtingerJet:
     mixed_h = np.einsum("lm,li,mj->ij", jet.mixed, B, np.conj(B))
     holo_h = np.einsum("lm,li,mj->ij", jet.holo, B, B)
     return ex.WirtingerJet(jet.value, grad_h, mixed_h, holo_h)
-
-
-def slice_gradient_check(s: Slice, domain: Domain, mu) -> bool:
-    """True iff rho_h has a nonvanishing gradient at mu.
-
-    This holds exactly when b or c is not complex tangent to the boundary at
-    phi(mu), which is what makes rho_h a local defining function there.
-    """
-    _, grads = ex.eval_value_grad(domain.ast, phi(s, mu)[None, :])
-    grad_h = s.frame.T @ grads[0]
-    return bool(np.linalg.norm(grad_h) > domain.tol.grad_floor)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,16 @@ def test_dimension_one_is_an_input_error(capsys, command):
         assert code == cli.EXIT_INPUT, name
         assert message in err and "stage" not in err, name
         assert out == ""
+
+
+@pytest.mark.parametrize("command", ["check", "verify-theorem"])
+def test_overflow_writes_no_warning(capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, str(DATA / "overflow.dom"))
+    assert code == cli.EXIT_INPUT
+    assert err == "error: non-finite value in evaluation\n"
+    assert out == ""
 
 
 def test_check_missing_file(capsys):

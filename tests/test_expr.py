@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from levislice import expr as E
 from fd_oracle import fd_wirtinger_jet
+from oracles import compose_with_affine
 
 BALL = "abs2(z1)+abs2(z2)-1"
 SADDLE = "re(z2)-abs2(z1)"
@@ -216,6 +217,68 @@ def test_variable_values_do_not_alias_points(rng):
 
 
 # ---------------------------------------------------------------------------
+# midpoint-radius discs: each operation encloses its exact results
+# ---------------------------------------------------------------------------
+
+EXACT = np.array([0.5 - 2j, 3.0, -1j])
+DISC_OPS = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "inv": lambda x, y: 1.0 / y,
+    "conj": lambda x, y: np.conj(x),
+    "exp": lambda x, y: np.exp(x),
+    "index": lambda x, y: x[..., ::-1],
+    "exact_mul": lambda x, y: EXACT * x,
+    "exact_sub": lambda x, y: EXACT - x,
+}
+
+
+def random_disc(rng, scale):
+    mid = 2.0 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    return E._Disc(mid, scale * rng.random(3))
+
+
+def points_in(rng, disc, count):
+    """count points of each disc, in extended precision and strictly inside."""
+    shape = (count,) + disc.shape
+    offset = (1 - 1e-9) * np.sqrt(rng.random(shape)) * np.exp(2j * np.pi * rng.random(shape))
+    return disc.mid.astype(np.clongdouble) + disc.rad * offset.astype(np.clongdouble)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+       op=st.sampled_from(sorted(DISC_OPS)))
+def test_disc_operations_enclose_exact_results(seed, scale, op):
+    rng = np.random.default_rng(seed)
+    x, y = random_disc(rng, scale), random_disc(rng, scale)
+    fn = DISC_OPS[op]
+    if op == "inv" and not np.all(y.gap() > 0):
+        with pytest.raises(E.EvalError):
+            fn(x, y)
+        return
+    out = fn(x, y)
+    exact = fn(points_in(rng, x, 200), points_in(rng, y, 200))
+    assert np.all(np.abs(exact - out.mid) <= out.rad)
+
+
+def test_disc_walk_matches_float_walk_at_thin_points(rng):
+    ast = E.parse("exp(re(z1^3)/(1+abs2(z2)))-im(z2)")
+    pts = random_points(rng, 2, 5, scale=0.6)
+    enc = E.enclose_jet_batch(ast, pts, 0.0)
+    jet = E.eval_jet_batch(ast, pts)
+    for disc, values in [(enc.val, jet.value), (enc.dz, jet.grad),
+                         (enc.dzz, jet.holo), (enc.dzzb, jet.mixed)]:
+        assert np.all(np.abs(values - disc.mid) <= disc.rad)
+        assert np.max(disc.rad) <= 1e-10
+
+
+def test_disc_division_by_a_disc_around_zero():
+    with pytest.raises(E.EvalError):
+        E.enclose_jet_batch(E.parse("1/z1"), [[0.1 + 0j]], 0.2)
+
+
+# ---------------------------------------------------------------------------
 # realness
 # ---------------------------------------------------------------------------
 
@@ -234,7 +297,7 @@ def test_check_real_valued_on_affine_maps():
     frame = np.array([[[1, 0], [0, 0]], [[1, 0], [0, 1]]], complex)
     assert E.check_real_valued(ast, 64, 0, box=box, a=a[:1], frame=frame[:1])
     assert not E.check_real_valued(ast, 64, 0, box=box, a=a, frame=frame)
-    composed = [E.compose_with_affine(ast, a[k], frame[k, :, 0], frame[k, :, 1])
+    composed = [compose_with_affine(ast, a[k], frame[k, :, 0], frame[k, :, 1])
                 for k in range(2)]
     assert [E.check_real_valued(c, 64, 0, box=box) for c in composed] == [True, False]
 
@@ -261,14 +324,14 @@ def test_print_parse_round_trip(text, rng):
 
 def test_compose_identity_slice(rng):
     ast = E.parse(BALL)
-    composed = E.compose_with_affine(ast, [0, 0], [1, 0], [0, 1])
+    composed = compose_with_affine(ast, [0, 0], [1, 0], [0, 1])
     pts = random_points(rng, 2, 10)
     assert np.allclose(E.eval_raw(composed, pts), E.eval_raw(ast, pts))
 
 
 def test_compose_projects_coordinates(rng):
     ast = E.parse("re(z2)")
-    composed = E.compose_with_affine(ast, [0, 0], [0, 1], [1, 0])
+    composed = compose_with_affine(ast, [0, 0], [0, 1], [1, 0])
     w = random_points(rng, 2, 10)
     assert np.allclose(E.eval_raw(composed, w), w[:, 0].real)
 
@@ -277,7 +340,7 @@ def test_compose_worked_witness_slice(rng):
     # rho = re(z2)-abs2(z1) through a=(0,-0.1), b=(0,0.1), c=(1,0)
     # gives rho_h = 0.1*re(w1) - 0.1 - abs2(w2)
     ast = E.parse(SADDLE)
-    composed = E.compose_with_affine(ast, [0, -0.1], [0, 0.1], [1, 0])
+    composed = compose_with_affine(ast, [0, -0.1], [0, 0.1], [1, 0])
     w = random_points(rng, 2, 20)
     expected = 0.1 * w[:, 0].real - 0.1 - np.abs(w[:, 1]) ** 2
     assert np.allclose(E.eval_raw(composed, w).real, expected, atol=1e-14)
@@ -289,7 +352,7 @@ def test_compose_value_consistency(seed):
     rng = np.random.default_rng(seed)
     ast = E.parse("abs2(z1)^2+abs2(z2)-1")
     a, b, c = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3))
-    composed = E.compose_with_affine(ast, a, b, c)
+    composed = compose_with_affine(ast, a, b, c)
     w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     z = a + b * w[0] + c * w[1]
     v1 = E.eval_raw(composed, w[None, :])[0]

@@ -8,6 +8,7 @@ from levislice import expr as E
 from levislice import hormander as hm
 from levislice import levi
 from levislice.catalog import CATALOG, parse_domain_file
+from oracles import levi_form_at, quadratic_as_expression
 from rotated import rotated_domain
 
 
@@ -131,13 +132,13 @@ def test_levi_of_quadratic_is_half_lambda():
 def test_quadratic_expression_cross_check(rng):
     # the rendered expression, re-parsed, has the same values and Levi form
     dom, _, q = saddle2_witness()
-    ast = E.parse(hm.quadratic_as_expression(q))
+    ast = E.parse(quadratic_as_expression(q))
     pts = 0.3 * (rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2)))
     direct = hm.eval_quadratic(q, pts)
     parsed = E.eval_raw(ast, pts).real
     assert np.max(np.abs(direct - parsed)) <= 1e-10
     qdom = levi.make_domain(ast, box=levi.square_box(2, 2.0))
-    assert levi.levi_form_at(qdom, q.center, q.direction) == pytest.approx(
+    assert levi_form_at(qdom, q.center, q.direction) == pytest.approx(
         hm.levi_form_of_quadratic(q, q.direction), abs=1e-10)
 
 
@@ -165,12 +166,71 @@ def test_verify_saddle3():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_verify_halves_radius(seed):
-    # values written from the complex-coordinate implementation
+    # the sampling fallback; values written from the complex-coordinate
+    # implementation
     dom, q = halving_witness()
-    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=seed)
+    halvings, radius = hm.sample_containment(dom, q, 2000, seed)
+    assert halvings == 2
+    assert radius == 0.046907330972367864
+
+
+def test_proof_halves_radius():
+    # the cubic term's Hessian spread is below eps only on a smaller ball
+    dom, q = halving_witness()
+    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=1)
     assert record.all_passed
-    assert record.halvings == 2
-    assert record.radius == 0.046907330972367864
+    assert record.method == "proven"
+    assert record.halvings == 5
+    assert record.radius == q.radius / 32
+    assert record.hessian_bound < q.eps
+    assert record.exception_radius < record.radius
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES) + ["halving"])
+def test_proof_agrees_with_sampling(name):
+    # at the proven radius, 1e5 random points find no violation
+    dom, q = halving_witness() if name == "halving" else WITNESSES[name]()
+    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=1)
+    assert record.all_passed and record.method == "proven"
+    at_proof = dataclasses.replace(q, radius=record.radius)
+    assert hm.sample_containment(dom, at_proof, 100000, 7) == (0, record.radius)
+
+
+# exp and / in rho, and a pole of 1/(z2 - 0.08) inside the first polydisc
+EXP_DIV_RHO = "exp(re(z1)-abs2(z2))/(3+re(z1)+abs2(z2))-re(z2)"
+POLE_RHO = "re(z2)-abs2(z1)+0.001*re(1/(z2-0.08))+0.0125"
+
+
+def enclosure_cases():
+    cases = {name: make for name, make in WITNESSES.items()}
+    cases["halving"] = halving_witness
+    cases["exp_div"] = lambda: (
+        levi.make_domain(EXP_DIV_RHO, levi.square_box(2, 1.0)),
+        dataclasses.replace(saddle2_witness()[2],
+                            center=np.array([0.2 + 0.1j, -0.1 + 0.3j]), radius=0.3))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(enclosure_cases()))
+def test_polydisc_enclosure_contains_jets(name, rng):
+    dom, q = enclosure_cases()[name]()
+    n = len(q.center)
+    enc = E.enclose_jet_batch(dom.ast, q.center[None], q.radius)
+    u = np.sqrt(rng.random((2000, n))) * np.exp(2j * np.pi * rng.random((2000, n)))
+    jets = E.eval_jet_batch(dom.ast, q.center + q.radius * u)
+    for disc, values in [(enc.val, jets.value), (enc.dz, jets.grad),
+                         (enc.dzz, jets.holo), (enc.dzzb, jets.mixed)]:
+        assert np.all(np.abs(values - disc.mid) <= disc.rad)
+
+
+def test_proof_across_a_pole():
+    dom = levi.make_domain(POLE_RHO, levi.square_box(2, 1.0))
+    q = hm.build_quadratic_witness(dom, levi.restricted_levi_min(dom, [0, 0]))
+    with pytest.raises(E.EvalError):
+        hm.containment_bounds(dom, q, q.radius)
+    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=1)
+    assert record.all_passed
+    assert record.method == "sampled" or record.halvings >= 1
 
 
 def test_verify_raises_when_containment_never_holds():

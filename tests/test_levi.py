@@ -5,6 +5,7 @@ from levislice import expr as E
 from levislice import levi
 from levislice import pipeline
 from levislice.catalog import CATALOG
+from oracles import compose_with_affine, levi_form_at, project_to_boundary
 from rotated import rotated_domain
 
 
@@ -32,19 +33,19 @@ def test_make_domain_rejects_bad_box():
 
 def test_project_ball_from_outside():
     dom = domain_of("ball")
-    pt = levi.project_to_boundary(dom, [2, 0])
+    pt = project_to_boundary(dom, [2, 0])
     assert np.allclose(pt, [1, 0], atol=1e-8)
 
 
 def test_project_ball_from_inside_radial():
     dom = domain_of("ball")
-    pt = levi.project_to_boundary(dom, [0.5, 0])
+    pt = project_to_boundary(dom, [0.5, 0])
     assert np.allclose(pt, [1, 0], atol=1e-8)
 
 
 def test_project_saddle_quadric():
     dom = domain_of("saddle2")
-    pt = levi.project_to_boundary(dom, [0, 0.3])
+    pt = project_to_boundary(dom, [0, 0.3])
     value = E.eval_raw(dom.ast, pt[None, :])[0].real
     assert abs(value) <= 1e-9 * 3
     assert np.allclose(pt, [0, 0], atol=1e-8)
@@ -100,29 +101,29 @@ def test_sample_boundary_deterministic_per_index():
 
 def test_levi_form_ball():
     dom = domain_of("ball")
-    assert levi.levi_form_at(dom, [1, 0], [0, 1]) == pytest.approx(1.0, abs=1e-12)
+    assert levi_form_at(dom, [1, 0], [0, 1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_levi_form_saddle_origin():
     dom = domain_of("saddle2")
-    assert levi.levi_form_at(dom, [0, 0], [1, 0]) == pytest.approx(-1.0, abs=1e-12)
+    assert levi_form_at(dom, [0, 0], [1, 0]) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_levi_form_zero_vector():
     dom = domain_of("saddle2")
-    assert levi.levi_form_at(dom, [0, 0], [0, 0]) == 0.0
+    assert levi_form_at(dom, [0, 0], [0, 0]) == 0.0
 
 
 def test_levi_form_phase_and_scale_invariance(rng):
     dom = domain_of("polyball")
-    M = levi.project_to_boundary(dom, [0.7, 0.6])
+    M = project_to_boundary(dom, [0.7, 0.6])
     Z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    base = levi.levi_form_at(dom, M, Z)
+    base = levi_form_at(dom, M, Z)
     for theta in rng.random(5) * 2 * np.pi:
-        rotated = levi.levi_form_at(dom, M, np.exp(1j * theta) * Z)
+        rotated = levi_form_at(dom, M, np.exp(1j * theta) * Z)
         assert rotated == pytest.approx(base, abs=1e-12 * (1 + abs(base)))
     for t in (0.5, 2.0, -3.0):
-        scaled = levi.levi_form_at(dom, M, t * Z)
+        scaled = levi_form_at(dom, M, t * Z)
         assert scaled == pytest.approx(t * t * base, rel=1e-12, abs=1e-12)
 
 
@@ -156,14 +157,14 @@ def test_restricted_min_equals_levi_at_direction(rng):
     dom = domain_of("saddle2")
     for pt in levi.sample_boundary(dom, 20, seed=5):
         probe = levi.restricted_levi_min(dom, pt)
-        attained = levi.levi_form_at(dom, pt, probe.direction)
+        attained = levi_form_at(dom, pt, probe.direction)
         assert attained == pytest.approx(probe.lambda_min, abs=1e-10)
 
 
 def test_restricted_min_lower_bounds_random_tangents(rng):
     from levislice import linalg as la
     dom = domain_of("polyball")
-    M = levi.project_to_boundary(dom, [0.8, 0.7 + 0.2j])
+    M = project_to_boundary(dom, [0.8, 0.7 + 0.2j])
     probe = levi.restricted_levi_min(dom, M)
     g = E.eval_jet(dom.ast, M).grad
     basis = la.tangent_null_basis(g)
@@ -171,7 +172,7 @@ def test_restricted_min_lower_bounds_random_tangents(rng):
         coeff = rng.standard_normal(1) + 1j * rng.standard_normal(1)
         W = basis @ coeff
         W /= np.linalg.norm(W)
-        assert levi.levi_form_at(dom, M, W) >= probe.lambda_min - 1e-9
+        assert levi_form_at(dom, M, W) >= probe.lambda_min - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def test_batched_classify_matches_pointwise_minimum(kind):
         assert report.lambdas[i] == pytest.approx(
             np.linalg.eigvalsh(restricted)[0], abs=1e-12 * scale)
         Z = report.directions[i]
-        assert levi.levi_form_at(dom, M, Z) == pytest.approx(
+        assert levi_form_at(dom, M, Z) == pytest.approx(
             report.lambdas[i], abs=1e-12 * scale)
 
 
@@ -248,7 +249,7 @@ def test_batched_slices_match_composed_slice_domains(name):
                                    pipeline.SLICE_PROBES, seeds)
     assert len(reports) == 12
     for a, frame, k, report in zip(bases, frames, seeds, reports):
-        composed = E.compose_with_affine(dom.ast, a, frame[:, 0], frame[:, 1])
+        composed = compose_with_affine(dom.ast, a, frame[:, 0], frame[:, 1])
         dom_h = levi.make_domain(
             composed, box=levi.square_box(2, pipeline.SLICE_WINDOW), tol=dom.tol)
         oracle = levi.classify(dom_h, pipeline.SLICE_PROBES, seed=k)
