@@ -186,10 +186,13 @@ def test_proof_halves_radius():
     assert record.exception_radius < record.radius
 
 
-@pytest.mark.parametrize("name", sorted(WITNESSES) + ["halving"])
+PROVEN = {**WITNESSES, "halving": halving_witness}
+
+
+@pytest.mark.parametrize("name", sorted(PROVEN))
 def test_proof_agrees_with_sampling(name):
     # at the proven radius, 1e5 random points find no violation
-    dom, q = halving_witness() if name == "halving" else WITNESSES[name]()
+    dom, q = PROVEN[name]()
     record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=1)
     assert record.all_passed and record.method == "proven"
     at_proof = dataclasses.replace(q, radius=record.radius)
@@ -200,20 +203,16 @@ def test_proof_agrees_with_sampling(name):
 EXP_DIV_RHO = "exp(re(z1)-abs2(z2))/(3+re(z1)+abs2(z2))-re(z2)"
 POLE_RHO = "re(z2)-abs2(z1)+0.001*re(1/(z2-0.08))+0.0125"
 
-
-def enclosure_cases():
-    cases = {name: make for name, make in WITNESSES.items()}
-    cases["halving"] = halving_witness
-    cases["exp_div"] = lambda: (
-        levi.make_domain(EXP_DIV_RHO, levi.square_box(2, 1.0)),
-        dataclasses.replace(saddle2_witness()[2],
-                            center=np.array([0.2 + 0.1j, -0.1 + 0.3j]), radius=0.3))
-    return cases
+# polydiscs D(q.center, q.radius): the witnesses', and one for EXP_DIV_RHO
+ENCLOSED = {**PROVEN, "exp_div": lambda: (
+    levi.make_domain(EXP_DIV_RHO, levi.square_box(2, 1.0)),
+    dataclasses.replace(saddle2_witness()[2],
+                        center=np.array([0.2 + 0.1j, -0.1 + 0.3j]), radius=0.3))}
 
 
-@pytest.mark.parametrize("name", sorted(enclosure_cases()))
+@pytest.mark.parametrize("name", sorted(ENCLOSED))
 def test_polydisc_enclosure_contains_jets(name, rng):
-    dom, q = enclosure_cases()[name]()
+    dom, q = ENCLOSED[name]()
     n = len(q.center)
     enc = E.enclose_jet_batch(dom.ast, q.center[None], q.radius)
     u = np.sqrt(rng.random((2000, n))) * np.exp(2j * np.pi * rng.random((2000, n)))
