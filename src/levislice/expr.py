@@ -16,15 +16,33 @@ and a variable carries only its one-hot d/dz.  Terms with a missing factor
 are never formed.  The public entry points fill the missing blocks in at
 the root, so they always return full-shape arrays.
 
+The walk is traced once per expression and replayed per batch (the tape of
+operator-overloading AD; Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., ch. 6).  The trace runs it at order 2 with holo on a symbolic
+batch: every operation on a point-dependent value is recorded, and every
+operation on point-independent values alone runs at trace time and enters
+the tape as a constant.  That folds the one-hot d/dz of each variable, the
+c d/dz of every linear form, and the mixed and holomorphic Hessians of a
+quadric.  The tape is kept on the Ast; eval_raw, eval_value_grad,
+eval_jet_batch and eval_jet replay it, pruned to the blocks they return,
+and release each intermediate after its last reader.  The replay yields
+the walk's bits exactly, because it makes the walk's numpy calls on the
+same operands.  A trace stands for every batch only because the walk's
+control flow depends on the AST alone: its one test of values, whether a
+divisor may vanish, is recorded and made at every replay, and any new test
+of values must be recorded the same way.
+
 The same walk also runs on midpoint-radius discs instead of points: over a
 polydisc it returns discs that enclose every value the jet takes there,
 rounding included.  The quadratic witness proves its containment with it.
+Disc walks are not taped; each runs the walk directly.
 """
 
 from __future__ import annotations
 
+import operator
 import re as _re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -105,6 +123,9 @@ Node = Union[Var, Const, Conj, Add, Sub, Mul, Div, Pow, Exp]
 class Ast:
     root: Node
     n: int  # number of complex variables (largest index that occurs)
+    # the traced jet walk, one _Tape per (column count, dtype) of the points;
+    # filled on first evaluation and no part of the expression's identity
+    _tapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +497,12 @@ class _Walk:
     formed, and second-order terms are formed only at order 2 (the
     holomorphic ones only with holo).
 
-    The points are a (B, n) complex array or a _Disc of that shape; the walk
-    touches its numbers only through arithmetic, numpy ufuncs and the two
-    hooks const and may_vanish, which serve both number types.
+    The points are a (B, n) complex array, a _Disc of that shape or the
+    _Sym of a tape being traced; the walk touches its numbers only through
+    arithmetic, numpy ufuncs, indexing, reshape and swapaxes and the two
+    hooks const and check_divisor, which serve all three number types.  Its
+    control flow depends on the AST alone, never on a value: that is what
+    lets one trace stand for every batch.
     """
 
     def __init__(self, root: Node, points, order: int, holo: bool):
@@ -508,11 +532,13 @@ class _Walk:
         c = self.points.dtype.type(value)
         return _Disc.of(c) if isinstance(self.points, _Disc) else c
 
-    def may_vanish(self, x) -> bool:
-        """Whether x may be zero at some point of the batch."""
-        if isinstance(x, _Disc):
-            return not np.all(x.gap() > 0.0)
-        return bool(np.any(x == 0))
+    def check_divisor(self, x):
+        """Raise EvalError if x may be zero at some point of the batch; on a
+        traced walk, record the test, so that every replay makes it."""
+        if isinstance(x, _Sym):
+            x.tape.record(_check_divisor, (x,), ())
+        else:
+            _check_divisor(x)
 
     def take(self, node: Node) -> _Jet:
         """The jet of a child node, released after its last consumer."""
@@ -578,8 +604,7 @@ class _Walk:
         return out
 
     def inv(self, u: _Jet) -> _Jet:
-        if self.may_vanish(u.val):
-            raise EvalError("division by zero")
+        self.check_divisor(u.val)
         w = 1.0 / u.val
         out = _Jet(w)
         if self.order >= 1:
@@ -632,6 +657,169 @@ class _Walk:
         return result
 
 
+def _check_divisor(x):
+    """Raise EvalError if the array or disc x may be zero anywhere."""
+    if isinstance(x, _Disc):
+        vanish = not np.all(x.gap() > 0.0)
+    else:
+        vanish = bool(np.any(x == 0))
+    if vanish:
+        raise EvalError("division by zero")
+
+
+# ---------------------------------------------------------------------------
+# Tape: the walk traced once per expression, replayed per batch
+# ---------------------------------------------------------------------------
+
+# The length of the batch axis while the walk is traced; `_Sym.shape` shows
+# it as -1, so a reshape derived from it replays at every batch length.
+_TRACE_BATCH = 104729
+
+
+def _elementwise(fn, args) -> "_Sym":
+    """Record fn(*args), an operation that broadcasts its operands."""
+    tape = next(a.tape for a in args if isinstance(a, _Sym))
+    shapes = (a.pshape if isinstance(a, _Sym) else np.shape(a) for a in args)
+    return tape.record(fn, args, np.broadcast_shapes(*shapes))
+
+
+def _binary(fn):
+    return (lambda self, other: _elementwise(fn, (self, other)),
+            lambda self, other: _elementwise(fn, (other, self)))
+
+
+class _Sym:
+    """A point-dependent array of a walk being traced.
+
+    An operation with a _Sym operand is recorded on its tape, with the
+    operands in the order the walk gave them, and returns a new _Sym.  An
+    operation on point-independent operands alone never reaches here: it
+    runs at trace time, and its result enters the tape as a constant.
+    pshape is the shape with the batch axis of length _TRACE_BATCH.
+    """
+
+    __slots__ = ("tape", "slot", "pshape")
+
+    def __init__(self, tape: "_Tape", slot: int, pshape: tuple):
+        self.tape = tape
+        self.slot = slot
+        self.pshape = pshape
+
+    shape = property(lambda self: tuple(-1 if d == _TRACE_BATCH else d
+                                        for d in self.pshape))
+    ndim = property(lambda self: len(self.pshape))
+    dtype = property(lambda self: self.tape.dtype)
+
+    def _view(self, fn) -> "_Sym":
+        """Record the view fn(self); its shape is fn's on a zero-stride dummy."""
+        dummy = np.broadcast_to(np.zeros((), bool), self.pshape)
+        return self.tape.record(fn, (self,), fn(dummy).shape)
+
+    def __getitem__(self, key) -> "_Sym":
+        return self._view(operator.itemgetter(key))
+
+    def reshape(self, shape) -> "_Sym":
+        return self._view(operator.methodcaller("reshape", shape))
+
+    def swapaxes(self, a: int, b: int) -> "_Sym":
+        return self._view(operator.methodcaller("swapaxes", a, b))
+
+    __add__, __radd__ = _binary(operator.add)
+    __sub__, __rsub__ = _binary(operator.sub)
+    __mul__, __rmul__ = _binary(operator.mul)
+    __truediv__, __rtruediv__ = _binary(operator.truediv)
+
+    def __neg__(self) -> "_Sym":
+        return _elementwise(operator.neg, (self,))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        return _elementwise(ufunc, inputs)
+
+
+# The jet blocks the public entry points read, by (order, holo).
+_BLOCKS = {(0, False): ("val",), (1, False): ("val", "dz"),
+           (2, False): ("val", "dz", "dzzb"), (2, True): ("val", "dz", "dzzb", "dzz")}
+
+
+class _Tape:
+    """The point-dependent operations of one order-2, holo walk, in order.
+
+    A register file holds the points (slot 0), the constants folded at
+    trace time and one slot per recorded result.  An instruction is (fn,
+    argument slots, result slot); a divisor test is one whose result no
+    instruction reads.  `program` prunes the tape to what some blocks of the
+    root need, and `replay` runs such a program on a batch of points.
+    """
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+        self.registers: list = [None]
+        self.code: list[tuple] = []
+        self.blocks: dict[str, int | None] = {}
+        self.programs: dict[tuple, tuple] = {}
+
+    def slot(self, x) -> int:
+        """The slot of a _Sym, or a new slot holding the constant x."""
+        if isinstance(x, _Sym):
+            return x.slot
+        self.registers.append(x)
+        return len(self.registers) - 1
+
+    def record(self, fn, args, pshape: tuple) -> _Sym:
+        args = tuple(map(self.slot, args))
+        out = self.slot(None)
+        self.code.append((fn, args, out))
+        return _Sym(self, out, tuple(pshape))
+
+    def program(self, order: int, holo: bool) -> tuple:
+        """(code, {block: slot}) for the blocks of (order, holo).
+
+        The code keeps every divisor test and the instructions the blocks
+        read, in tape order, as (fn, a, b, out, drop): b is None for a unary
+        fn, and drop lists the points and results whose last reader it is.
+        """
+        key = (order, holo)
+        if key not in self.programs:
+            outputs = {name: self.blocks[name] for name in _BLOCKS[key]}
+            needed = set(outputs.values())
+            code = []
+            for fn, args, out in reversed(self.code):
+                if out in needed or fn is _check_divisor:
+                    # the points and results hold None until the replay
+                    drop = tuple(s for s in set(args) - needed
+                                 if self.registers[s] is None)
+                    needed.update(args)
+                    a, b = args if len(args) == 2 else (*args, None)
+                    code.append((fn, a, b, out, drop))
+            self.programs[key] = (code[::-1], outputs)
+        return self.programs[key]
+
+    def replay(self, points: np.ndarray, code) -> list:
+        """The register file after running code on the points: the
+        constants, the outputs, and None in every released slot."""
+        r = self.registers.copy()
+        r[0] = points
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fn, a, b, out, drop in code:
+                r[out] = fn(r[a]) if b is None else fn(r[a], r[b])
+                for s in drop:
+                    r[s] = None
+        return r
+
+
+def _trace(root: Node, columns: int, dtype) -> _Tape:
+    """Run the walk once at order 2 with holo on a symbolic batch of points."""
+    tape = _Tape(dtype)
+    points = _Sym(tape, 0, (_TRACE_BATCH, columns))
+    jet = _Walk(root, points, 2, True).run()
+    for name in ("val", "dz", "dzz", "dzzb"):
+        block = getattr(jet, name)
+        tape.blocks[name] = None if block is None else tape.slot(block)
+    return tape
+
+
 def _as_points(ast: Ast, points) -> np.ndarray:
     arr = np.asarray(points)
     if not np.iscomplexobj(arr):
@@ -644,16 +832,30 @@ def _as_points(ast: Ast, points) -> np.ndarray:
     return arr
 
 
+def _tape(ast: Ast, points: np.ndarray) -> _Tape:
+    """The expression's tape for points of this column count and dtype,
+    traced on first use.  A trace that raises is not kept, so a constant
+    zero divisor raises on every call."""
+    key = (points.shape[1], points.dtype)
+    if key not in ast._tapes:
+        ast._tapes[key] = _trace(ast.root, *key)
+    return ast._tapes[key]
+
+
 def _run(ast: Ast, points, order: int, holo: bool = False) -> _Jet:
-    """The root jet at full shape, with the blocks callers read: val, dz,
-    dzzb and, with holo, dzz.
+    """The root jet at full shape, replayed from the expression's tape, with
+    the blocks callers read: val, dz, dzzb and, with holo, dzz.
 
     val is a fresh (B,) array that never aliases the points, a missing block
     is filled with zeros, and a present block gets + 0.0, which turns a -0.0
     left by a skipped zero term into the +0.0 that adding the term gives.
     """
     points = _as_points(ast, points)
-    jet = _Walk(ast.root, points, order, holo).run()
+    tape = _tape(ast, points)
+    code, outputs = tape.program(order, holo)
+    registers = tape.replay(points, code)
+    jet = _Jet(**{name: None if s is None else registers[s]
+                  for name, s in outputs.items()})
     B, n = points.shape
     val = np.array(np.broadcast_to(jet.val, (B,)))
     if not np.all(np.isfinite(val)):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levislice import expr as E
+from levislice import pipeline
+from levislice.catalog import CATALOG
 from fd_oracle import fd_wirtinger_jet
 from oracles import compose_with_affine
 
@@ -148,6 +150,151 @@ def test_mixed_only_jets_match_full_jets(rng):
     assert np.array_equal(mixed_only.mixed, full.mixed)
     assert np.array_equal(mixed_only.grad, full.grad)
     assert np.array_equal(mixed_only.value, full.value)
+
+
+# ---------------------------------------------------------------------------
+# the tape: one trace per expression, replayed per batch
+# ---------------------------------------------------------------------------
+
+def abs2_of(u):
+    """abs2 as the parser builds it: one subtree object, read twice."""
+    return E.Mul(u, E.Conj(u))
+
+
+CONSTS = st.sampled_from([0j, 0.5 + 0j, -1.25 + 0.5j, 2j, -3.0 + 0j])
+TREES = st.recursive(
+    st.one_of(st.integers(1, 3).map(E.Var), CONSTS.map(E.Const)),
+    lambda inner: st.one_of(
+        inner.map(E.Conj), inner.map(E.Exp), inner.map(abs2_of),
+        st.builds(E.Pow, inner, st.integers(0, 4)),
+        st.builds(E.Add, inner, inner), st.builds(E.Sub, inner, inner),
+        st.builds(E.Mul, inner, inner),
+        # a denominator that cannot vanish
+        st.builds(lambda u, v: E.Div(u, E.Add(E.Const(2 + 0j), abs2_of(v))),
+                  inner, inner)),
+    max_leaves=12)
+# (order, holo) of a direct walk, and the program that serves it
+WALKS = [(0, False), (0, True), (1, False), (1, True), (2, False), (2, True)]
+
+
+def program_key(order, holo):
+    return order, holo and order == 2
+
+
+def same_bits(x, y) -> bool:
+    """Equal shape, dtype and bytes, so signed zeros and nan payloads count."""
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def replayed(tape, pts, order, holo) -> dict:
+    code, outputs = tape.program(*program_key(order, holo))
+    registers = tape.replay(pts, code)
+    return {name: None if s is None else registers[s] for name, s in outputs.items()}
+
+
+def row(block, B, k):
+    block = np.asarray(block)
+    return np.broadcast_to(block, (B,) + block.shape[1:])[k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(root=TREES, seed=st.integers(0, 2**32 - 1))
+def test_replay_matches_direct_walk_bit_for_bit(root, seed):
+    rng = np.random.default_rng(seed)
+    ast = E.Ast(root, 3)
+    for B in (1, 7, 200):
+        pts = random_points(rng, 3, B)
+        tape = E._tape(ast, pts)
+        for order, holo in WALKS:
+            direct = E._Walk(root, pts, order, holo).run()
+            blocks = replayed(tape, pts, order, holo)
+            for name, block in blocks.items():
+                reference = getattr(direct, name)
+                assert (block is None) == (reference is None), name
+                assert block is None or same_bits(block, reference), name
+        # each row equals its point evaluated alone; the other programs
+        # run a subset of these instructions on the same operands
+        blocks = replayed(tape, pts, 2, True)
+        for k in range(B):
+            alone = replayed(tape, pts[k:k + 1], 2, True)
+            for name, block in blocks.items():
+                assert block is None or same_bits(row(block, B, k),
+                                                  row(alone[name], 1, 0)), name
+    assert len(ast._tapes) == 1
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """The arguments of every trace made while the test runs."""
+    calls = []
+    trace = E._trace
+
+    def counted(*args):
+        calls.append(args)
+        return trace(*args)
+    monkeypatch.setattr(E, "_trace", counted)
+    return calls
+
+
+def test_theorem_pipeline_traces_its_expression_once(traces):
+    domain = CATALOG["saddle3"].domain()
+    run = pipeline.verify_theorem(domain, 200, seed=7)
+    assert run.reclassification is not None  # the whole witness chain ran
+    assert len(traces) == 1 and len(domain.ast._tapes) == 1
+
+
+def test_tapes_stay_out_of_expression_identity(traces, rng):
+    a, b = E.parse(SADDLE), E.parse(SADDLE)
+    before = hash(a)
+    pts = random_points(rng, 2, 3)
+    for ast in (a, b, a, b):
+        E.eval_jet_batch(ast, pts)
+    assert len(traces) == 2  # a re-parsed expression traces its own tape
+    assert a == b == E.parse(SADDLE)
+    assert hash(a) == hash(b) == before
+    assert repr(a) == repr(E.parse(SADDLE))
+
+
+def test_disc_walks_record_no_tape(traces, rng):
+    ast = E.parse("exp(re(z1^3)/(1+abs2(z2)))-im(z2)")
+    E.enclose_jet_batch(ast, random_points(rng, 2, 3, scale=0.5), 0.01)
+    assert traces == [] and ast._tapes == {}
+
+
+def test_cached_tape_raises_where_a_divisor_vanishes(rng):
+    ast = E.parse("abs2(z2)+1/z1")
+    E.eval_value_grad(ast, random_points(rng, 2, 4))
+    tape = ast._tapes[(2, np.dtype(complex))]
+    bad = np.array([[0.5, 1j], [0.0, 1.0]])
+    for evaluate in (E.eval_raw, E.eval_value_grad, E.eval_jet_batch):
+        with pytest.raises(E.EvalError, match="division by zero"):
+            evaluate(ast, bad)
+    assert ast._tapes == {(2, np.dtype(complex)): tape}
+
+
+def test_constant_zero_divisor_raises_on_every_call(traces, rng):
+    ast = E.parse("abs2(z1)+1/(2-2)")
+    for _ in range(3):
+        with pytest.raises(E.EvalError, match="division by zero"):
+            E.eval_raw(ast, random_points(rng, 1, 4))
+    assert len(traces) == 3 and ast._tapes == {}
+
+
+def test_replay_releases_every_intermediate(rng):
+    # only the outputs outlive a replay, beside the tape's own constants;
+    # this keeps the peak memory of a large batch near the walk's
+    ast = E.parse("abs2(z1+z2)^2+exp(re(z1))*abs2(z2)/(2+abs2(z1-z2))-1")
+    pts = random_points(rng, 2, 5)
+    tape = E._tape(ast, pts)
+    for key in E._BLOCKS:
+        code, outputs = tape.program(*key)
+        registers = tape.replay(pts, code)
+        held = {s for s, (now, constant) in enumerate(zip(registers, tape.registers))
+                if now is not None and now is not constant}
+        assert held == {s for s in outputs.values()
+                        if s is not None and tape.registers[s] is None}
+        assert held, key
 
 
 # ---------------------------------------------------------------------------
