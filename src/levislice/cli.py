@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -223,7 +224,9 @@ def cmd_catalog(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="levislice",
         description="Pseudoconvexity analysis of domains in C^n via the Levi "

@@ -10,32 +10,36 @@ treated as formally independent, so conj is exact: it swaps the holomorphic
 and antiholomorphic components of a jet.  All evaluation is batched over
 points; scalar entry points wrap a batch of one.
 
-The jet walk propagates only nonzero derivative structure: a missing
-derivative block is an exact zero, a constant is a scalar with no blocks,
-and a variable carries only its one-hot d/dz.  Terms with a missing factor
-are never formed.  The public entry points fill the missing blocks in at
-the root, so they always return full-shape arrays.
+The jet walk forms the full second-order jet and propagates only nonzero
+derivative structure: a missing derivative block is an exact zero, a
+constant is a scalar with no blocks, and a variable carries only its
+one-hot d/dz.  Terms with a missing factor are never formed.  The public
+entry points fill the missing blocks in at the root, so they always return
+full-shape arrays.
 
 The walk is traced once per expression and replayed per batch (the tape of
 operator-overloading AD; Griewank & Walther, *Evaluating Derivatives*,
-2nd ed., ch. 6).  The trace runs it at order 2 with holo on a symbolic
-batch: every operation on a point-dependent value is recorded, and every
-operation on point-independent values alone runs at trace time and enters
-the tape as a constant.  That folds the one-hot d/dz of each variable, the
-c d/dz of every linear form, and the mixed and holomorphic Hessians of a
-quadric.  The tape is kept on the Ast; eval_raw, eval_value_grad,
-eval_jet_batch and eval_jet replay it, pruned to the blocks they return,
-and release each intermediate after its last reader.  The replay yields
-the walk's bits exactly, because it makes the walk's numpy calls on the
-same operands.  A trace stands for every batch only because the walk's
-control flow depends on the AST alone: its one test of values, whether a
-divisor may vanish, is recorded and made at every replay, and any new test
-of values must be recorded the same way.
+2nd ed., ch. 6).  The trace runs it on a symbolic batch of points: every
+operation on a point-dependent value is recorded, and every operation on
+point-independent values alone runs at trace time and enters the tape as a
+constant.  That folds the one-hot d/dz of each variable, the c d/dz of
+every linear form, and the mixed and holomorphic Hessians of a quadric.
+Points are always taken as complex128, so the Ast keeps one tape per column
+count.  eval_raw, eval_value_grad, eval_jet_batch and eval_jet replay it,
+pruned to the root blocks they return: the tape's programs, not the walk,
+pick the blocks.  A replay releases each intermediate after its last
+reader, and yields the walk's bits exactly, because it makes the walk's
+numpy calls on the same operands.  A trace stands for every batch only
+because the walk's control flow depends on the AST alone: its one test of
+values, whether a divisor may vanish, is recorded and made at every
+replay, and any new test of values must be recorded the same way.
 
 The same walk also runs on midpoint-radius discs instead of points: over a
 polydisc it returns discs that enclose every value the jet takes there,
 rounding included.  The quadratic witness proves its containment with it.
-Disc walks are not taped; each runs the walk directly.
+Disc walks are not taped; each runs the walk directly.  A trace would fold
+the operations on constants into plain complex numbers, and their rounding
+would drop out of the enclosure.
 """
 
 from __future__ import annotations
@@ -123,7 +127,7 @@ Node = Union[Var, Const, Conj, Add, Sub, Mul, Div, Pow, Exp]
 class Ast:
     root: Node
     n: int  # number of complex variables (largest index that occurs)
-    # the traced jet walk, one _Tape per (column count, dtype) of the points;
+    # the traced jet walk, one _Tape per column count of the points;
     # filled on first evaluation and no part of the expression's identity
     _tapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -329,8 +333,8 @@ class _Jet:
     no blocks.  Present arrays broadcast against a leading batch axis of
     length B: val is 0-d or (B,), dz/dzb are (1 or B, n) and dzz/dzzb/dzbzb
     are (1 or B, n, n); a leading 1 means the block is the same at every
-    point.  Which blocks can exist at all is fixed by the walk: none above
-    its order, and no dzz/dzbzb unless it asks for the holomorphic block.
+    point.  The walk forms every block; a traced walk's tape picks the ones
+    a caller reads.
     """
     val: np.ndarray
     dz: np.ndarray | None = None
@@ -354,7 +358,7 @@ def _scale(block, val):
     if block is None:
         return None
     if np.ndim(val):
-        val = val.reshape(val.shape + (1,) * (block.ndim - 1))
+        val = val.reshape((-1,) + (1,) * (block.ndim - 1))
     return block * val
 
 
@@ -412,7 +416,6 @@ class _Disc:
 
     shape = property(lambda self: self.mid.shape)
     ndim = property(lambda self: self.mid.ndim)
-    dtype = property(lambda self: self.mid.dtype)
 
     def __getitem__(self, key) -> "_Disc":
         return _Disc(self.mid[key], self.rad[key])
@@ -488,37 +491,27 @@ _DISC_UFUNCS = {np.add: _Disc.__add__, np.subtract: _Disc.__sub__,
 
 
 class _Walk:
-    """One evaluation of an AST's jets on a batch of points.
+    """One evaluation of an AST's full second-order jet on a batch of points.
 
-    Shared subtrees (abs2 shares its argument) are evaluated once.  A
-    node's jet is kept only until its last consumer has read it, so the
-    live set stays near the current path instead of the whole tree.  The
-    operations skip structural zeros: a term with a missing factor is not
-    formed, and second-order terms are formed only at order 2 (the
-    holomorphic ones only with holo).
+    Every block is formed, the holomorphic ones included: on a traced walk
+    the tape's programs pick the blocks each caller reads, and the direct
+    walks (discs, tests) want them all.  Shared subtrees (abs2 shares its
+    argument) are evaluated once.  The operations skip structural zeros: a
+    term with a missing factor is not formed.
 
-    The points are a (B, n) complex array, a _Disc of that shape or the
-    _Sym of a tape being traced; the walk touches its numbers only through
-    arithmetic, numpy ufuncs, indexing, reshape and swapaxes and the two
-    hooks const and check_divisor, which serve all three number types.  Its
-    control flow depends on the AST alone, never on a value: that is what
-    lets one trace stand for every batch.
+    The points are a (B, columns) complex array, a _Disc of that shape or
+    the _Sym of a tape being traced; the walk touches its numbers only
+    through arithmetic, numpy ufuncs, indexing, reshape and swapaxes and the
+    two hooks const and check_divisor, which serve all three number types.
+    Its control flow depends on the AST alone, never on a value: that is
+    what lets one trace stand for every batch.
     """
 
-    def __init__(self, root: Node, points, order: int, holo: bool):
+    def __init__(self, root: Node, points, columns: int):
         self.root = root
         self.points = points
-        self.order = order
-        self.holo = holo
+        self.columns = columns
         self.memo: dict[int, _Jet] = {}
-        self.uses: dict[int, int] = {}
-        stack = [root]
-        while stack:
-            for child in _children(stack.pop()):
-                key = id(child)
-                if key not in self.uses:
-                    stack.append(child)
-                self.uses[key] = self.uses.get(key, 0) + 1
 
     def run(self) -> _Jet:
         """The root jet.  Overflow and invalid operations make inf or nan,
@@ -529,49 +522,42 @@ class _Walk:
     def const(self, value: complex):
         """A constant of the walk's number type; a thin disc among discs, so
         that arithmetic on constants is enclosed too."""
-        c = self.points.dtype.type(value)
+        c = np.complex128(value)
         return _Disc.of(c) if isinstance(self.points, _Disc) else c
 
     def check_divisor(self, x):
         """Raise EvalError if x may be zero at some point of the batch; on a
         traced walk, record the test, so that every replay makes it."""
         if isinstance(x, _Sym):
-            x.tape.record(_check_divisor, (x,), ())
+            x.tape.record(_check_divisor, (x,), 0)
         else:
             _check_divisor(x)
 
-    def take(self, node: Node) -> _Jet:
-        """The jet of a child node, released after its last consumer."""
-        key = id(node)
-        jet = self.memo.pop(key, None)
-        if jet is None:
-            jet = self.eval(node)
-        self.uses[key] -= 1
-        if self.uses[key]:
-            self.memo[key] = jet
-        return jet
-
     def eval(self, node: Node) -> _Jet:
+        key = id(node)
+        if key not in self.memo:
+            self.memo[key] = self.jet(node)
+        return self.memo[key]
+
+    def jet(self, node: Node) -> _Jet:
         if isinstance(node, Var):
             # the column as a view; d/dz is one-hot and the same at every point
-            jet = _Jet(self.points[:, node.index - 1])
-            if self.order >= 1:
-                jet.dz = np.zeros((1, self.points.shape[1]), self.points.dtype)
-                jet.dz[0, node.index - 1] = 1.0
-            return jet
+            dz = np.zeros((1, self.columns), complex)
+            dz[0, node.index - 1] = 1.0
+            return _Jet(self.points[:, node.index - 1], dz=dz)
         if isinstance(node, Const):
             return _Jet(self.const(node.value))
         if isinstance(node, Conj):
-            return self.conj(self.take(node.arg))
+            return self.conj(self.eval(node.arg))
         if isinstance(node, Exp):
-            return self.exp(self.take(node.arg))
+            return self.exp(self.eval(node.arg))
         if isinstance(node, Pow):
-            base = self.take(node.base)
+            base = self.eval(node.base)
             if node.exponent == 0:
                 return _Jet(self.const(1.0))
             return self.pow(base, node.exponent)
-        lhs = self.take(node.lhs)
-        rhs = self.take(node.rhs)
+        lhs = self.eval(node.lhs)
+        rhs = self.eval(node.rhs)
         if isinstance(node, Add):
             return self.add(lhs, rhs, 1.0)
         if isinstance(node, Sub):
@@ -589,40 +575,29 @@ class _Walk:
                     dzbzb=_plus(u.dzbzb, v.dzbzb, sign))
 
     def mul(self, u: _Jet, v: _Jet) -> _Jet:
-        out = _Jet(u.val * v.val)
-        if self.order >= 1:
-            out.dz = _sum(_scale(u.dz, v.val), _scale(v.dz, u.val))
-            out.dzb = _sum(_scale(u.dzb, v.val), _scale(v.dzb, u.val))
-        if self.order >= 2:
-            out.dzzb = _sum(_scale(u.dzzb, v.val), _scale(v.dzzb, u.val),
-                            _outer(u.dz, v.dzb), _outer(v.dz, u.dzb))
-            if self.holo:
-                out.dzz = _sum(_scale(u.dzz, v.val), _scale(v.dzz, u.val),
-                               _outer(u.dz, v.dz), _outer(v.dz, u.dz))
-                out.dzbzb = _sum(_scale(u.dzbzb, v.val), _scale(v.dzbzb, u.val),
-                                 _outer(u.dzb, v.dzb), _outer(v.dzb, u.dzb))
-        return out
+        return _Jet(u.val * v.val,
+                    dz=_sum(_scale(u.dz, v.val), _scale(v.dz, u.val)),
+                    dzb=_sum(_scale(u.dzb, v.val), _scale(v.dzb, u.val)),
+                    dzzb=_sum(_scale(u.dzzb, v.val), _scale(v.dzzb, u.val),
+                              _outer(u.dz, v.dzb), _outer(v.dz, u.dzb)),
+                    dzz=_sum(_scale(u.dzz, v.val), _scale(v.dzz, u.val),
+                             _outer(u.dz, v.dz), _outer(v.dz, u.dz)),
+                    dzbzb=_sum(_scale(u.dzbzb, v.val), _scale(v.dzbzb, u.val),
+                               _outer(u.dzb, v.dzb), _outer(v.dzb, u.dzb)))
 
     def inv(self, u: _Jet) -> _Jet:
         self.check_divisor(u.val)
         w = 1.0 / u.val
-        out = _Jet(w)
-        if self.order >= 1:
-            w2 = w * w
-            out.dz = _scale(_neg(u.dz), w2)
-            out.dzb = _scale(_neg(u.dzb), w2)
-        if self.order >= 2:
-            w3 = w * w * w
+        w2 = w * w
+        w3 = w * w * w
 
-            def second(hess, x, y):
-                cross = _outer(x, y)
-                return _sum(_scale(_neg(hess), w2),
-                            None if cross is None else _scale(2.0 * cross, w3))
-            out.dzzb = second(u.dzzb, u.dz, u.dzb)
-            if self.holo:
-                out.dzz = second(u.dzz, u.dz, u.dz)
-                out.dzbzb = second(u.dzbzb, u.dzb, u.dzb)
-        return out
+        def second(hess, x, y):
+            cross = _outer(x, y)
+            return _sum(_scale(_neg(hess), w2),
+                        None if cross is None else _scale(2.0 * cross, w3))
+        return _Jet(w, dz=_scale(_neg(u.dz), w2), dzb=_scale(_neg(u.dzb), w2),
+                    dzzb=second(u.dzzb, u.dz, u.dzb), dzz=second(u.dzz, u.dz, u.dz),
+                    dzbzb=second(u.dzbzb, u.dzb, u.dzb))
 
     def conj(self, u: _Jet) -> _Jet:
         def c(x):
@@ -633,16 +608,10 @@ class _Walk:
 
     def exp(self, u: _Jet) -> _Jet:
         e = np.exp(u.val)
-        out = _Jet(e)
-        if self.order >= 1:
-            out.dz = _scale(u.dz, e)
-            out.dzb = _scale(u.dzb, e)
-        if self.order >= 2:
-            out.dzzb = _scale(_sum(u.dzzb, _outer(u.dz, u.dzb)), e)
-            if self.holo:
-                out.dzz = _scale(_sum(u.dzz, _outer(u.dz, u.dz)), e)
-                out.dzbzb = _scale(_sum(u.dzbzb, _outer(u.dzb, u.dzb)), e)
-        return out
+        return _Jet(e, dz=_scale(u.dz, e), dzb=_scale(u.dzb, e),
+                    dzzb=_scale(_sum(u.dzzb, _outer(u.dz, u.dzb)), e),
+                    dzz=_scale(_sum(u.dzz, _outer(u.dz, u.dz)), e),
+                    dzbzb=_scale(_sum(u.dzbzb, _outer(u.dzb, u.dzb)), e))
 
     def pow(self, u: _Jet, k: int) -> _Jet:
         result = None
@@ -671,16 +640,10 @@ def _check_divisor(x):
 # Tape: the walk traced once per expression, replayed per batch
 # ---------------------------------------------------------------------------
 
-# The length of the batch axis while the walk is traced; `_Sym.shape` shows
-# it as -1, so a reshape derived from it replays at every batch length.
-_TRACE_BATCH = 104729
-
-
 def _elementwise(fn, args) -> "_Sym":
     """Record fn(*args), an operation that broadcasts its operands."""
     tape = next(a.tape for a in args if isinstance(a, _Sym))
-    shapes = (a.pshape if isinstance(a, _Sym) else np.shape(a) for a in args)
-    return tape.record(fn, args, np.broadcast_shapes(*shapes))
+    return tape.record(fn, args, max(map(np.ndim, args)))
 
 
 def _binary(fn):
@@ -694,35 +657,32 @@ class _Sym:
     An operation with a _Sym operand is recorded on its tape, with the
     operands in the order the walk gave them, and returns a new _Sym.  An
     operation on point-independent operands alone never reaches here: it
-    runs at trace time, and its result enters the tape as a constant.
-    pshape is the shape with the batch axis of length _TRACE_BATCH.
+    runs at trace time, and its result enters the tape as a constant.  Only
+    the number of axes is tracked; the leading one is the batch axis, whose
+    length the walk never reads, so a replay serves every batch length.
     """
 
-    __slots__ = ("tape", "slot", "pshape")
+    __slots__ = ("tape", "slot", "ndim")
 
-    def __init__(self, tape: "_Tape", slot: int, pshape: tuple):
+    def __init__(self, tape: "_Tape", slot: int, ndim: int):
         self.tape = tape
         self.slot = slot
-        self.pshape = pshape
+        self.ndim = ndim
 
-    shape = property(lambda self: tuple(-1 if d == _TRACE_BATCH else d
-                                        for d in self.pshape))
-    ndim = property(lambda self: len(self.pshape))
-    dtype = property(lambda self: self.tape.dtype)
+    def __getitem__(self, key: tuple) -> "_Sym":
+        """Basic indexing by the walk's tuples of slices, ints and None: an
+        int drops an axis and None adds one."""
+        ndim = (self.ndim + sum(k is None for k in key)
+                - sum(isinstance(k, int) for k in key))
+        return self.tape.record(operator.itemgetter(key), (self,), ndim)
 
-    def _view(self, fn) -> "_Sym":
-        """Record the view fn(self); its shape is fn's on a zero-stride dummy."""
-        dummy = np.broadcast_to(np.zeros((), bool), self.pshape)
-        return self.tape.record(fn, (self,), fn(dummy).shape)
-
-    def __getitem__(self, key) -> "_Sym":
-        return self._view(operator.itemgetter(key))
-
-    def reshape(self, shape) -> "_Sym":
-        return self._view(operator.methodcaller("reshape", shape))
+    def reshape(self, shape: tuple) -> "_Sym":
+        return self.tape.record(operator.methodcaller("reshape", shape), (self,),
+                                len(shape))
 
     def swapaxes(self, a: int, b: int) -> "_Sym":
-        return self._view(operator.methodcaller("swapaxes", a, b))
+        return self.tape.record(operator.methodcaller("swapaxes", a, b), (self,),
+                                self.ndim)
 
     __add__, __radd__ = _binary(operator.add)
     __sub__, __rsub__ = _binary(operator.sub)
@@ -738,13 +698,8 @@ class _Sym:
         return _elementwise(ufunc, inputs)
 
 
-# The jet blocks the public entry points read, by (order, holo).
-_BLOCKS = {(0, False): ("val",), (1, False): ("val", "dz"),
-           (2, False): ("val", "dz", "dzzb"), (2, True): ("val", "dz", "dzzb", "dzz")}
-
-
 class _Tape:
-    """The point-dependent operations of one order-2, holo walk, in order.
+    """The point-dependent operations of one full second-order walk, in order.
 
     A register file holds the points (slot 0), the constants folded at
     trace time and one slot per recorded result.  An instruction is (fn,
@@ -753,8 +708,7 @@ class _Tape:
     root need, and `replay` runs such a program on a batch of points.
     """
 
-    def __init__(self, dtype):
-        self.dtype = dtype
+    def __init__(self):
         self.registers: list = [None]
         self.code: list[tuple] = []
         self.blocks: dict[str, int | None] = {}
@@ -767,22 +721,21 @@ class _Tape:
         self.registers.append(x)
         return len(self.registers) - 1
 
-    def record(self, fn, args, pshape: tuple) -> _Sym:
+    def record(self, fn, args, ndim: int) -> _Sym:
         args = tuple(map(self.slot, args))
         out = self.slot(None)
         self.code.append((fn, args, out))
-        return _Sym(self, out, tuple(pshape))
+        return _Sym(self, out, ndim)
 
-    def program(self, order: int, holo: bool) -> tuple:
-        """(code, {block: slot}) for the blocks of (order, holo).
+    def program(self, blocks: tuple) -> tuple:
+        """(code, {block: slot}) for the named blocks of the root jet.
 
         The code keeps every divisor test and the instructions the blocks
         read, in tape order, as (fn, a, b, out, drop): b is None for a unary
         fn, and drop lists the points and results whose last reader it is.
         """
-        key = (order, holo)
-        if key not in self.programs:
-            outputs = {name: self.blocks[name] for name in _BLOCKS[key]}
+        if blocks not in self.programs:
+            outputs = {name: self.blocks[name] for name in blocks}
             needed = set(outputs.values())
             code = []
             for fn, args, out in reversed(self.code):
@@ -793,8 +746,8 @@ class _Tape:
                     needed.update(args)
                     a, b = args if len(args) == 2 else (*args, None)
                     code.append((fn, a, b, out, drop))
-            self.programs[key] = (code[::-1], outputs)
-        return self.programs[key]
+            self.programs[blocks] = (code[::-1], outputs)
+        return self.programs[blocks]
 
     def replay(self, points: np.ndarray, code) -> list:
         """The register file after running code on the points: the
@@ -809,11 +762,10 @@ class _Tape:
         return r
 
 
-def _trace(root: Node, columns: int, dtype) -> _Tape:
-    """Run the walk once at order 2 with holo on a symbolic batch of points."""
-    tape = _Tape(dtype)
-    points = _Sym(tape, 0, (_TRACE_BATCH, columns))
-    jet = _Walk(root, points, 2, True).run()
+def _trace(root: Node, columns: int) -> _Tape:
+    """Run the walk once on a symbolic batch of points with these columns."""
+    tape = _Tape()
+    jet = _Walk(root, _Sym(tape, 0, 2), columns).run()
     for name in ("val", "dz", "dzz", "dzzb"):
         block = getattr(jet, name)
         tape.blocks[name] = None if block is None else tape.slot(block)
@@ -821,9 +773,7 @@ def _trace(root: Node, columns: int, dtype) -> _Tape:
 
 
 def _as_points(ast: Ast, points) -> np.ndarray:
-    arr = np.asarray(points)
-    if not np.iscomplexobj(arr):
-        arr = arr.astype(complex)
+    arr = np.asarray(points, complex)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] < max(ast.n, 1):
@@ -833,18 +783,18 @@ def _as_points(ast: Ast, points) -> np.ndarray:
 
 
 def _tape(ast: Ast, points: np.ndarray) -> _Tape:
-    """The expression's tape for points of this column count and dtype,
-    traced on first use.  A trace that raises is not kept, so a constant
-    zero divisor raises on every call."""
-    key = (points.shape[1], points.dtype)
-    if key not in ast._tapes:
-        ast._tapes[key] = _trace(ast.root, *key)
-    return ast._tapes[key]
+    """The expression's tape for points of this column count, traced on
+    first use.  A trace that raises is not kept, so a constant zero divisor
+    raises on every call."""
+    columns = points.shape[1]
+    if columns not in ast._tapes:
+        ast._tapes[columns] = _trace(ast.root, columns)
+    return ast._tapes[columns]
 
 
-def _run(ast: Ast, points, order: int, holo: bool = False) -> _Jet:
-    """The root jet at full shape, replayed from the expression's tape, with
-    the blocks callers read: val, dz, dzzb and, with holo, dzz.
+def _run(ast: Ast, points, blocks: tuple) -> _Jet:
+    """The named blocks of the root jet at full shape, replayed from the
+    expression's tape; blocks starts with "val".
 
     val is a fresh (B,) array that never aliases the points, a missing block
     is filled with zeros, and a present block gets + 0.0, which turns a -0.0
@@ -852,28 +802,19 @@ def _run(ast: Ast, points, order: int, holo: bool = False) -> _Jet:
     """
     points = _as_points(ast, points)
     tape = _tape(ast, points)
-    code, outputs = tape.program(order, holo)
+    code, outputs = tape.program(blocks)
     registers = tape.replay(points, code)
-    jet = _Jet(**{name: None if s is None else registers[s]
-                  for name, s in outputs.items()})
     B, n = points.shape
-    val = np.array(np.broadcast_to(jet.val, (B,)))
-    if not np.all(np.isfinite(val)):
+    jet = _Jet(np.array(np.broadcast_to(registers[outputs["val"]], (B,))))
+    if not np.all(np.isfinite(jet.val)):
         raise EvalError("non-finite value in evaluation")
-
-    def full(block, ndim):
-        shape = (B,) + (n,) * ndim
-        if block is None:
-            return np.zeros(shape, points.dtype)
-        return np.broadcast_to(block, shape) + 0.0
-    out = _Jet(val)
-    if order >= 1:
-        out.dz = full(jet.dz, 1)
-    if order >= 2:
-        out.dzzb = full(jet.dzzb, 2)
-        if holo:
-            out.dzz = full(jet.dzz, 2)
-    return out
+    for name in blocks[1:]:
+        # a block's rank is its number of derivatives: dz 1, dzz and dzzb 2
+        shape = (B,) + (n,) * name.count("z")
+        block = outputs[name]
+        setattr(jet, name, np.zeros(shape, complex) if block is None
+                else np.broadcast_to(registers[block], shape) + 0.0)
+    return jet
 
 
 # ---------------------------------------------------------------------------
@@ -903,12 +844,12 @@ class WirtingerJet:
 
 def eval_raw(ast: Ast, points) -> np.ndarray:
     """Raw complex values at a (B, n) batch of points."""
-    return _run(ast, points, 0).val
+    return _run(ast, points, ("val",)).val
 
 
 def eval_value_grad(ast: Ast, points) -> tuple[np.ndarray, np.ndarray]:
     """Real values and holomorphic gradients at a (B, n) batch of points."""
-    jet = _run(ast, points, 1)
+    jet = _run(ast, points, ("val", "dz"))
     return jet.val.real.astype(float), jet.dz
 
 
@@ -918,7 +859,8 @@ def eval_jet_batch(ast: Ast, points, holo: bool = True) -> WirtingerJet:
     With holo=False the holomorphic block (dz dz) is neither computed nor
     returned, which saves a third of the work and memory of the walk.
     """
-    jet = _run(ast, points, 2, holo)
+    blocks = ("val", "dz", "dzzb", "dzz") if holo else ("val", "dz", "dzzb")
+    jet = _run(ast, points, blocks)
     for block in (jet.dz, jet.dzz, jet.dzzb):
         if block is not None and not np.all(np.isfinite(block)):
             raise EvalError("non-finite derivative in evaluation")
@@ -945,8 +887,8 @@ def enclose_jet_batch(ast: Ast, centers, radii) -> _Jet:
     """
     centers = _as_points(ast, centers)
     points = _Disc(centers, np.broadcast_to(np.asarray(radii, float), centers.shape))
-    jet = _Walk(ast.root, points, 2, True).run()
     B, n = centers.shape
+    jet = _Walk(ast.root, points, n).run()
 
     def full(block, ndim):
         block = _Disc.of(0.0 if block is None else block)

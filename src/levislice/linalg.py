@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-MAX_DIM = 16
 GRAM_DET_FLOOR = 1e-14
 
 
@@ -27,12 +26,12 @@ class DegenerateGradientError(LinalgError):
 
 
 def _symmetrized(a) -> np.ndarray:
-    """(A + A^H)/2 for one m x m matrix or a stack (..., m, m), 1 <= m <= MAX_DIM."""
+    """(A + A^H)/2 for one m x m matrix or a stack (..., m, m), m >= 1."""
     a = np.asarray(a, complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise LinalgError(f"expected square matrices, got shape {a.shape}")
-    if not 1 <= a.shape[-1] <= MAX_DIM:
-        raise LinalgError(f"dimension {a.shape[-1]} outside 1..{MAX_DIM}")
+    if a.shape[-1] < 1:
+        raise LinalgError("expected matrices of dimension >= 1")
     return (a + np.conj(np.swapaxes(a, -1, -2))) / 2.0
 
 

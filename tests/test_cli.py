@@ -67,6 +67,18 @@ def test_check_domain_file(capsys, tmp_path):
     assert payload["samples"] == 40 and payload["seed"] == 3
 
 
+def test_check_ball_in_eighteen_variables(capsys, tmp_path):
+    # the restricted Levi matrices are 17 x 17
+    n = 18
+    path = tmp_path / "ball18.dom"
+    path.write_text(f"name = ball18\nn = {n}\n"
+                    f"rho = {'+'.join(f'abs2(z{j})' for j in range(1, n + 1))}-1\n"
+                    f"box = {','.join(['-1.5,1.5'] * n)}\n")
+    code, payload = run_json(capsys, "check", str(path), "--samples", "20")
+    assert code == cli.EXIT_OK
+    assert payload["verdict"] == "pseudoconvex-at-samples"
+
+
 def test_check_uses_declared_dimension(capsys):
     # rho = abs2(z1)-1 leaves z2 out; the domain is still the cylinder in C^2
     code, payload = run_json(capsys, "check", str(DATA / "cylinder.dom"))

@@ -132,15 +132,6 @@ def test_conj_swaps_jet_blocks(rng):
     assert np.allclose(j2.mixed, np.conj(np.swapaxes(j1.mixed, 1, 2)))
 
 
-def test_jet_walk_releases_every_intermediate(rng):
-    # abs2 shares its argument; the shared jet is read twice, then dropped
-    ast = E.parse("abs2(z1+z2)^2+exp(re(z1))*abs2(z2)-1")
-    walk = E._Walk(ast.root, random_points(rng, 2, 4), 2, True)
-    walk.eval(ast.root)
-    assert walk.memo == {}
-    assert set(walk.uses.values()) == {0}
-
-
 def test_mixed_only_jets_match_full_jets(rng):
     ast = E.parse("abs2(z1)^2+re(z1*conj(z2))+exp(im(z2))/(2+abs2(z1))")
     pts = random_points(rng, 2, 7, scale=0.8)
@@ -173,12 +164,9 @@ TREES = st.recursive(
         st.builds(lambda u, v: E.Div(u, E.Add(E.Const(2 + 0j), abs2_of(v))),
                   inner, inner)),
     max_leaves=12)
-# (order, holo) of a direct walk, and the program that serves it
-WALKS = [(0, False), (0, True), (1, False), (1, True), (2, False), (2, True)]
-
-
-def program_key(order, holo):
-    return order, holo and order == 2
+# the root blocks read by eval_raw, eval_value_grad and eval_jet_batch
+# with holo False and True, the keys of the tape's programs
+PROGRAMS = [("val",), ("val", "dz"), ("val", "dz", "dzzb"), ("val", "dz", "dzzb", "dzz")]
 
 
 def same_bits(x, y) -> bool:
@@ -187,8 +175,8 @@ def same_bits(x, y) -> bool:
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-def replayed(tape, pts, order, holo) -> dict:
-    code, outputs = tape.program(*program_key(order, holo))
+def replayed(tape, pts, blocks) -> dict:
+    code, outputs = tape.program(blocks)
     registers = tape.replay(pts, code)
     return {name: None if s is None else registers[s] for name, s in outputs.items()}
 
@@ -206,18 +194,17 @@ def test_replay_matches_direct_walk_bit_for_bit(root, seed):
     for B in (1, 7, 200):
         pts = random_points(rng, 3, B)
         tape = E._tape(ast, pts)
-        for order, holo in WALKS:
-            direct = E._Walk(root, pts, order, holo).run()
-            blocks = replayed(tape, pts, order, holo)
-            for name, block in blocks.items():
+        direct = E._Walk(root, pts, 3).run()
+        for blocks in PROGRAMS:
+            for name, block in replayed(tape, pts, blocks).items():
                 reference = getattr(direct, name)
                 assert (block is None) == (reference is None), name
                 assert block is None or same_bits(block, reference), name
         # each row equals its point evaluated alone; the other programs
         # run a subset of these instructions on the same operands
-        blocks = replayed(tape, pts, 2, True)
+        blocks = replayed(tape, pts, PROGRAMS[-1])
         for k in range(B):
-            alone = replayed(tape, pts[k:k + 1], 2, True)
+            alone = replayed(tape, pts[k:k + 1], PROGRAMS[-1])
             for name, block in blocks.items():
                 assert block is None or same_bits(row(block, B, k),
                                                   row(alone[name], 1, 0)), name
@@ -265,12 +252,12 @@ def test_disc_walks_record_no_tape(traces, rng):
 def test_cached_tape_raises_where_a_divisor_vanishes(rng):
     ast = E.parse("abs2(z2)+1/z1")
     E.eval_value_grad(ast, random_points(rng, 2, 4))
-    tape = ast._tapes[(2, np.dtype(complex))]
+    tape = ast._tapes[2]
     bad = np.array([[0.5, 1j], [0.0, 1.0]])
     for evaluate in (E.eval_raw, E.eval_value_grad, E.eval_jet_batch):
         with pytest.raises(E.EvalError, match="division by zero"):
             evaluate(ast, bad)
-    assert ast._tapes == {(2, np.dtype(complex)): tape}
+    assert ast._tapes == {2: tape}
 
 
 def test_constant_zero_divisor_raises_on_every_call(traces, rng):
@@ -286,15 +273,35 @@ def test_replay_releases_every_intermediate(rng):
     # this keeps the peak memory of a large batch near the walk's
     ast = E.parse("abs2(z1+z2)^2+exp(re(z1))*abs2(z2)/(2+abs2(z1-z2))-1")
     pts = random_points(rng, 2, 5)
-    tape = E._tape(ast, pts)
-    for key in E._BLOCKS:
-        code, outputs = tape.program(*key)
+    E.eval_raw(ast, pts)
+    E.eval_value_grad(ast, pts)
+    E.eval_jet_batch(ast, pts, holo=False)
+    E.eval_jet_batch(ast, pts, holo=True)
+    tape = ast._tapes[2]
+    assert sorted(tape.programs) == sorted(PROGRAMS)
+    for blocks, (code, outputs) in tape.programs.items():
         registers = tape.replay(pts, code)
         held = {s for s, (now, constant) in enumerate(zip(registers, tape.registers))
                 if now is not None and now is not constant}
         assert held == {s for s in outputs.values()
                         if s is not None and tape.registers[s] is None}
-        assert held, key
+        assert held, blocks
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.float64, np.int64])
+def test_points_of_any_dtype_replay_the_complex_tape(dtype, traces, rng):
+    ast = E.parse("abs2(z1)^2+re(z1*conj(z2))+exp(im(z2))/(2+abs2(z1))")
+    pts = 4 * random_points(rng, 2, 6)
+    pts = (pts if np.issubdtype(dtype, np.complexfloating) else pts.real).astype(dtype)
+
+    def every_block(points):
+        value, grad = E.eval_value_grad(ast, points)
+        jet = E.eval_jet_batch(ast, points)
+        return (E.eval_raw(ast, points), value, grad,
+                jet.value, jet.grad, jet.mixed, jet.holo)
+    for got, want in zip(every_block(pts), every_block(pts.astype(complex))):
+        assert same_bits(got, want)
+    assert len(traces) == 1 and list(ast._tapes) == [2]
 
 
 # ---------------------------------------------------------------------------

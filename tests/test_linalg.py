@@ -42,9 +42,14 @@ def test_eig_symmetrizes_input():
     assert np.allclose(v @ np.diag(w) @ v.conj().T, sym)
 
 
-def test_eig_dimension_bounds():
-    with pytest.raises(la.LinalgError):
-        la.hermitian_eig(np.eye(17))
+def test_eig_dimension_bounds(rng):
+    # square matrices of any dimension >= 1; LAPACK has no upper bound
+    for bad in (np.ones((2, 3)), np.ones(4), np.zeros((0, 0))):
+        with pytest.raises(la.LinalgError):
+            la.hermitian_eig(bad)
+    a = random_hermitian(rng, 17)
+    w, v = la.hermitian_eig(a)
+    assert np.max(np.abs(a - v @ np.diag(w) @ v.conj().T)) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
