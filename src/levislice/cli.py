@@ -11,10 +11,11 @@ arguments and serializes results.
 
 Exit codes: 0 ok/pseudoconvex, 2 input error, 3 nonpseudoconvex,
 4 degenerate, 5 pipeline failure.  An input error is any failure to load or
-classify the domain, in every command; a pipeline failure is a failed stage
-of verify-theorem after the classification.  All reports serialize complex
-numbers as [re, im] pairs; identical inputs and seeds give byte-identical
-JSON apart from the timing block.
+classify the domain, in every command, including a request too large for
+memory; a pipeline failure is a failed stage of verify-theorem after the
+classification.  All reports serialize complex numbers as [re, im] pairs;
+identical inputs and seeds give byte-identical JSON apart from the timing
+block.
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_slice(args) -> int:
+    if args.grid is not None and args.grid < 1:
+        raise InputError(f"--grid must be at least 1, got {args.grid}")
     started, domain, report = _start(args, "slice")
     a = parse_cvector(args.a) if args.a else np.zeros(domain.n, complex)
     b = parse_cvector(args.b)
@@ -161,7 +164,7 @@ def cmd_slice(args) -> int:
                             report["seed"])
     report["slice"] = {"a": _jsonable(a), "b": _jsonable(b), "c": _jsonable(c)}
     _attach_classification(report, result)
-    if args.grid:
+    if args.grid is not None:
         path = args.out or "slice_grid.csv"
         _write_grid(domain, a, np.stack([b, c], axis=1), args.grid, args.window,
                     path)
@@ -280,6 +283,10 @@ def main(argv=None) -> int:
     except (InputError, DomainFileError, ex.ExprError, levi.DomainError,
             levi.BoundaryNotFoundError, SliceError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as err:
+        print(f"error: out of memory: {str(err) or 'allocation failed'}",
+              file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -923,7 +923,7 @@ def check_real_valued(ast: Ast, trial_count: int, seed: int,
     if frame is None:
         vals = eval_raw(ast, pts)[None, :]
     else:
-        z = np.asarray(a)[:, None, :] + np.einsum("sjk,pk->spj", frame, pts)
+        z = np.asarray(a)[:, None, :] + pts @ np.swapaxes(frame, 1, 2)
         vals = eval_raw(ast, z.reshape(-1, z.shape[2])).reshape(z.shape[:2])
     scale = 1.0 + np.max(np.abs(vals), axis=1)
     return bool(np.all(np.max(np.abs(vals.imag), axis=1) <= realness_tol * scale))

@@ -2,8 +2,8 @@
 
 Hermitian eigendecompositions of single matrices or stacks (LAPACK through
 numpy.linalg.eigh), orthonormal bases of complex tangent spaces via a
-Householder reflector per row, and the 2x2 Gram solve behind the
-affine-slice inverse map.
+Householder reflector per row, row norms equal to the one-row norm, and
+the 2x2 Gram solve and dependence test behind affine slices.
 """
 
 from __future__ import annotations
@@ -76,6 +76,37 @@ def tangent_null_basis(g, grad_floor: float = 1e-8) -> np.ndarray:
     return basis[0] if single else basis
 
 
+def row_norms(x) -> np.ndarray:
+    """Euclidean norms of the rows of a complex (B, n) array.
+
+    Each equals np.linalg.norm of its row alone, bit for bit.  The one-row
+    norm sums its squares through BLAS dot; np.linalg.norm(x, axis=1) sums
+    them otherwise and can differ in the last bit.  A stack of row-by-column
+    matmuls calls the same dot once per row.
+    """
+    x = np.asarray(x, complex)
+    re, im = x.real, x.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None]
+                    + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
+def _gram(b, c):
+    """|b|^2, |c|^2, <c, b> = sum c_j conj(b_j) and the Gram determinant of
+    vectors b, c or of their rows (..., n), and whether the determinant
+    signals numerically dependent vectors."""
+    bb = np.sum(b.real ** 2 + b.imag ** 2, axis=-1)
+    cc = np.sum(c.real ** 2 + c.imag ** 2, axis=-1)
+    cb = np.sum(np.conj(b) * c, axis=-1)
+    det = bb * cc - np.abs(cb) ** 2
+    return bb, cc, cb, det, det <= GRAM_DET_FLOOR * bb * cc
+
+
+def dependent_rows(b, c) -> np.ndarray:
+    """Mask of the rows k of (S, n) arrays where b[k] and c[k] are
+    numerically dependent, by the Gram determinant test of gram_solve_2."""
+    return _gram(np.asarray(b, complex), np.asarray(c, complex))[-1]
+
+
 def gram_solve_2(b, c, r) -> tuple[complex, complex, float]:
     """Least-squares coefficients of r on span{b, c}: minimize |r - b*w1 - c*w2|.
 
@@ -85,11 +116,8 @@ def gram_solve_2(b, c, r) -> tuple[complex, complex, float]:
     b = np.asarray(b, complex)
     c = np.asarray(c, complex)
     r = np.asarray(r, complex)
-    bb = np.vdot(b, b).real
-    cc = np.vdot(c, c).real
-    cb = np.vdot(b, c)        # <c, b> = sum c_j conj(b_j)
-    det = bb * cc - abs(cb) ** 2
-    if det <= GRAM_DET_FLOOR * bb * cc:
+    bb, cc, cb, det, dependent = _gram(b, c)
+    if dependent:
         raise DependentVectorsError(
             f"b, c numerically dependent (Gram determinant {det:.3e})")
     rb = np.vdot(b, r)        # <r, b>

@@ -21,6 +21,7 @@ import numpy as np
 from . import expr as ex
 from . import hormander as hm
 from . import levi
+from . import linalg as la
 from . import slicing as sl
 from .levi import (VERDICT_DEGENERATE, VERDICT_NONPSEUDOCONVEX,
                    VERDICT_PSEUDOCONVEX, Domain, LeviReport)
@@ -55,39 +56,36 @@ def classify_slice(domain: Domain, a, b, c, window: float, count: int,
                                 [seed])[0]
 
 
-def sweep_slices(domain: Domain, slices: int, seed: int):
+def sweep_slices(domain: Domain, points, slices: int, seed: int):
     """Random slices through boundary-adjacent points of the domain.
 
-    Slice k passes through a point just inside the boundary point M_k, with
-    random unit directions b, c seeded by (seed, k).  Returns the base points
-    (S, n), the frames [b c] (S, n, 2) and the sampling seed of each slice.
+    Slice k passes through a point just inside the boundary point
+    M_k = points[k % len(points)], with random unit directions b, c seeded
+    by (seed, k); a dependent pair is drawn again from the same stream.  The
+    points are a classification's probes, so their gradients clear the floor.
+    Returns the base points (S, n), the frames [b c] (S, n, 2) and the
+    sampling seed of each slice.
     """
-    boundary = levi.sample_boundary(domain, max(slices, 20), seed)
-    _, grads = ex.eval_value_grad(domain.ast, boundary)
-    bases, frames, seeds = [], [], []
-    for k in range(slices):
-        M = boundary[k % len(boundary)]
-        g = grads[k % len(boundary)]
-        gn = np.linalg.norm(g)
-        if gn < domain.tol.grad_floor:
-            continue
-        nu = np.conj(g) / gn
-        a = M - 0.05 * (1.0 + np.linalg.norm(M)) * nu
-        rng = np.random.default_rng((seed, 7919, k))
-        while True:
-            b = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
-            c = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
-            b /= np.linalg.norm(b)
-            c /= np.linalg.norm(c)
-            try:
-                s = sl.make_slice(a, b, c)
-                break
-            except sl.SliceError:
-                continue
-        bases.append(s.a)
-        frames.append(s.frame)
-        seeds.append(k)
-    return np.array(bases), np.array(frames), seeds
+    if slices < 1 or not len(points):
+        raise ValueError("need at least one slice and one base point")
+    index = np.arange(slices) % len(points)
+    _, grads = ex.eval_value_grad(domain.ast, points)
+    M, g = points[index], grads[index]
+    nu = np.conj(g) * (1.0 / la.row_norms(g))[:, None]
+    a = M - (0.05 * (1.0 + la.row_norms(M)))[:, None] * nu
+    rngs = [np.random.default_rng((seed, 7919, k)) for k in range(slices)]
+    # per slice: Re b, Im b, Re c, Im c, the order of its four draws
+    draws = np.empty((slices, 4, domain.n))
+    redraw = range(slices)
+    while len(redraw):
+        for k in redraw:
+            draws[k] = rngs[k].standard_normal(4 * domain.n).reshape(4, -1)
+        b = draws[:, 0] + 1j * draws[:, 1]
+        c = draws[:, 2] + 1j * draws[:, 3]
+        b *= (1.0 / la.row_norms(b))[:, None]
+        c *= (1.0 / la.row_norms(c))[:, None]
+        redraw = np.flatnonzero(la.dependent_rows(b, c))
+    return a, np.stack([b, c], axis=2), list(range(slices))
 
 
 @dataclass(frozen=True)
@@ -97,13 +95,13 @@ class ForwardSweep:
     min_lambda: float        # smallest worst-probe lambda over the slices
 
 
-def forward_slice_sweep(domain: Domain, slices: int, seed: int) -> ForwardSweep:
+def forward_slice_sweep(domain: Domain, points, slices: int,
+                        seed: int) -> ForwardSweep:
     """Empirical forward direction: random slices through boundary-adjacent
     points of a pseudoconvex-at-samples domain must classify the same way.
-    All slices are classified in one batch."""
-    bases, frames, seeds = sweep_slices(domain, slices, seed)
-    if not seeds:
-        raise PipelineError("forward-slices", "no usable slices")
+    The slices pass near the given boundary points, the probes of the
+    domain's classification, and are classified in one batch."""
+    bases, frames, seeds = sweep_slices(domain, points, slices, seed)
     results = levi.classify_slices(domain, bases, frames, SLICE_WINDOW,
                                    SLICE_PROBES, seeds)
     lambdas = [r.worst_probe.lambda_min for r in results if r.worst is not None]
@@ -143,7 +141,8 @@ def verify_theorem(domain: Domain, samples: int, seed: int,
         return TheoremRun(classification)
     if classification.verdict == VERDICT_PSEUDOCONVEX:
         with _stage("forward-slices"):
-            forward = forward_slice_sweep(domain, samples, seed)
+            forward = forward_slice_sweep(domain, classification.points,
+                                          samples, seed)
         if not forward.all_pseudoconvex:
             raise PipelineError("forward-slices", "a slice of a pseudoconvex-"
                                 "at-samples domain classified nonpseudoconvex")

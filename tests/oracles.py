@@ -3,8 +3,9 @@
 None of these run in a command.  The symbolic pullback (`compose_with_affine`)
 checks the chain-rule pullback of jets, `quadratic_as_expression` re-parses
 a quadratic witness, `levi_form_at` evaluates the Levi form in one direction
-at one point, and `phi_inv`, `slice_gradient_check` and
-`project_to_boundary` check slices and boundary projection point by point.
+at one point, `phi_inv`, `slice_gradient_check` and `project_to_boundary`
+check slices and boundary projection point by point, and
+`sweep_slices_one_by_one` builds the forward sweep's slices one at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from levislice.expr import Add, Ast, Conj, Const, Exp, Mul, Node, Pow, Var
 from levislice.hormander import QuadraticWitness
 from levislice.levi import Domain
 from levislice.linalg import gram_solve_2
-from levislice.slicing import Slice, SliceError, phi
+from levislice.slicing import Slice, SliceError, make_slice, phi
 
 
 class ProjectionError(Exception):
@@ -140,3 +141,29 @@ def project_to_boundary(domain: Domain, z0) -> np.ndarray:
     if not ok[0]:
         raise ProjectionError("boundary projection did not converge")
     return pts[0]
+
+
+def sweep_slices_one_by_one(domain: Domain, points, slices: int, seed: int):
+    """The slices of `pipeline.sweep_slices`, built slice by slice with
+    one-row norms, four draws of n per frame and a `make_slice` check."""
+    _, grads = ex.eval_value_grad(domain.ast, points)
+    bases, frames = [], []
+    for k in range(slices):
+        M = points[k % len(points)]
+        g = grads[k % len(points)]
+        nu = np.conj(g) / np.linalg.norm(g)
+        a = M - 0.05 * (1.0 + np.linalg.norm(M)) * nu
+        rng = np.random.default_rng((seed, 7919, k))
+        while True:
+            b = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
+            c = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
+            b /= np.linalg.norm(b)
+            c /= np.linalg.norm(c)
+            try:
+                s = make_slice(a, b, c)
+                break
+            except SliceError:
+                continue
+        bases.append(s.a)
+        frames.append(s.frame)
+    return np.array(bases), np.array(frames), list(range(slices))

@@ -111,7 +111,9 @@ def test_criterion_5_forward_direction_slices():
     min_lambda = np.inf
     for name in ("ball", "polyball"):
         spec = CATALOG[name]
-        sweep = pipeline.forward_slice_sweep(spec.domain(), slices=100, seed=505)
+        domain = spec.domain()
+        points = levi.classify(domain, 100, seed=505).points
+        sweep = pipeline.forward_slice_sweep(domain, points, slices=100, seed=505)
         assert sweep.count == 100
         min_lambda = min(min_lambda, sweep.min_lambda)
     report(5, f"forward slices of ball/polyball, min lambda {min_lambda:.3e}",

@@ -180,6 +180,30 @@ def test_slice_grid_csv(capsys, tmp_path):
         assert val == pytest.approx(u * u + v * v - 1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_slice_grid_below_one_is_an_input_error(capsys, tmp_path, k):
+    out = tmp_path / "grid.csv"
+    code, stdout, err = run(capsys, "slice", "ball", "--b", "1:0,0:0",
+                            "--c", "0:0,1:0", "--grid", k, "--out", str(out))
+    assert code == cli.EXIT_INPUT
+    assert err == f"error: --grid must be at least 1, got {k}\n"
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.46 TiB", ""])
+def test_out_of_memory_is_an_input_error(capsys, monkeypatch, message):
+    # stands in for `check ball --samples 100000000000` without allocating
+    def too_large(domain, count, seed):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(levi, "classify", too_large)
+    for command in ("check", "verify-theorem"):
+        code, out, err = run(capsys, command, "ball", "--samples", "100000000000")
+        assert code == cli.EXIT_INPUT
+        assert err == f"error: out of memory: {message or 'allocation failed'}\n"
+        assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify-theorem
 # ---------------------------------------------------------------------------

@@ -88,6 +88,86 @@ def test_projection_drops_only_points_that_fail_to_evaluate():
         assert ok_alone[0] and np.array_equal(pts[i], alone[0])
 
 
+def _eval_sizes(monkeypatch) -> list[int]:
+    """Record the batch size of every eval_value_grad call from here on."""
+    sizes = []
+    value_grad = E.eval_value_grad
+
+    def recorded(ast, points):
+        sizes.append(len(points))
+        return value_grad(ast, points)
+
+    monkeypatch.setattr(E, "eval_value_grad", recorded)
+    return sizes
+
+
+def _same_bits(x, y) -> bool:
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_packed_newton_matches_each_row_alone(monkeypatch):
+    # the ball from inside, outside, far away and from its centre, where the
+    # gradient vanishes: rows converge at different iterations and one fails
+    dom = domain_of("ball")
+    starts = np.concatenate([levi.sample_box_points(dom.box, 12, seed=4),
+                             [[0, 0], [30, 40j], [1e-3, 0], [1e5, -1e5j]]])
+    sizes = _eval_sizes(monkeypatch)
+    w, done = levi._newton(dom.ast, dom.tol, starts)
+    assert len(set(sizes)) >= 4               # the pack shrank at least three times
+    assert not done[12] and done.sum() == len(starts) - 1
+    for i in range(len(starts)):
+        alone, done_alone = levi._newton(dom.ast, dom.tol, starts[i:i + 1])
+        assert _same_bits(w[i], alone[0]) and done[i] == done_alone[0]
+
+
+def test_packed_newton_on_slice_frames_matches_each_row_alone(monkeypatch):
+    dom = rotated_domain("ellipsoid", 3, seed=5)
+    points = levi.classify(dom, 6, seed=2).points
+    a, frame, seeds = pipeline.sweep_slices(dom, points, 6, seed=2)
+    box = levi.square_box(2, pipeline.SLICE_WINDOW)
+    rows = np.repeat(np.arange(6), 5)
+    starts = np.concatenate([levi.sample_box_points(box, 5, k) for k in seeds])
+    sizes = _eval_sizes(monkeypatch)
+    w, done = levi._newton(dom.ast, dom.tol, starts, a[rows], frame[rows])
+    assert len(set(sizes)) >= 3
+    for i, k in enumerate(rows):
+        alone, done_alone = levi._newton(dom.ast, dom.tol, starts[i:i + 1],
+                                         a[k:k + 1], frame[k:k + 1])
+        assert _same_bits(w[i], alone[0]) and done[i] == done_alone[0]
+
+
+def test_projection_splits_off_a_row_that_overflows_partway(monkeypatch):
+    # from re(z1) = -10 the first step jumps to re(z1) ~ 2e4, where exp
+    # overflows: the row fails on its second evaluation, not its first
+    ast = E.parse("exp(re(z1))+abs2(z2)-1")
+    tol = levi.Tolerances()
+    starts = np.array([[0.5, 0.3], [-10, 0], [-1, 2j], [-30, 0.1]], complex)
+    sizes = _eval_sizes(monkeypatch)
+    with pytest.raises(E.EvalError):
+        levi._newton(ast, tol, starts[1:2])
+    assert sizes == [1, 1]
+    with pytest.raises(E.EvalError):
+        levi._newton(ast, tol, starts)
+    pts, ok = levi._project(ast, tol, starts)
+    assert ok.tolist() == [True, False, True, True]
+    for i in range(len(starts)):
+        alone, ok_alone = levi._project(ast, tol, starts[i:i + 1])
+        assert _same_bits(pts[i], alone[0]) and ok[i] == ok_alone[0]
+    assert _same_bits(pts[1], starts[1])
+
+
+def test_newton_fails_a_non_finite_point_where_rho_stays_finite():
+    # rho leaves z1 out, so a non-finite z1 leaves rho and its gradient finite
+    ast = E.parse("abs2(z2)-1")
+    tol = levi.Tolerances()
+    starts = np.array([[np.nan, 0.5], [0.3, 2.0], [np.inf, 0.2j]], complex)
+    w, done = levi._newton(ast, tol, starts)
+    assert done.tolist() == [False, True, False]
+    assert _same_bits(w[[0, 2]], starts[[0, 2]])
+    alone, _ = levi._newton(ast, tol, starts[1:2])
+    assert _same_bits(w[1], alone[0])
+
+
 def test_sample_boundary_deterministic_per_index():
     dom = domain_of("ball")
     a = levi.sample_box_points(dom.box, 10, seed=3)
@@ -244,7 +324,8 @@ def test_batched_slices_match_composed_slice_domains(name):
     # the batched sweep against classify on the symbolic slice rho(a + b w1 + c w2)
     dom = (rotated_domain("ellipsoid", 3, seed=17) if name.startswith("rot")
            else domain_of(name))
-    bases, frames, seeds = pipeline.sweep_slices(dom, 12, seed=23)
+    points = levi.classify(dom, 12, seed=23).points
+    bases, frames, seeds = pipeline.sweep_slices(dom, points, 12, seed=23)
     reports = levi.classify_slices(dom, bases, frames, pipeline.SLICE_WINDOW,
                                    pipeline.SLICE_PROBES, seeds)
     assert len(reports) == 12
@@ -258,6 +339,16 @@ def test_batched_slices_match_composed_slice_domains(name):
         assert report.degenerate_count == oracle.degenerate_count
         assert report.worst_probe.lambda_min == pytest.approx(
             oracle.worst_probe.lambda_min, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pulled_back_mixed_equals_the_row_major_einsum(rng, n):
+    for rows in (1, 7, 600):
+        frame = rng.standard_normal((rows, n, 2)) + 1j * rng.standard_normal((rows, n, 2))
+        mixed = rng.standard_normal((rows, n, n)) + 1j * rng.standard_normal((rows, n, n))
+        want = np.einsum("bli,blm,bmj->bij", frame, mixed, np.conj(frame))
+        got = levi._pulled_back_mixed(mixed, frame)
+        assert got.flags.c_contiguous and _same_bits(got, want)
 
 
 def test_classify_slices_rejects_a_window_without_interior():

@@ -184,3 +184,31 @@ def test_gram_solve_residual_orthogonality(seed, n):
     resid = r - b * w1 - c * w2
     assert abs(np.vdot(b, resid)) <= 1e-10 * (1 + np.linalg.norm(r))
     assert abs(np.vdot(c, resid)) <= 1e-10 * (1 + np.linalg.norm(r))
+
+
+# ---------------------------------------------------------------------------
+# Row norms and the batched dependence test
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+def test_row_norms_equal_the_one_row_norm_to_the_bit(rng, n):
+    x = (rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n))) \
+        * 10.0 ** rng.uniform(-8, 8, (400, 1))
+    want = np.array([np.linalg.norm(row) for row in x])
+    assert la.row_norms(x).tobytes() == want.tobytes()
+
+
+def test_dependent_rows_match_gram_solve(rng):
+    b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    c = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    c[1] = (2 - 1j) * b[1]
+    c[4] = b[4] * 1e-3 + 1e-12 * c[4]
+    mask = la.dependent_rows(b, c)
+    for k in range(6):
+        try:
+            la.gram_solve_2(b[k], c[k], b[k])
+            dependent = False
+        except la.DependentVectorsError:
+            dependent = True
+        assert mask[k] == dependent
+    assert mask.tolist() == [False, True, False, False, True, False]

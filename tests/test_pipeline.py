@@ -1,0 +1,68 @@
+"""The forward sweep: its slices, built as whole arrays, against the
+slice-by-slice construction, and its reuse of the classification's points."""
+
+import numpy as np
+import pytest
+
+from levislice import levi
+from levislice import linalg as la
+from levislice import pipeline
+from levislice.catalog import CATALOG
+from oracles import sweep_slices_one_by_one
+from rotated import rotated_domain
+
+
+def assert_same_slices(got, want):
+    for x, y in zip(got[:2], want[:2]):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [1, 8, 29])
+def test_sweep_slices_equal_the_one_by_one_construction(n, seed):
+    dom = rotated_domain("ellipsoid", n, seed=seed)
+    points = levi.classify(dom, 15, seed=seed).points
+    # more slices than points, so the base points cycle
+    slices = len(points) + 4
+    assert_same_slices(pipeline.sweep_slices(dom, points, slices, seed),
+                       sweep_slices_one_by_one(dom, points, slices, seed))
+
+
+def test_sweep_slices_draw_a_dependent_pair_again(monkeypatch):
+    # with this floor, any pair with |<b, c>|^2 >= |b|^2 |c|^2 / 2 counts as
+    # dependent, so about half of the first draws in C^2 are drawn again
+    dom = CATALOG["ball"].domain()
+    points = levi.classify(dom, 20, seed=3).points
+    first = pipeline.sweep_slices(dom, points, 20, seed=3)
+    monkeypatch.setattr(la, "GRAM_DET_FLOOR", 0.5)
+    redrawn = pipeline.sweep_slices(dom, points, 20, seed=3)
+    assert_same_slices(redrawn, sweep_slices_one_by_one(dom, points, 20, seed=3))
+    b, c = redrawn[1][:, :, 0], redrawn[1][:, :, 1]
+    assert not la.dependent_rows(b, c).any()
+    changed = np.any(redrawn[1] != first[1], axis=(1, 2))
+    assert 0 < changed.sum() < 20
+    assert la.dependent_rows(first[1][changed, :, 0], first[1][changed, :, 1]).all()
+
+
+def test_verify_theorem_projects_the_ambient_boundary_once(monkeypatch):
+    framed = []
+    newton = levi._newton
+
+    def counted(ast, tol, w0, a=None, frame=None):
+        framed.append(frame is not None)
+        return newton(ast, tol, w0, a, frame)
+
+    monkeypatch.setattr(levi, "_newton", counted)
+    run = pipeline.verify_theorem(CATALOG["ball"].domain(), samples=25, seed=4)
+    assert run.forward is not None and run.forward.count == 25
+    assert framed == [False, True]
+
+
+def test_sweep_needs_a_slice_and_a_point():
+    dom = CATALOG["ball"].domain()
+    points = levi.classify(dom, 5, seed=1).points
+    with pytest.raises(ValueError):
+        pipeline.sweep_slices(dom, points, 0, seed=1)
+    with pytest.raises(ValueError):
+        pipeline.sweep_slices(dom, points[:0], 3, seed=1)
