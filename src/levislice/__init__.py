@@ -17,21 +17,19 @@ from .hormander import (QuadraticWitness, VerificationRecord,
 from .levi import (Domain, LeviProbe, LeviReport, Tolerances, classify,
                    classify_slices, make_domain, restricted_levi_min,
                    sample_boundary, square_box)
-from .linalg import gram_solve_2, hermitian_eig, tangent_null_basis
+from .linalg import hermitian_eig, tangent_null_basis
 from .pipeline import (ForwardSweep, PipelineError, TheoremRun,
                        verify_theorem)
-from .slicing import (Slice, WitnessCertificate, make_slice, phi, pullback_jet,
-                      witness_slice)
+from .slicing import Slice, WitnessCertificate, make_slice, witness_slice
 
 __all__ = [
     "Ast", "WirtingerJet", "parse", "to_string", "eval_jet", "eval_jet_batch",
     "eval_raw", "check_real_valued",
-    "hermitian_eig", "tangent_null_basis", "gram_solve_2",
+    "hermitian_eig", "tangent_null_basis",
     "Domain", "Tolerances", "LeviProbe", "LeviReport", "make_domain",
     "square_box", "sample_boundary",
     "restricted_levi_min", "classify", "classify_slices",
-    "Slice", "WitnessCertificate", "make_slice", "phi", "pullback_jet",
-    "witness_slice",
+    "Slice", "WitnessCertificate", "make_slice", "witness_slice",
     "QuadraticWitness", "VerificationRecord", "build_quadratic_witness",
     "eval_quadratic", "verify_quadratic_witness", "sample_containment",
     "verify_theorem", "TheoremRun", "ForwardSweep", "PipelineError",

@@ -186,6 +186,9 @@ def _write_grid(domain: Domain, a, frame, k: int, window: float, path: str):
 
 
 def cmd_verify_theorem(args) -> int:
+    if args.containment_samples < 100:
+        raise InputError("--containment-samples must be at least 100, got "
+                         f"{args.containment_samples}")
     started, domain, report = _start(args, "verify-theorem")
     run = verify_theorem(domain, report["samples"], report["seed"],
                          args.containment_samples)

@@ -139,11 +139,12 @@ class LeviReport:
 # Sampling and projection
 # ---------------------------------------------------------------------------
 
-def sample_box_points(box: np.ndarray, count: int, seed: int) -> np.ndarray:
+def sample_box_points(box: np.ndarray, count: int, seed) -> np.ndarray:
     """Pseudorandom points in the box from one stream, filled row by row.
 
-    Row i is drawn after rows 0..i-1, so a shorter request returns a prefix
-    of a longer one with the same seed.
+    The seed is an int or a tuple of ints, as numpy.random.default_rng
+    takes it.  Row i is drawn after rows 0..i-1, so a shorter request
+    returns a prefix of a longer one with the same seed.
     """
     rng = np.random.default_rng(seed)
     reals = box[:, 0] + rng.random((count, box.shape[0])) * (box[:, 1] - box[:, 0])
@@ -210,7 +211,16 @@ def _newton(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None,
             break
         vals, grads = ex.eval_value_grad(ast, _ambient(pw, a, frame))
         grads = _pulled_back_grad(grads, frame)
-        gn = np.linalg.norm(grads, axis=1)
+        with np.errstate(over="ignore"):
+            gn = np.linalg.norm(grads, axis=1)
+        over = np.isinf(gn)
+        if over.any():
+            # the squares of a finite gradient overflowed: scale its row by
+            # its largest entry; rows with a finite norm keep their bits
+            over &= np.isfinite(grads).all(axis=1)
+            g = grads[over]
+            big = np.abs(g).max(axis=1)
+            gn[over] = big * np.linalg.norm(g / big[:, None], axis=1)
         rgn = 2.0 * gn
         # eval_value_grad raises on a non-finite value, but not on a
         # non-finite point where rho stays finite
@@ -228,8 +238,13 @@ def _newton(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None,
             rows, pw, vals, grads, gn, a, frame = (
                 None if x is None else x.take(keep, axis=0)
                 for x in (rows, pw, vals, grads, gn, a, frame))
-        gn2 = np.maximum(gn ** 2, np.finfo(float).tiny)
-        pw -= (vals / (2.0 * gn2))[:, None] * np.conj(grads)
+        with np.errstate(over="ignore"):
+            gn2 = 2.0 * np.maximum(gn ** 2, np.finfo(float).tiny)
+        coef = vals / gn2
+        over = np.isinf(gn2)
+        if over.any():
+            coef[over] = vals[over] / gn[over] / (2.0 * gn[over])
+        pw -= coef[:, None] * np.conj(grads)
     w[rows] = pw
     return w, done
 
@@ -250,25 +265,27 @@ def _project(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None,
             np.concatenate([h[1] for h in halves]))
 
 
-def _boundary_batch(domain: Domain, box: np.ndarray, count: int, seeds, a=None,
+def _boundary_batch(domain: Domain, box: np.ndarray, count: int, seed, a=None,
                     frame=None) -> tuple[np.ndarray, np.ndarray]:
-    """Project `count` box samples per seed onto the boundary; drop failures.
+    """Project `count` box samples per slice onto the boundary; drop failures.
 
-    With a (S, n) and frame (S, n, 2), the samples of seed k are points w of
-    the slice z = a_k + frame_k w.  Returns the points that converged inside
-    the (slightly inflated) box and the seed index of each.  Errors if fewer
-    than half of some seed's samples are kept, which usually means the box
-    misses the boundary entirely.
+    With a (S, n) and frame (S, n, 2), the samples of slice k are points w of
+    the slice z = a_k + frame_k w, block k of S*count box points drawn from
+    one stream; without a frame there is one block of points z.  Returns the
+    points that converged inside the (slightly inflated) box and the slice
+    index of each.  Errors if fewer than half of some slice's samples are
+    kept, which usually means the box misses the boundary entirely.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rows = np.repeat(np.arange(len(seeds)), count)
-    starts = np.concatenate([sample_box_points(box, count, s) for s in seeds])
+    slices = 1 if frame is None else len(a)
+    rows = np.repeat(np.arange(slices), count)
+    starts = sample_box_points(box, slices * count, seed)
     if frame is not None:
         a, frame = a[rows], frame[rows]
     pts, ok = _project(domain.ast, domain.tol, starts, a, frame)
     ok &= _in_inflated_box(box, pts)
-    for found in np.bincount(rows[ok], minlength=len(seeds)):
+    for found in np.bincount(rows[ok], minlength=slices):
         if found < 0.5 * count:
             raise BoundaryNotFoundError(
                 f"only {found}/{count} samples reached the boundary; "
@@ -281,7 +298,7 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:
 
     Errors if fewer than half converge inside the (slightly inflated) box.
     """
-    return _boundary_batch(domain, domain.box, count, [seed])[0]
+    return _boundary_batch(domain, domain.box, count, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +366,28 @@ def classify(domain: Domain, count: int = 200, seed: int = 0) -> LeviReport:
 
 
 def classify_slices(domain: Domain, a, frame, window: float, count: int,
-                    seeds) -> list[LeviReport]:
+                    seed) -> list[LeviReport]:
     """Classify the two-dimensional slices z = a_k + frame_k w, all in one batch.
 
-    a is (S, n) and frame (S, n, 2).  Slice k is sampled in the w-box
-    [-window, window]^4 with seed seeds[k], and its report equals what
-    `classify` gives on the domain {rho(a_k + frame_k w) < 0} over that box:
-    the realness check, the fewer-than-half-converged error, the inflated-box
-    filter and the degenerate rule all hold per slice.  Points and directions
-    of the reports are in w.
+    a is (S, n) and frame (S, n, 2).  The S*count box starts are drawn from
+    one stream seeded by `seed` over the w-box [-window, window]^4, and
+    slice k reads block k.  So the report of slice k equals what `classify`
+    gives on the domain {rho(a_k + frame_k w) < 0} over that box from those
+    starts (for one slice, from the same seed): the realness check, the
+    fewer-than-half-converged error, the inflated-box filter and the
+    degenerate rule all hold per slice.  Points and directions of the
+    reports are in w.
     """
     a = np.asarray(a, complex)
     frame = np.asarray(frame, complex)
-    if len(seeds) != len(a) or frame.shape != (*a.shape, 2):
-        raise ValueError("need one seed and one n x 2 frame per slice base point")
+    if a.ndim != 2 or frame.shape != (*a.shape, 2):
+        raise ValueError("need one n x 2 frame per slice base point")
     tol = domain.tol
     box = _checked_box(square_box(2, window), 2)
     if not ex.check_real_valued(domain.ast, REALNESS_TRIALS, REALNESS_SEED, box=box,
                                 realness_tol=tol.realness_eps, a=a, frame=frame):
         raise DomainError("defining function is not real-valued on the sampling box")
-    w, rows = _boundary_batch(domain, box, count, seeds, a, frame)
+    w, rows = _boundary_batch(domain, box, count, seed, a, frame)
     F = frame[rows]
     jets = ex.eval_jet_batch(domain.ast, _ambient(w, a[rows], F), holo=False)
     grad = _pulled_back_grad(jets.grad, F)

@@ -3,7 +3,7 @@
 Hermitian eigendecompositions of single matrices or stacks (LAPACK through
 numpy.linalg.eigh), orthonormal bases of complex tangent spaces via a
 Householder reflector per row, row norms equal to the one-row norm, and
-the 2x2 Gram solve and dependence test behind affine slices.
+the dependence test behind affine slices.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ GRAM_DET_FLOOR = 1e-14
 
 
 class LinalgError(Exception):
-    pass
-
-
-class DependentVectorsError(LinalgError):
     pass
 
 
@@ -90,39 +86,13 @@ def row_norms(x) -> np.ndarray:
                     + im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
-def _gram(b, c):
-    """|b|^2, |c|^2, <c, b> = sum c_j conj(b_j) and the Gram determinant of
-    vectors b, c or of their rows (..., n), and whether the determinant
-    signals numerically dependent vectors."""
+def dependent_rows(b, c) -> np.ndarray:
+    """Mask of the rows k of (S, n) arrays where b[k] and c[k] are
+    numerically dependent: their Gram determinant
+    |b|^2 |c|^2 - |<c, b>|^2 is at most GRAM_DET_FLOOR |b|^2 |c|^2."""
+    b = np.asarray(b, complex)
+    c = np.asarray(c, complex)
     bb = np.sum(b.real ** 2 + b.imag ** 2, axis=-1)
     cc = np.sum(c.real ** 2 + c.imag ** 2, axis=-1)
     cb = np.sum(np.conj(b) * c, axis=-1)
-    det = bb * cc - np.abs(cb) ** 2
-    return bb, cc, cb, det, det <= GRAM_DET_FLOOR * bb * cc
-
-
-def dependent_rows(b, c) -> np.ndarray:
-    """Mask of the rows k of (S, n) arrays where b[k] and c[k] are
-    numerically dependent, by the Gram determinant test of gram_solve_2."""
-    return _gram(np.asarray(b, complex), np.asarray(c, complex))[-1]
-
-
-def gram_solve_2(b, c, r) -> tuple[complex, complex, float]:
-    """Least-squares coefficients of r on span{b, c}: minimize |r - b*w1 - c*w2|.
-
-    Returns (w1, w2, residual_norm).  Raises DependentVectorsError when the
-    Gram determinant signals numerically dependent b, c.
-    """
-    b = np.asarray(b, complex)
-    c = np.asarray(c, complex)
-    r = np.asarray(r, complex)
-    bb, cc, cb, det, dependent = _gram(b, c)
-    if dependent:
-        raise DependentVectorsError(
-            f"b, c numerically dependent (Gram determinant {det:.3e})")
-    rb = np.vdot(b, r)        # <r, b>
-    rc = np.vdot(c, r)
-    w1 = (rb * cc - cb * rc) / det
-    w2 = (bb * rc - np.conj(cb) * rb) / det
-    resid = r - b * w1 - c * w2
-    return complex(w1), complex(w2), float(np.linalg.norm(resid))
+    return bb * cc - np.abs(cb) ** 2 <= GRAM_DET_FLOOR * bb * cc

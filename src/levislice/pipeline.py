@@ -6,6 +6,8 @@ two-dimensional witness slice, and the reclassification of that slice,
 which must come out nonpseudoconvex.  A domain that classifies
 pseudoconvex-at-samples gets the forward sweep: random slices through
 points just inside its boundary, all of which must classify pseudoconvex.
+The sweep draws its frames from one stream and the box starts of all its
+slices from another, both derived from the request seed.
 
 Errors of loading and classifying the domain propagate unchanged; a failure
 in a later stage is a PipelineError that names the stage.
@@ -53,39 +55,36 @@ def classify_slice(domain: Domain, a, b, c, window: float, count: int,
     """Classify the slice z = a + b w1 + c w2 over the w-box [-window, window]^4."""
     s = sl.make_slice(a, b, c)
     return levi.classify_slices(domain, s.a[None], s.frame[None], window, count,
-                                [seed])[0]
+                                seed)[0]
 
 
 def sweep_slices(domain: Domain, points, slices: int, seed: int):
-    """Random slices through boundary-adjacent points of the domain.
+    """Random slices through points just inside the boundary of the domain.
 
-    Slice k passes through a point just inside the boundary point
-    M_k = points[k % len(points)], with random unit directions b, c seeded
-    by (seed, k); a dependent pair is drawn again from the same stream.  The
-    points are a classification's probes, so their gradients clear the floor.
-    Returns the base points (S, n), the frames [b c] (S, n, 2) and the
-    sampling seed of each slice.
+    Slice k passes through the point that `slicing.inward_step` finds below
+    M_k = points[k % len(points)], with random unit directions b, c.  All
+    frames come from one stream seeded by (seed, 7919): one draw of
+    (slices, 4, n) normals, Re b, Im b, Re c, Im c per slice, after which
+    each dependent pair is drawn again from the same stream, in slice order.
+    The points are a classification's probes, so their gradients clear the
+    floor.  Returns the base points (S, n) and the frames [b c] (S, n, 2).
     """
     if slices < 1 or not len(points):
         raise ValueError("need at least one slice and one base point")
     index = np.arange(slices) % len(points)
     _, grads = ex.eval_value_grad(domain.ast, points)
-    M, g = points[index], grads[index]
-    nu = np.conj(g) * (1.0 / la.row_norms(g))[:, None]
-    a = M - (0.05 * (1.0 + la.row_norms(M)))[:, None] * nu
-    rngs = [np.random.default_rng((seed, 7919, k)) for k in range(slices)]
-    # per slice: Re b, Im b, Re c, Im c, the order of its four draws
-    draws = np.empty((slices, 4, domain.n))
-    redraw = range(slices)
-    while len(redraw):
-        for k in redraw:
-            draws[k] = rngs[k].standard_normal(4 * domain.n).reshape(4, -1)
+    a, _ = sl.inward_step(domain, points[index], grads[index])
+    rng = np.random.default_rng((seed, 7919))
+    draws = rng.standard_normal((slices, 4, domain.n))
+    while True:
         b = draws[:, 0] + 1j * draws[:, 1]
         c = draws[:, 2] + 1j * draws[:, 3]
         b *= (1.0 / la.row_norms(b))[:, None]
         c *= (1.0 / la.row_norms(c))[:, None]
         redraw = np.flatnonzero(la.dependent_rows(b, c))
-    return a, np.stack([b, c], axis=2), list(range(slices))
+        if not redraw.size:
+            return a, np.stack([b, c], axis=2)
+        draws[redraw] = rng.standard_normal((redraw.size, 4, domain.n))
 
 
 @dataclass(frozen=True)
@@ -101,9 +100,11 @@ def forward_slice_sweep(domain: Domain, points, slices: int,
     points of a pseudoconvex-at-samples domain must classify the same way.
     The slices pass near the given boundary points, the probes of the
     domain's classification, and are classified in one batch."""
-    bases, frames, seeds = sweep_slices(domain, points, slices, seed)
+    bases, frames = sweep_slices(domain, points, slices, seed)
+    # the box starts of all slices: one stream, apart from the frames' stream
+    # and from the seed of the domain's classification
     results = levi.classify_slices(domain, bases, frames, SLICE_WINDOW,
-                                   SLICE_PROBES, seeds)
+                                   SLICE_PROBES, (seed, 7920))
     lambdas = [r.worst_probe.lambda_min for r in results if r.worst is not None]
     if not lambdas:
         raise PipelineError("forward-slices",

@@ -1,12 +1,15 @@
-"""Affine two-dimensional slices and the witness-slice construction.
+"""Affine two-dimensional slices, the inward step and the witness slice.
 
 A slice is the plane h(a, b, c) = {a + b*w1 + c*w2} with b, c linearly
-independent, parametrised by the map phi(w).  Jets of rho pull
-back to jets of rho_h by congruence with the n x 2 matrix [b c].  Any
-boundary probe with a negative restricted Levi minimum yields a witness
-certificate: a slice through an interior point p0 and the boundary point M,
-spanned by the complex normal and the bad tangent direction, whose induced
-two-dimensional domain inherits the same negative Levi value.
+independent.  Jets of rho pull back to jets of rho_h by congruence with the
+n x 2 frame [b c], through `levi._pulled_back_grad` and
+`levi._pulled_back_mixed`.  Slices pass through points just inside the
+boundary, which `inward_step` finds for the witness slice and the forward
+sweep alike.  Any boundary probe with a negative restricted Levi minimum
+yields a witness certificate: a slice through an interior point p0 and the
+boundary point M, spanned by the complex normal and the bad tangent
+direction, whose induced two-dimensional domain inherits the same negative
+Levi value.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
+from . import levi
 from . import linalg as la
 from .hormander import QuadraticWitness, build_quadratic_witness
 from .levi import Domain, LeviProbe
@@ -56,28 +60,37 @@ def make_slice(a, b, c) -> Slice:
         raise SliceError("a, b, c must have equal length")
     if len(a) < 2:
         raise SliceError("slices require ambient dimension >= 2")
-    try:
-        # independence check via the Gram determinant
-        la.gram_solve_2(b, c, np.zeros_like(a))
-    except la.DependentVectorsError as err:
-        raise SliceError(str(err)) from err
+    if la.dependent_rows(b[None], c[None])[0]:
+        raise SliceError("b, c numerically dependent")
     return Slice(a, b, c)
 
 
-def phi(s: Slice, w) -> np.ndarray:
-    w = np.asarray(w, complex)
-    return s.a + s.b * w[0] + s.c * w[1]
+def inward_step(domain: Domain, M, grad) -> tuple[np.ndarray, np.ndarray]:
+    """Points just inside the domain, one below each boundary point.
 
-
-def pullback_jet(s: Slice, jet: ex.WirtingerJet) -> ex.WirtingerJet:
-    """Chain rule for rho_h = rho . phi: congruence with the frame [b c]."""
-    B = s.frame
-    if jet.grad.shape[0] != s.n:
-        raise SliceError("jet dimension does not match slice")
-    grad_h = B.T @ jet.grad
-    mixed_h = np.einsum("lm,li,mj->ij", jet.mixed, B, np.conj(B))
-    holo_h = np.einsum("lm,li,mj->ij", jet.holo, B, B)
-    return ex.WirtingerJet(jet.value, grad_h, mixed_h, holo_h)
+    Row k of M (B, n) steps along the inward complex normal
+    -conj(grad_k)/|grad_k|, from t = 0.1 (1 + |M_k|), and halves t until
+    rho < -boundary_eps there, at most MAX_BACKTRACK_HALVINGS times.
+    Returns the points (B, n) and their steps t (B,).
+    """
+    tol = domain.tol
+    gn = la.row_norms(grad)
+    if np.any(gn < tol.grad_floor):
+        raise la.DegenerateGradientError(f"gradient norm {gn.min():.3e} below floor")
+    nu = np.conj(grad) * (1.0 / gn)[:, None]
+    t = 0.1 * (1.0 + la.row_norms(M))
+    points = np.empty_like(M)
+    todo = np.arange(len(M))
+    for _ in range(MAX_BACKTRACK_HALVINGS + 1):
+        candidates = M[todo] - t[todo, None] * nu[todo]
+        inside = ex.eval_raw(domain.ast, candidates).real < -tol.boundary_eps
+        points[todo[inside]] = candidates[inside]
+        todo = todo[~inside]
+        if not todo.size:
+            return points, t
+        t[todo] /= 2.0
+    raise SliceError(f"{todo.size} of {len(M)} boundary points have no "
+                     "interior point along the complex normal")
 
 
 @dataclass(frozen=True)
@@ -88,7 +101,7 @@ class WitnessCertificate:
     p0: np.ndarray             # interior point on the complex normal line
     t: float                   # accepted normal step
     slice: Slice               # a = p0, b = M - p0, c = Z
-    mu: np.ndarray             # phi^{-1}(M) = (1, 0)
+    mu: np.ndarray             # the w of M: a + frame mu = M, mu = (1, 0)
     zeta: np.ndarray           # tangent image of Z = (0, 1)
     lambda_slice: float        # Levi form of rho_h at mu in direction zeta
     quadratic: QuadraticWitness
@@ -98,11 +111,11 @@ def witness_slice(domain: Domain, probe: LeviProbe,
                   quadratic: QuadraticWitness | None = None) -> WitnessCertificate:
     """Construct the two-dimensional witness slice for a bad boundary probe.
 
-    The slice passes through an interior point p0 found by backtracking
-    along the inward complex normal, with b = M - p0 and c = Z.  All
-    certificate invariants are checked before returning.  The quadratic
-    witness at the probe is built here unless the caller already has it;
-    its blocks are the jet of rho at M that the checks read.
+    The slice passes through the interior point p0 that `inward_step` finds
+    below M, with b = M - p0 and c = Z.  All certificate invariants are
+    checked before returning.  The quadratic witness at the probe is built
+    here unless the caller already has it; its blocks are the jet of rho at
+    M that the checks read.
     """
     tol = domain.tol
     if probe.lambda_min >= -tol.levi_eps:
@@ -113,43 +126,27 @@ def witness_slice(domain: Domain, probe: LeviProbe,
     Z = np.asarray(probe.direction, complex)
     if quadratic is None:
         quadratic = build_quadratic_witness(domain, probe)
-    # rho's value at M is about 0 and goes unused
-    jet = ex.WirtingerJet(0.0, quadratic.lin, quadratic.mixed2, quadratic.holo2)
-    gn = float(np.linalg.norm(jet.grad))
-    if gn < tol.grad_floor:
-        raise la.DegenerateGradientError(f"gradient norm {gn:.3e} below floor")
-    # unit outward real normal; tangent vectors are Hermitian-orthogonal to it
-    nu = np.conj(jet.grad) / gn
+    grad = quadratic.lin[None]
+    p0, t = inward_step(domain, M[None], grad)
 
-    t = 0.1 * (1.0 + float(np.linalg.norm(M)))
-    p0 = None
-    for _ in range(MAX_BACKTRACK_HALVINGS + 1):
-        candidate = M - t * nu
-        value = float(ex.eval_raw(domain.ast, candidate[None, :])[0].real)
-        if value < -tol.boundary_eps:
-            p0 = candidate
-            break
-        t /= 2.0
-    if p0 is None:
-        raise WitnessError("no interior point found along the complex normal")
-
-    s = make_slice(p0, M - p0, Z)
+    s = make_slice(p0[0], M - p0[0], Z)
+    frame = s.frame[None]
     mu = np.array([1.0 + 0j, 0.0 + 0j])
     zeta = np.array([0.0 + 0j, 1.0 + 0j])
 
-    if np.linalg.norm(phi(s, mu) - M) > 1e-12 * (1.0 + np.linalg.norm(M)):
-        raise WitnessError("phi(mu) != M")
-    jet_h = pullback_jet(s, jet)
-    tangency = abs(jet_h.grad[1])
+    if np.linalg.norm(s.a + s.frame @ mu - M) > 1e-12 * (1.0 + np.linalg.norm(M)):
+        raise WitnessError("a + frame mu != M")
+    tangency = abs(levi._pulled_back_grad(grad, frame)[0, 1])
     if tangency > 1e-10:
         raise WitnessError(f"zeta not tangent to the slice boundary "
                            f"(|d rho_h/d w2| = {tangency:.3e})")
-    lambda_slice = float(jet_h.mixed[1, 1].real)
+    mixed_h = levi._pulled_back_mixed(quadratic.mixed2[None], frame)[0]
+    lambda_slice = float(mixed_h[1, 1].real)
     if abs(lambda_slice - probe.lambda_min) > 1e-9 * (1.0 + abs(probe.lambda_min)):
         raise WitnessError(
             f"Levi transport failed: lambda_slice {lambda_slice!r} vs "
             f"lambda {probe.lambda_min!r}")
 
-    return WitnessCertificate(M=M, Z=Z, lam=probe.lambda_min, p0=p0, t=t,
+    return WitnessCertificate(M=M, Z=Z, lam=probe.lambda_min, p0=p0[0], t=float(t[0]),
                               slice=s, mu=mu, zeta=zeta,
                               lambda_slice=lambda_slice, quadratic=quadratic)

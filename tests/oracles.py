@@ -3,9 +3,10 @@
 None of these run in a command.  The symbolic pullback (`compose_with_affine`)
 checks the chain-rule pullback of jets, `quadratic_as_expression` re-parses
 a quadratic witness, `levi_form_at` evaluates the Levi form in one direction
-at one point, `phi_inv`, `slice_gradient_check` and `project_to_boundary`
-check slices and boundary projection point by point, and
-`sweep_slices_one_by_one` builds the forward sweep's slices one at a time.
+at one point, `phi`, `gram_solve_2`, `phi_inv`, `slice_gradient_check` and
+`project_to_boundary` check slices and boundary projection point by point,
+and `sweep_slices_one_by_one` builds the forward sweep's slices one at a
+time.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import numpy as np
 
 from levislice import expr as ex
 from levislice import levi
+from levislice import linalg as la
 from levislice.expr import Add, Ast, Conj, Const, Exp, Mul, Node, Pow, Var
 from levislice.hormander import QuadraticWitness
 from levislice.levi import Domain
-from levislice.linalg import gram_solve_2
-from levislice.slicing import Slice, SliceError, make_slice, phi
+from levislice.slicing import MAX_BACKTRACK_HALVINGS, Slice, SliceError, make_slice
 
 
 class ProjectionError(Exception):
@@ -26,6 +27,10 @@ class ProjectionError(Exception):
 
 
 class OffPlaneError(SliceError):
+    pass
+
+
+class DependentVectorsError(Exception):
     pass
 
 
@@ -116,6 +121,36 @@ def levi_form_at(domain: Domain, M, Z) -> float:
     return raw.real
 
 
+def phi(s: Slice, w) -> np.ndarray:
+    """The point a + b w1 + c w2 of the slice."""
+    w = np.asarray(w, complex)
+    return s.a + s.b * w[0] + s.c * w[1]
+
+
+def gram_solve_2(b, c, r) -> tuple[complex, complex, float]:
+    """Least-squares coefficients of r on span{b, c}: minimize |r - b*w1 - c*w2|.
+
+    Returns (w1, w2, residual_norm).  Raises DependentVectorsError when the
+    Gram determinant signals numerically dependent b, c.
+    """
+    b = np.asarray(b, complex)
+    c = np.asarray(c, complex)
+    r = np.asarray(r, complex)
+    bb = np.vdot(b, b).real
+    cc = np.vdot(c, c).real
+    cb = np.vdot(b, c)        # <c, b>
+    det = bb * cc - abs(cb) ** 2
+    if det <= la.GRAM_DET_FLOOR * bb * cc:
+        raise DependentVectorsError(
+            f"b, c numerically dependent (Gram determinant {det:.3e})")
+    rb = np.vdot(b, r)        # <r, b>
+    rc = np.vdot(c, r)
+    w1 = (rb * cc - cb * rc) / det
+    w2 = (bb * rc - np.conj(cb) * rb) / det
+    resid = r - b * w1 - c * w2
+    return complex(w1), complex(w2), float(np.linalg.norm(resid))
+
+
 def phi_inv(s: Slice, z) -> np.ndarray:
     z = np.asarray(z, complex)
     w1, w2, resid = gram_solve_2(s.b, s.c, z - s.a)
@@ -144,26 +179,38 @@ def project_to_boundary(domain: Domain, z0) -> np.ndarray:
 
 
 def sweep_slices_one_by_one(domain: Domain, points, slices: int, seed: int):
-    """The slices of `pipeline.sweep_slices`, built slice by slice with
-    one-row norms, four draws of n per frame and a `make_slice` check."""
+    """The slices of `pipeline.sweep_slices`, built slice by slice: each
+    base point by its own backtracking along the normal, with one-row norms,
+    then each frame by four draws of n from the one stream, and each pair
+    that `make_slice` rejects drawn again in slice order."""
     _, grads = ex.eval_value_grad(domain.ast, points)
-    bases, frames = [], []
+    bases = []
     for k in range(slices):
         M = points[k % len(points)]
         g = grads[k % len(points)]
-        nu = np.conj(g) / np.linalg.norm(g)
-        a = M - 0.05 * (1.0 + np.linalg.norm(M)) * nu
-        rng = np.random.default_rng((seed, 7919, k))
-        while True:
-            b = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
-            c = rng.standard_normal(domain.n) + 1j * rng.standard_normal(domain.n)
-            b /= np.linalg.norm(b)
-            c /= np.linalg.norm(c)
-            try:
-                s = make_slice(a, b, c)
+        nu = np.conj(g) * (1.0 / np.linalg.norm(g))
+        t = 0.1 * (1.0 + np.linalg.norm(M))
+        for _ in range(MAX_BACKTRACK_HALVINGS + 1):
+            a = M - t * nu
+            if ex.eval_raw(domain.ast, a[None])[0].real < -domain.tol.boundary_eps:
                 break
+            t /= 2.0
+        else:
+            raise SliceError(f"slice {k}: no interior point")
+        bases.append(a)
+    rng = np.random.default_rng((seed, 7919))
+    frames = [None] * slices
+    pending = range(slices)
+    while pending:
+        pairs = {}
+        for k in pending:
+            re_b, im_b, re_c, im_c = (rng.standard_normal(domain.n) for _ in range(4))
+            b, c = re_b + 1j * im_b, re_c + 1j * im_c
+            pairs[k] = (b * (1.0 / np.linalg.norm(b)), c * (1.0 / np.linalg.norm(c)))
+        pending = []
+        for k, (b, c) in pairs.items():
+            try:
+                frames[k] = make_slice(bases[k], b, c).frame
             except SliceError:
-                continue
-        bases.append(s.a)
-        frames.append(s.frame)
-    return np.array(bases), np.array(frames), list(range(slices))
+                pending.append(k)
+    return np.array(bases), np.array(frames)

@@ -104,12 +104,18 @@ def test_dimension_one_is_an_input_error(capsys, command):
 
 @pytest.mark.parametrize("command", ["check", "verify-theorem"])
 def test_overflow_writes_no_warning(capsys, command):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(capsys, command, str(DATA / "overflow.dom"))
-    assert code == cli.EXIT_INPUT
-    assert err == "error: non-finite value in evaluation\n"
-    assert out == ""
+    # steep.dom: before its norms were taken without overflow, Newton also
+    # accepted 14 points where rho exceeds 1e165 as boundary points
+    for name, message in [
+            ("overflow.dom", "non-finite value in evaluation"),
+            ("steep.dom", "only 1/50 samples reached the boundary; "
+                          "the sampling box likely misses it")]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, str(DATA / name))
+        assert code == cli.EXIT_INPUT
+        assert err == f"error: {message}\n"
+        assert out == ""
 
 
 def test_check_missing_file(capsys):
@@ -221,6 +227,15 @@ def test_verify_theorem_saddle2(capsys):
     assert reclass["worst_lambda"] <= -0.5
     cert = payload["certificate"]
     assert cert["lambda_slice"] == pytest.approx(cert["lambda"], rel=1e-9)
+
+
+@pytest.mark.parametrize("value", ["50", "0", "-1"])
+def test_containment_samples_below_100_is_an_input_error(capsys, value):
+    code, out, err = run(capsys, "verify-theorem", "saddle2",
+                         "--containment-samples", value)
+    assert code == cli.EXIT_INPUT
+    assert err == f"error: --containment-samples must be at least 100, got {value}\n"
+    assert out == ""
 
 
 def test_verify_theorem_ball_forward(capsys):

@@ -123,10 +123,10 @@ def test_packed_newton_matches_each_row_alone(monkeypatch):
 def test_packed_newton_on_slice_frames_matches_each_row_alone(monkeypatch):
     dom = rotated_domain("ellipsoid", 3, seed=5)
     points = levi.classify(dom, 6, seed=2).points
-    a, frame, seeds = pipeline.sweep_slices(dom, points, 6, seed=2)
+    a, frame = pipeline.sweep_slices(dom, points, 6, seed=2)
     box = levi.square_box(2, pipeline.SLICE_WINDOW)
     rows = np.repeat(np.arange(6), 5)
-    starts = np.concatenate([levi.sample_box_points(box, 5, k) for k in seeds])
+    starts = levi.sample_box_points(box, 30, seed=2)
     sizes = _eval_sizes(monkeypatch)
     w, done = levi._newton(dom.ast, dom.tol, starts, a[rows], frame[rows])
     assert len(set(sizes)) >= 3
@@ -320,20 +320,25 @@ def test_batched_classify_matches_pointwise_minimum(kind):
 
 
 @pytest.mark.parametrize("name", ["ball", "polyball", "rot-ellipsoid3"])
-def test_batched_slices_match_composed_slice_domains(name):
-    # the batched sweep against classify on the symbolic slice rho(a + b w1 + c w2)
+def test_batched_slices_match_composed_slice_domains(monkeypatch, name):
+    # the batched sweep against classify on the symbolic slice rho(a + b w1 + c w2),
+    # each composed domain started from its slice's block of the one stream
     dom = (rotated_domain("ellipsoid", 3, seed=17) if name.startswith("rot")
            else domain_of(name))
     points = levi.classify(dom, 12, seed=23).points
-    bases, frames, seeds = pipeline.sweep_slices(dom, points, 12, seed=23)
+    bases, frames = pipeline.sweep_slices(dom, points, 12, seed=23)
     reports = levi.classify_slices(dom, bases, frames, pipeline.SLICE_WINDOW,
-                                   pipeline.SLICE_PROBES, seeds)
+                                   pipeline.SLICE_PROBES, seed=23)
     assert len(reports) == 12
-    for a, frame, k, report in zip(bases, frames, seeds, reports):
+    box = levi.square_box(2, pipeline.SLICE_WINDOW)
+    blocks = levi.sample_box_points(box, 12 * pipeline.SLICE_PROBES, 23).reshape(
+        12, pipeline.SLICE_PROBES, 2)
+    for a, frame, block, report in zip(bases, frames, blocks, reports):
         composed = compose_with_affine(dom.ast, a, frame[:, 0], frame[:, 1])
-        dom_h = levi.make_domain(
-            composed, box=levi.square_box(2, pipeline.SLICE_WINDOW), tol=dom.tol)
-        oracle = levi.classify(dom_h, pipeline.SLICE_PROBES, seed=k)
+        dom_h = levi.make_domain(composed, box=box, tol=dom.tol)
+        with monkeypatch.context() as m:
+            m.setattr(levi, "sample_box_points", lambda *_, block=block: block)
+            oracle = levi.classify(dom_h, pipeline.SLICE_PROBES, seed=0)
         assert report.verdict == oracle.verdict == levi.VERDICT_PSEUDOCONVEX
         assert report.sample_count == oracle.sample_count
         assert report.degenerate_count == oracle.degenerate_count
@@ -354,7 +359,7 @@ def test_pulled_back_mixed_equals_the_row_major_einsum(rng, n):
 def test_classify_slices_rejects_a_window_without_interior():
     dom = domain_of("ball")
     with pytest.raises(levi.DomainError):
-        levi.classify_slices(dom, np.zeros((1, 2)), np.eye(2)[None], 0.0, 10, [0])
+        levi.classify_slices(dom, np.zeros((1, 2)), np.eye(2)[None], 0.0, 10, 0)
 
 
 def test_classify_slices_reports_a_slice_that_misses_the_boundary():
@@ -364,4 +369,4 @@ def test_classify_slices_reports_a_slice_that_misses_the_boundary():
     frames = np.repeat(np.eye(2, dtype=complex)[None] * 0.1, 2, axis=0)
     frames[0] = np.eye(2)
     with pytest.raises(levi.BoundaryNotFoundError):
-        levi.classify_slices(dom, bases, frames, 2.0, 20, [0, 1])
+        levi.classify_slices(dom, bases, frames, 2.0, 20, 0)

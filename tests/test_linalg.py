@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levislice import linalg as la
+from oracles import DependentVectorsError, gram_solve_2
 
 
 def random_hermitian(rng, m):
@@ -142,35 +143,35 @@ def test_tangent_basis_stack_gradient_floor():
 
 
 # ---------------------------------------------------------------------------
-# Gram solve
+# Gram solve (the least-squares oracle of tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 def test_gram_solve_orthonormal_case():
     b = np.array([1, 0], complex)
     c = np.array([0, 1], complex)
-    w1, w2, resid = la.gram_solve_2(b, c, b)
+    w1, w2, resid = gram_solve_2(b, c, b)
     assert (w1, w2) == (pytest.approx(1), pytest.approx(0))
     assert resid <= 1e-14
 
 
 def test_gram_solve_zero_target():
-    w1, w2, resid = la.gram_solve_2(np.array([0, 0.1]), np.array([1, 0]),
-                                    np.zeros(2))
+    w1, w2, resid = gram_solve_2(np.array([0, 0.1]), np.array([1, 0]),
+                                 np.zeros(2))
     assert abs(w1) <= 1e-14 and abs(w2) <= 1e-14 and resid <= 1e-14
 
 
 def test_gram_solve_off_span_residual():
     b = np.array([1, 0, 0], complex)
     c = np.array([0, 1, 0], complex)
-    w1, w2, resid = la.gram_solve_2(b, c, np.array([0, 0, 1], complex))
+    w1, w2, resid = gram_solve_2(b, c, np.array([0, 0, 1], complex))
     assert abs(w1) <= 1e-14 and abs(w2) <= 1e-14
     assert resid == pytest.approx(1.0, abs=1e-14)
 
 
 def test_gram_solve_dependent_vectors():
-    with pytest.raises(la.DependentVectorsError):
-        la.gram_solve_2(np.array([1, 0], complex), np.array([2, 0], complex),
-                        np.zeros(2))
+    with pytest.raises(DependentVectorsError):
+        gram_solve_2(np.array([1, 0], complex), np.array([2, 0], complex),
+                     np.zeros(2))
 
 
 @settings(max_examples=50, deadline=None)
@@ -180,7 +181,7 @@ def test_gram_solve_residual_orthogonality(seed, n):
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    w1, w2, _ = la.gram_solve_2(b, c, r)
+    w1, w2, _ = gram_solve_2(b, c, r)
     resid = r - b * w1 - c * w2
     assert abs(np.vdot(b, resid)) <= 1e-10 * (1 + np.linalg.norm(r))
     assert abs(np.vdot(c, resid)) <= 1e-10 * (1 + np.linalg.norm(r))
@@ -206,9 +207,9 @@ def test_dependent_rows_match_gram_solve(rng):
     mask = la.dependent_rows(b, c)
     for k in range(6):
         try:
-            la.gram_solve_2(b[k], c[k], b[k])
+            gram_solve_2(b[k], c[k], b[k])
             dependent = False
-        except la.DependentVectorsError:
+        except DependentVectorsError:
             dependent = True
         assert mask[k] == dependent
     assert mask.tolist() == [False, True, False, False, True, False]

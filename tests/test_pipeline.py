@@ -1,9 +1,11 @@
 """The forward sweep: its slices, built as whole arrays, against the
-slice-by-slice construction, and its reuse of the classification's points."""
+slice-by-slice construction, its base points inside the domain, its seeded
+streams and its reuse of the classification's points."""
 
 import numpy as np
 import pytest
 
+from levislice import expr as E
 from levislice import levi
 from levislice import linalg as la
 from levislice import pipeline
@@ -13,9 +15,9 @@ from rotated import rotated_domain
 
 
 def assert_same_slices(got, want):
-    for x, y in zip(got[:2], want[:2]):
+    assert len(got) == len(want) == 2
+    for x, y in zip(got, want):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
-    assert got[2] == want[2]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -43,6 +45,39 @@ def test_sweep_slices_draw_a_dependent_pair_again(monkeypatch):
     changed = np.any(redrawn[1] != first[1], axis=(1, 2))
     assert 0 < changed.sum() < 20
     assert la.dependent_rows(first[1][changed, :, 0], first[1][changed, :, 1]).all()
+
+
+@pytest.mark.parametrize("scale", [100, 400])
+def test_sweep_base_points_lie_inside_the_domain(scale):
+    # a fixed first step of 0.05 (1 + |M|) crosses the thin z1 direction
+    dom = levi.make_domain(f"{scale}*abs2(z1)+abs2(z2)-1",
+                           box=levi.square_box(2, 1.5))
+    points = levi.classify(dom, 25, seed=3).points
+    bases, _ = pipeline.sweep_slices(dom, points, 25, seed=3)
+    assert np.all(E.eval_raw(dom.ast, bases).real < -dom.tol.boundary_eps)
+
+
+def test_a_sweep_request_builds_a_fixed_number_of_generators(monkeypatch):
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    built = []
+    for samples in (5, 40):
+        seeds.clear()
+        run = pipeline.verify_theorem(CATALOG["ball"].domain(), samples, seed=6)
+        assert run.forward is not None and run.forward.count == samples
+        built.append(list(seeds))
+    # realness check and classify for the domain, the frames, the slices'
+    # realness check and their box starts
+    assert built[0] == built[1]
+    assert len(built[0]) == 5
+    # the sweep's two streams differ from each other and from classify's
+    assert len({repr(s) for s in built[0] if s != levi.REALNESS_SEED}) == 3
 
 
 def test_verify_theorem_projects_the_ambient_boundary_once(monkeypatch):

@@ -5,8 +5,8 @@ from levislice import expr as E
 from levislice import levi
 from levislice import slicing as sl
 from levislice.catalog import CATALOG
-from oracles import (OffPlaneError, compose_with_affine, levi_form_at, phi_inv,
-                     slice_gradient_check)
+from oracles import (OffPlaneError, compose_with_affine, levi_form_at, phi,
+                     phi_inv, slice_gradient_check)
 
 
 def domain_of(name):
@@ -24,7 +24,7 @@ WITNESS_C = np.array([1, 0], complex)
 
 def test_make_slice_canonical():
     s = sl.make_slice([0, 0, 0], [1, 0, 0], [0, 1, 0])
-    assert np.allclose(sl.phi(s, [1, 2]), [1, 2, 0])
+    assert np.allclose(phi(s, [1, 2]), [1, 2, 0])
 
 
 def test_make_slice_rejects_colinear():
@@ -34,8 +34,8 @@ def test_make_slice_rejects_colinear():
 
 def test_make_slice_witness_vectors():
     s = sl.make_slice(WITNESS_A, WITNESS_B, WITNESS_C)
-    assert np.allclose(sl.phi(s, [0, 0]), WITNESS_A)
-    assert np.allclose(sl.phi(s, [1, 0]), [0, 0])  # phi(mu) = M
+    assert np.allclose(phi(s, [0, 0]), WITNESS_A)
+    assert np.allclose(phi(s, [1, 0]), [0, 0])  # phi(mu) = M
 
 
 def test_phi_inv_round_trip(rng):
@@ -44,7 +44,7 @@ def test_phi_inv_round_trip(rng):
                       rng.standard_normal(3) + 1j * rng.standard_normal(3))
     for _ in range(100):
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert np.max(np.abs(phi_inv(s, sl.phi(s, w)) - w)) <= 1e-10
+        assert np.max(np.abs(phi_inv(s, phi(s, w)) - w)) <= 1e-10
 
 
 def test_phi_inv_witness_point():
@@ -62,23 +62,30 @@ def test_phi_inv_off_plane():
 # pullback
 # ---------------------------------------------------------------------------
 
+def pulled_back(dom, s, w):
+    """Value, gradient and mixed Hessian of rho_h at w by the chain rule of
+    levi's slice classification."""
+    jet = E.eval_jet(dom.ast, phi(s, w), holo=False)
+    frame = s.frame[None]
+    return (jet.value, levi._pulled_back_grad(jet.grad[None], frame)[0],
+            levi._pulled_back_mixed(jet.mixed[None], frame)[0])
+
+
 def test_pullback_canonical_ball():
     dom = domain_of("ball")
     s = sl.make_slice([0, 0], [1, 0], [0, 1])
-    jet = E.eval_jet(dom.ast, sl.phi(s, [1, 0]))
-    jh = sl.pullback_jet(s, jet)
-    assert np.allclose(jh.grad, [1, 0])
-    assert np.allclose(jh.mixed, np.eye(2))
+    _, grad, mixed = pulled_back(dom, s, [1, 0])
+    assert np.allclose(grad, [1, 0])
+    assert np.allclose(mixed, np.eye(2))
 
 
 def test_pullback_witness_slice_hand_values():
     # rho_h = 0.1*re(w1) - 0.1 - abs2(w2): grad (0.05, 0), mixed diag(0, -1)
     dom = domain_of("saddle2")
     s = sl.make_slice(WITNESS_A, WITNESS_B, WITNESS_C)
-    jet = E.eval_jet(dom.ast, sl.phi(s, [1, 0]))
-    jh = sl.pullback_jet(s, jet)
-    assert np.allclose(jh.grad, [0.05, 0], atol=1e-14)
-    assert np.allclose(jh.mixed, np.diag([0.0, -1.0]), atol=1e-14)
+    _, grad, mixed = pulled_back(dom, s, [1, 0])
+    assert np.allclose(grad, [0.05, 0], atol=1e-14)
+    assert np.allclose(mixed, np.diag([0.0, -1.0]), atol=1e-14)
 
 
 def test_pullback_preserves_hermitian_symmetry(rng):
@@ -86,9 +93,8 @@ def test_pullback_preserves_hermitian_symmetry(rng):
     s = sl.make_slice([0, 0], [1, 0], [0, 1j])
     for _ in range(10):
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        jh = sl.pullback_jet(s, E.eval_jet(dom.ast, sl.phi(s, w)))
-        assert np.max(np.abs(jh.mixed - jh.mixed.conj().T)) <= 1e-12
-        assert np.max(np.abs(jh.holo - jh.holo.T)) <= 1e-12
+        _, _, mixed = pulled_back(dom, s, w)
+        assert np.max(np.abs(mixed - mixed.conj().T)) <= 1e-12
 
 
 def test_two_path_pullback_equality(rng):
@@ -101,15 +107,13 @@ def test_two_path_pullback_equality(rng):
                        for _ in range(3))
             s = sl.make_slice(a, b, c)
             w = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            jet1 = sl.pullback_jet(s, E.eval_jet(dom.ast, sl.phi(s, w)))
-            composed = compose_with_affine(dom.ast, a, b, c)
-            jet2 = E.eval_jet(composed, w)
-            scale = 1.0 + max(abs(jet2.value), np.max(np.abs(jet2.grad)),
-                              np.max(np.abs(jet2.mixed)), np.max(np.abs(jet2.holo)))
-            assert abs(jet1.value - jet2.value) <= 1e-9 * scale
-            assert np.max(np.abs(jet1.grad - jet2.grad)) <= 1e-9 * scale
-            assert np.max(np.abs(jet1.mixed - jet2.mixed)) <= 1e-9 * scale
-            assert np.max(np.abs(jet1.holo - jet2.holo)) <= 1e-9 * scale
+            value, grad, mixed = pulled_back(dom, s, w)
+            jet = E.eval_jet(compose_with_affine(dom.ast, a, b, c), w, holo=False)
+            scale = 1.0 + max(abs(jet.value), np.max(np.abs(jet.grad)),
+                              np.max(np.abs(jet.mixed)))
+            assert abs(value - jet.value) <= 1e-9 * scale
+            assert np.max(np.abs(grad - jet.grad)) <= 1e-9 * scale
+            assert np.max(np.abs(mixed - jet.mixed)) <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +171,31 @@ def test_witness_slice_rejects_positive_probe():
         sl.witness_slice(dom, probe)
 
 
+def test_inward_step_halves_until_inside():
+    # a steep ellipsoid: the first step of 0.1 (1 + |M|) overshoots across
+    # the thin z1 direction for probes with a large normal component in z1
+    dom = levi.make_domain("100*abs2(z1)+abs2(z2)-1", box=levi.square_box(2, 1.5))
+    M = levi.classify(dom, 25, seed=3).points
+    _, grads = E.eval_value_grad(dom.ast, M)
+    p0, t = sl.inward_step(dom, M, grads)
+    assert np.all(E.eval_raw(dom.ast, p0).real < -dom.tol.boundary_eps)
+    first = 0.1 * (1.0 + np.linalg.norm(M, axis=1))
+    halvings = np.log2(first / t)
+    assert np.allclose(halvings, np.round(halvings)) and 0 < np.sum(halvings > 0) < 25
+    nu = np.conj(grads) / np.linalg.norm(grads, axis=1)[:, None]
+    assert np.allclose(p0, M - t[:, None] * nu, atol=1e-15)
+
+
+def test_inward_step_raises_when_no_step_gets_inside():
+    # (3, 0) lies outside the ball by more than its first step of 0.4
+    dom = domain_of("ball")
+    M = np.array([[0.6, 0.8], [3.0, 0.0]], complex)
+    with pytest.raises(sl.SliceError) as err:
+        sl.inward_step(dom, M, np.conj(M))
+    assert type(err.value) is sl.SliceError
+    assert "1 of 2" in str(err.value) and "witness" not in str(err.value)
+
+
 def test_witness_invariants_on_sampled_probes():
     for name in ("saddle2", "shell"):
         dom = domain_of(name)
@@ -179,8 +208,8 @@ def test_witness_invariants_on_sampled_probes():
             transported = levi_form_at(dom, cert.M, cert.Z)
             assert cert.lambda_slice == pytest.approx(
                 transported, abs=1e-9 * (1 + abs(transported)))
-            jh = sl.pullback_jet(cert.slice, E.eval_jet(dom.ast, cert.M))
-            assert abs(jh.grad[1]) <= 1e-10
+            _, grad, _ = pulled_back(dom, cert.slice, cert.mu)
+            assert abs(grad[1]) <= 1e-10
 
 
 def test_forward_direction_random_slices_of_ball(rng):
