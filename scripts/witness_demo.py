@@ -33,8 +33,7 @@ def main():
     domain = spec.domain()
     print(f"domain {spec.name}: rho = {spec.rho}  (n = {spec.n})")
 
-    run = pipeline.verify_theorem(domain, args.samples, args.seed,
-                                  containment_samples=10000)
+    run = pipeline.verify_theorem(domain, args.samples, args.seed)
     result = run.classification
     print(f"verdict at {args.samples} boundary samples: {result.verdict}")
     if result.verdict != levi.VERDICT_NONPSEUDOCONVEX:

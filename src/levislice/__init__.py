@@ -9,24 +9,24 @@ verifies the whole chain numerically.
 
 __version__ = "0.1.0"
 
-from .expr import (Ast, WirtingerJet, check_real_valued, eval_jet,
-                   eval_jet_batch, eval_raw, parse, to_string)
+from .expr import (Ast, Jet, check_real_valued, eval_jet, eval_jet_batch,
+                   eval_raw, parse, to_string)
 from .hormander import (QuadraticWitness, VerificationRecord,
                         build_quadratic_witness, eval_quadratic,
                         sample_containment, verify_quadratic_witness)
-from .levi import (Domain, LeviProbe, LeviReport, Tolerances, classify,
-                   classify_slices, make_domain, restricted_levi_min,
-                   sample_boundary, square_box)
+from .levi import (Domain, LeviProbe, LeviReport, classify, classify_slices,
+                   make_domain, restricted_levi_min, sample_boundary,
+                   square_box)
 from .linalg import hermitian_eig, tangent_null_basis
 from .pipeline import (ForwardSweep, PipelineError, TheoremRun,
                        verify_theorem)
 from .slicing import Slice, WitnessCertificate, make_slice, witness_slice
 
 __all__ = [
-    "Ast", "WirtingerJet", "parse", "to_string", "eval_jet", "eval_jet_batch",
+    "Ast", "Jet", "parse", "to_string", "eval_jet", "eval_jet_batch",
     "eval_raw", "check_real_valued",
     "hermitian_eig", "tangent_null_basis",
-    "Domain", "Tolerances", "LeviProbe", "LeviReport", "make_domain",
+    "Domain", "LeviProbe", "LeviReport", "make_domain",
     "square_box", "sample_boundary",
     "restricted_levi_min", "classify", "classify_slices",
     "Slice", "WitnessCertificate", "make_slice", "witness_slice",

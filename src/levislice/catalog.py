@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .levi import Domain, Tolerances, make_domain
+from .levi import Domain, make_domain
 
 
 class DomainFileError(Exception):
@@ -49,8 +49,8 @@ class DomainSpec:
             rows.append((lo, hi))  # imaginary part
         return np.array(rows, float)
 
-    def domain(self, tol: Tolerances = Tolerances()) -> Domain:
-        return make_domain(self.rho, box=self.box(), tol=tol)
+    def domain(self) -> Domain:
+        return make_domain(self.rho, box=self.box())
 
 
 def _entry(name, n, rho, half, expected) -> DomainSpec:
@@ -115,6 +115,10 @@ def parse_domain_file(path) -> DomainSpec:
         seed = int(fields.get("seed", DEFAULT_SEED))
     except ValueError as err:
         raise DomainFileError(f"{path}: {err}") from err
+    if samples < 1:
+        raise DomainFileError(f"{path}: samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise DomainFileError(f"{path}: seed must be non-negative, got {seed}")
     return DomainSpec(name=fields.get("name", path.stem), n=n, rho=fields["rho"],
                       box_pairs=pairs, expected=expected, samples=samples,
                       seed=seed)

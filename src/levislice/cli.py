@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import expr as ex
+from . import hormander as hm
 from . import levi
 from .catalog import CATALOG, DomainFileError, load_domain_spec
 from .levi import (VERDICT_DEGENERATE, VERDICT_NONPSEUDOCONVEX,
@@ -91,6 +92,12 @@ def _start(args, command: str) -> tuple[float, Domain, dict]:
     which holds the resolved sample count and seed."""
     started = time.monotonic()
     spec = load_domain_spec(args.domain)
+    samples = args.samples if args.samples is not None else spec.samples
+    seed = args.seed if args.seed is not None else spec.seed
+    if samples < 1:
+        raise InputError(f"--samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise InputError(f"--seed must be non-negative, got {seed}")
     domain = spec.domain()
     report = {
         "tool": "levislice",
@@ -99,8 +106,8 @@ def _start(args, command: str) -> tuple[float, Domain, dict]:
         "domain": spec.name,
         "n": spec.n,
         "rho": spec.rho,
-        "samples": args.samples if args.samples is not None else spec.samples,
-        "seed": args.seed if args.seed is not None else spec.seed,
+        "samples": samples,
+        "seed": seed,
     }
     return started, domain, report
 
@@ -186,9 +193,9 @@ def _write_grid(domain: Domain, a, frame, k: int, window: float, path: str):
 
 
 def cmd_verify_theorem(args) -> int:
-    if args.containment_samples < 100:
-        raise InputError("--containment-samples must be at least 100, got "
-                         f"{args.containment_samples}")
+    if args.containment_samples < hm.MIN_CONTAINMENT_SAMPLES:
+        raise InputError(f"--containment-samples must be at least "
+                         f"{hm.MIN_CONTAINMENT_SAMPLES}, got {args.containment_samples}")
     started, domain, report = _start(args, "verify-theorem")
     run = verify_theorem(domain, report["samples"], report["seed"],
                          args.containment_samples)
@@ -264,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify-theorem",
                               help="run the witness pipeline end to end")
     add_common(p_verify)
-    p_verify.add_argument("--containment-samples", type=int, default=10000,
+    p_verify.add_argument("--containment-samples", type=int,
+                          default=hm.CONTAINMENT_SAMPLES,
                           help="random points per radius of the sampling "
                                "fallback, used only when the witness's "
                                "containment cannot be proved")

@@ -29,10 +29,13 @@ count.  eval_raw, eval_value_grad, eval_jet_batch and eval_jet replay it,
 pruned to the root blocks they return: the tape's programs, not the walk,
 pick the blocks.  A replay releases each intermediate after its last
 reader, and yields the walk's bits exactly, because it makes the walk's
-numpy calls on the same operands.  A trace stands for every batch only
-because the walk's control flow depends on the AST alone: its one test of
-values, whether a divisor may vanish, is recorded and made at every
-replay, and any new test of values must be recorded the same way.
+numpy calls on the same operands.  A row gets the same bits in any batch,
+except in a NaN, whose bits numpy may set differently for another batch
+length; that is harmless, as every NaN row is rejected as non-finite.  A
+trace stands for every batch only because the walk's control flow depends
+on the AST alone: its one test of values, whether a divisor may vanish, is
+recorded and made at every replay, and any new test of values must be
+recorded the same way.
 
 The same walk also runs on midpoint-radius discs instead of points: over a
 polydisc it returns discs that enclose every value the jet takes there,
@@ -64,6 +67,13 @@ class ExprSyntaxError(ExprError):
 
 class EvalError(ExprError):
     """Numerical failure while evaluating an expression."""
+
+
+# the sampled realness check: random points per check, their seed, and the
+# largest |Im rho| accepted, relative to 1 + max |rho|
+REALNESS_TRIALS = 64
+REALNESS_SEED = 0
+REALNESS_EPS = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +336,19 @@ def to_string(ast: Ast) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _Jet:
-    """Truncated Taylor data in the 2n formal variables (z, zbar).
+class Jet:
+    """Second-order Wirtinger jet in the 2n formal variables (z, zbar):
+    dz[j] = d rho/d z_j, dzz[j,k] = d^2 rho/(d z_j d z_k), dzzb[j,k] =
+    d^2 rho/(d z_j d zbar_k), and dzb, dzbzb likewise in zbar.
 
     A block that is None is an exact zero, and a constant is a 0-d val with
-    no blocks.  Present arrays broadcast against a leading batch axis of
-    length B: val is 0-d or (B,), dz/dzb are (1 or B, n) and dzz/dzzb/dzbzb
-    are (1 or B, n, n); a leading 1 means the block is the same at every
-    point.  The walk forms every block; a traced walk's tape picks the ones
-    a caller reads.
+    no blocks.  In the walk, present arrays broadcast against a leading batch
+    axis of length B: val is 0-d or (B,), dz/dzb are (1 or B, n) and
+    dzz/dzzb/dzbzb are (1 or B, n, n); a leading 1 means the block is the
+    same at every point.  The walk forms every block; a traced walk's tape
+    picks the ones a caller reads, at full shape: eval_jet_batch and
+    eval_jet return a real val, dz, dzzb and (unless holo=False) dzz, and
+    enclose_jet_batch returns val, dz, dzz and dzzb as discs.
     """
     val: np.ndarray
     dz: np.ndarray | None = None
@@ -342,6 +356,10 @@ class _Jet:
     dzz: np.ndarray | None = None
     dzzb: np.ndarray | None = None
     dzbzb: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        """Number of points of a batch."""
+        return self.val.shape[0]
 
 
 def _sum(*terms):
@@ -511,9 +529,9 @@ class _Walk:
         self.root = root
         self.points = points
         self.columns = columns
-        self.memo: dict[int, _Jet] = {}
+        self.memo: dict[int, Jet] = {}
 
-    def run(self) -> _Jet:
+    def run(self) -> Jet:
         """The root jet.  Overflow and invalid operations make inf or nan,
         which the callers turn into an EvalError, so numpy need not warn."""
         with np.errstate(over="ignore", invalid="ignore"):
@@ -533,20 +551,20 @@ class _Walk:
         else:
             _check_divisor(x)
 
-    def eval(self, node: Node) -> _Jet:
+    def eval(self, node: Node) -> Jet:
         key = id(node)
         if key not in self.memo:
             self.memo[key] = self.jet(node)
         return self.memo[key]
 
-    def jet(self, node: Node) -> _Jet:
+    def jet(self, node: Node) -> Jet:
         if isinstance(node, Var):
             # the column as a view; d/dz is one-hot and the same at every point
             dz = np.zeros((1, self.columns), complex)
             dz[0, node.index - 1] = 1.0
-            return _Jet(self.points[:, node.index - 1], dz=dz)
+            return Jet(self.points[:, node.index - 1], dz=dz)
         if isinstance(node, Const):
-            return _Jet(self.const(node.value))
+            return Jet(self.const(node.value))
         if isinstance(node, Conj):
             return self.conj(self.eval(node.arg))
         if isinstance(node, Exp):
@@ -554,7 +572,7 @@ class _Walk:
         if isinstance(node, Pow):
             base = self.eval(node.base)
             if node.exponent == 0:
-                return _Jet(self.const(1.0))
+                return Jet(self.const(1.0))
             return self.pow(base, node.exponent)
         lhs = self.eval(node.lhs)
         rhs = self.eval(node.rhs)
@@ -568,24 +586,24 @@ class _Walk:
             return self.mul(lhs, self.inv(rhs))
         raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
-    def add(self, u: _Jet, v: _Jet, sign: float) -> _Jet:
-        return _Jet(u.val + sign * v.val,
-                    dz=_plus(u.dz, v.dz, sign), dzb=_plus(u.dzb, v.dzb, sign),
-                    dzz=_plus(u.dzz, v.dzz, sign), dzzb=_plus(u.dzzb, v.dzzb, sign),
-                    dzbzb=_plus(u.dzbzb, v.dzbzb, sign))
+    def add(self, u: Jet, v: Jet, sign: float) -> Jet:
+        return Jet(u.val + sign * v.val,
+                   dz=_plus(u.dz, v.dz, sign), dzb=_plus(u.dzb, v.dzb, sign),
+                   dzz=_plus(u.dzz, v.dzz, sign), dzzb=_plus(u.dzzb, v.dzzb, sign),
+                   dzbzb=_plus(u.dzbzb, v.dzbzb, sign))
 
-    def mul(self, u: _Jet, v: _Jet) -> _Jet:
-        return _Jet(u.val * v.val,
-                    dz=_sum(_scale(u.dz, v.val), _scale(v.dz, u.val)),
-                    dzb=_sum(_scale(u.dzb, v.val), _scale(v.dzb, u.val)),
-                    dzzb=_sum(_scale(u.dzzb, v.val), _scale(v.dzzb, u.val),
-                              _outer(u.dz, v.dzb), _outer(v.dz, u.dzb)),
-                    dzz=_sum(_scale(u.dzz, v.val), _scale(v.dzz, u.val),
-                             _outer(u.dz, v.dz), _outer(v.dz, u.dz)),
-                    dzbzb=_sum(_scale(u.dzbzb, v.val), _scale(v.dzbzb, u.val),
-                               _outer(u.dzb, v.dzb), _outer(v.dzb, u.dzb)))
+    def mul(self, u: Jet, v: Jet) -> Jet:
+        return Jet(u.val * v.val,
+                   dz=_sum(_scale(u.dz, v.val), _scale(v.dz, u.val)),
+                   dzb=_sum(_scale(u.dzb, v.val), _scale(v.dzb, u.val)),
+                   dzzb=_sum(_scale(u.dzzb, v.val), _scale(v.dzzb, u.val),
+                             _outer(u.dz, v.dzb), _outer(v.dz, u.dzb)),
+                   dzz=_sum(_scale(u.dzz, v.val), _scale(v.dzz, u.val),
+                            _outer(u.dz, v.dz), _outer(v.dz, u.dz)),
+                   dzbzb=_sum(_scale(u.dzbzb, v.val), _scale(v.dzbzb, u.val),
+                              _outer(u.dzb, v.dzb), _outer(v.dzb, u.dzb)))
 
-    def inv(self, u: _Jet) -> _Jet:
+    def inv(self, u: Jet) -> Jet:
         self.check_divisor(u.val)
         w = 1.0 / u.val
         w2 = w * w
@@ -595,25 +613,25 @@ class _Walk:
             cross = _outer(x, y)
             return _sum(_scale(_neg(hess), w2),
                         None if cross is None else _scale(2.0 * cross, w3))
-        return _Jet(w, dz=_scale(_neg(u.dz), w2), dzb=_scale(_neg(u.dzb), w2),
-                    dzzb=second(u.dzzb, u.dz, u.dzb), dzz=second(u.dzz, u.dz, u.dz),
-                    dzbzb=second(u.dzbzb, u.dzb, u.dzb))
+        return Jet(w, dz=_scale(_neg(u.dz), w2), dzb=_scale(_neg(u.dzb), w2),
+                   dzzb=second(u.dzzb, u.dz, u.dzb), dzz=second(u.dzz, u.dz, u.dz),
+                   dzbzb=second(u.dzbzb, u.dzb, u.dzb))
 
-    def conj(self, u: _Jet) -> _Jet:
+    def conj(self, u: Jet) -> Jet:
         def c(x):
             return None if x is None else np.conj(x)
-        return _Jet(np.conj(u.val), dz=c(u.dzb), dzb=c(u.dz), dzz=c(u.dzbzb),
-                    dzzb=None if u.dzzb is None else c(np.swapaxes(u.dzzb, 1, 2)),
-                    dzbzb=c(u.dzz))
+        return Jet(np.conj(u.val), dz=c(u.dzb), dzb=c(u.dz), dzz=c(u.dzbzb),
+                   dzzb=None if u.dzzb is None else c(np.swapaxes(u.dzzb, 1, 2)),
+                   dzbzb=c(u.dzz))
 
-    def exp(self, u: _Jet) -> _Jet:
+    def exp(self, u: Jet) -> Jet:
         e = np.exp(u.val)
-        return _Jet(e, dz=_scale(u.dz, e), dzb=_scale(u.dzb, e),
-                    dzzb=_scale(_sum(u.dzzb, _outer(u.dz, u.dzb)), e),
-                    dzz=_scale(_sum(u.dzz, _outer(u.dz, u.dz)), e),
-                    dzbzb=_scale(_sum(u.dzbzb, _outer(u.dzb, u.dzb)), e))
+        return Jet(e, dz=_scale(u.dz, e), dzb=_scale(u.dzb, e),
+                   dzzb=_scale(_sum(u.dzzb, _outer(u.dz, u.dzb)), e),
+                   dzz=_scale(_sum(u.dzz, _outer(u.dz, u.dz)), e),
+                   dzbzb=_scale(_sum(u.dzbzb, _outer(u.dzb, u.dzb)), e))
 
-    def pow(self, u: _Jet, k: int) -> _Jet:
+    def pow(self, u: Jet, k: int) -> Jet:
         result = None
         base = u
         e = k
@@ -792,7 +810,7 @@ def _tape(ast: Ast, points: np.ndarray) -> _Tape:
     return ast._tapes[columns]
 
 
-def _run(ast: Ast, points, blocks: tuple) -> _Jet:
+def _run(ast: Ast, points, blocks: tuple) -> Jet:
     """The named blocks of the root jet at full shape, replayed from the
     expression's tape; blocks starts with "val".
 
@@ -805,7 +823,7 @@ def _run(ast: Ast, points, blocks: tuple) -> _Jet:
     code, outputs = tape.program(blocks)
     registers = tape.replay(points, code)
     B, n = points.shape
-    jet = _Jet(np.array(np.broadcast_to(registers[outputs["val"]], (B,))))
+    jet = Jet(np.array(np.broadcast_to(registers[outputs["val"]], (B,))))
     if not np.all(np.isfinite(jet.val)):
         raise EvalError("non-finite value in evaluation")
     for name in blocks[1:]:
@@ -821,27 +839,6 @@ def _run(ast: Ast, points, blocks: tuple) -> _Jet:
 # Public evaluation API
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WirtingerJet:
-    """Second-order Wirtinger jet of a real-valued expression, at one point
-    or at a batch of B points (then every field has a leading axis of B).
-
-    grad[j]     = d rho / d z_j
-    mixed[j,k]  = d^2 rho / (d z_j d zbar_k)   (Hermitian)
-    holo[j,k]   = d^2 rho / (d z_j d z_k)      (symmetric; None if not asked for)
-
-    The antiholomorphic gradient is conj(grad) and is not stored.
-    """
-    value: float | np.ndarray
-    grad: np.ndarray
-    mixed: np.ndarray
-    holo: np.ndarray | None
-
-    def __len__(self) -> int:
-        """Number of points of a batch."""
-        return len(self.value)
-
-
 def eval_raw(ast: Ast, points) -> np.ndarray:
     """Raw complex values at a (B, n) batch of points."""
     return _run(ast, points, ("val",)).val
@@ -853,28 +850,31 @@ def eval_value_grad(ast: Ast, points) -> tuple[np.ndarray, np.ndarray]:
     return jet.val.real.astype(float), jet.dz
 
 
-def eval_jet_batch(ast: Ast, points, holo: bool = True) -> WirtingerJet:
-    """Second-order jets at a (B, n) batch of points, as one batched jet.
+def eval_jet_batch(ast: Ast, points, holo: bool = True) -> Jet:
+    """Second-order jets at a (B, n) batch of points, as one batched jet:
+    real val (B,), dz (B, n), dzzb and dzz (B, n, n).
 
-    With holo=False the holomorphic block (dz dz) is neither computed nor
-    returned, which saves a third of the work and memory of the walk.
+    With holo=False the holomorphic block dzz is neither computed nor
+    returned (it is None), which saves a third of the work and memory of
+    the walk.
     """
     blocks = ("val", "dz", "dzzb", "dzz") if holo else ("val", "dz", "dzzb")
     jet = _run(ast, points, blocks)
     for block in (jet.dz, jet.dzz, jet.dzzb):
         if block is not None and not np.all(np.isfinite(block)):
             raise EvalError("non-finite derivative in evaluation")
-    return WirtingerJet(jet.val.real.astype(float), jet.dz, jet.dzzb, jet.dzz)
+    jet.val = jet.val.real.astype(float)
+    return jet
 
 
-def eval_jet(ast: Ast, point, holo: bool = True) -> WirtingerJet:
-    """The jet at one point, without the batch axis."""
+def eval_jet(ast: Ast, point, holo: bool = True) -> Jet:
+    """The jet at one point, without the batch axis; val is a float."""
     jet = eval_jet_batch(ast, np.asarray(point, complex)[None, :], holo)
-    return WirtingerJet(float(jet.value[0]), jet.grad[0], jet.mixed[0],
-                        None if jet.holo is None else jet.holo[0])
+    return Jet(float(jet.val[0]), dz=jet.dz[0], dzzb=jet.dzzb[0],
+               dzz=None if jet.dzz is None else jet.dzz[0])
 
 
-def enclose_jet_batch(ast: Ast, centers, radii) -> _Jet:
+def enclose_jet_batch(ast: Ast, centers, radii) -> Jet:
     """Discs that enclose the second-order jet over a batch of polydiscs.
 
     Row b is the polydisc of the points z with |z_j - centers[b, j]| <=
@@ -896,29 +896,23 @@ def enclose_jet_batch(ast: Ast, centers, radii) -> _Jet:
         if not (np.all(np.isfinite(block.mid)) and np.all(np.isfinite(block.rad))):
             raise EvalError("non-finite bound in enclosure")
         return _Disc(np.broadcast_to(block.mid, shape), np.broadcast_to(block.rad, shape))
-    return _Jet(full(jet.val, 0), dz=full(jet.dz, 1), dzz=full(jet.dzz, 2),
-                dzzb=full(jet.dzzb, 2))
+    return Jet(full(jet.val, 0), dz=full(jet.dz, 1), dzz=full(jet.dzz, 2),
+               dzzb=full(jet.dzzb, 2))
 
 
-def check_real_valued(ast: Ast, trial_count: int, seed: int,
-                      box: np.ndarray | None = None,
-                      realness_tol: float = 1e-9,
-                      a: np.ndarray | None = None,
+def check_real_valued(ast: Ast, box: np.ndarray, a: np.ndarray | None = None,
                       frame: np.ndarray | None = None) -> bool:
-    """Sampled realness check: max |Im rho| over random points in the box.
+    """Sampled realness check: max |Im rho| at REALNESS_TRIALS random points
+    of the box, at most REALNESS_EPS times the scale 1 + max |rho|.
 
     With a (S, n) and frame (S, n, m), the points w are drawn in the m-variable
     box and rho is checked at a_k + frame_k w on every map k, each against its
     own scale, in one evaluation; the result is True iff every map passes.
     """
-    if trial_count < 1:
-        raise ValueError("trial_count must be >= 1")
-    if box is None:
-        box = np.array([[-1.0, 1.0]] * (2 * max(ast.n, 1)))
     box = np.asarray(box, float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(REALNESS_SEED)
     width = box[:, 1] - box[:, 0]
-    reals = box[:, 0] + rng.random((trial_count, box.shape[0])) * width
+    reals = box[:, 0] + rng.random((REALNESS_TRIALS, box.shape[0])) * width
     pts = reals[:, 0::2] + 1j * reals[:, 1::2]
     if frame is None:
         vals = eval_raw(ast, pts)[None, :]
@@ -926,4 +920,4 @@ def check_real_valued(ast: Ast, trial_count: int, seed: int,
         z = np.asarray(a)[:, None, :] + pts @ np.swapaxes(frame, 1, 2)
         vals = eval_raw(ast, z.reshape(-1, z.shape[2])).reshape(z.shape[:2])
     scale = 1.0 + np.max(np.abs(vals), axis=1)
-    return bool(np.all(np.max(np.abs(vals.imag), axis=1) <= realness_tol * scale))
+    return bool(np.all(np.max(np.abs(vals.imag), axis=1) <= REALNESS_EPS * scale))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .levi import Domain, LeviProbe
+from .levi import GRAD_FLOOR, LEVI_EPS, Domain, LeviProbe
 
 
 class WitnessPreconditionError(Exception):
@@ -43,6 +43,10 @@ class ContainmentError(Exception):
 
 
 MAX_HALVINGS = 20
+# random points per radius of the sampling fallback: the default, and the
+# fewest accepted
+CONTAINMENT_SAMPLES = 10000
+MIN_CONTAINMENT_SAMPLES = 100
 # upward rounding of the few float operations that combine the enclosures
 # into delta, gamma and r0, each of which errs by a few units of 2**-53
 ROUND_UP = 1.0 + 2.0 ** -40
@@ -100,16 +104,16 @@ def eval_quadratic(q: QuadraticWitness, z) -> np.ndarray | float:
 
 
 def build_quadratic_witness(domain: Domain, probe: LeviProbe) -> QuadraticWitness:
-    if probe.lambda_min >= -domain.tol.levi_eps:
+    if probe.lambda_min >= -LEVI_EPS:
         raise WitnessPreconditionError(
             f"probe lambda_min {probe.lambda_min:.3e} is not negative enough")
     M = np.asarray(probe.point, complex)
     jet = ex.eval_jet(domain.ast, M)
     return QuadraticWitness(
         center=M,
-        lin=jet.grad.copy(),
-        holo2=jet.holo.copy(),
-        mixed2=jet.mixed.copy(),
+        lin=jet.dz.copy(),
+        holo2=jet.dzz.copy(),
+        mixed2=jet.dzzb.copy(),
         eps=abs(probe.lambda_min) / 2.0,
         radius=0.1 * (1.0 + float(np.linalg.norm(M))),
         direction=np.asarray(probe.direction, complex),
@@ -187,7 +191,8 @@ def sample_containment(domain: Domain, q: QuadraticWitness, samples: int,
 
 
 def verify_quadratic_witness(domain: Domain, q: QuadraticWitness,
-                             samples: int = 10000, seed: int = 0) -> VerificationRecord:
+                             samples: int = CONTAINMENT_SAMPLES,
+                             seed: int = 0) -> VerificationRecord:
     """Run the five witness checks; shrink the radius until containment holds.
 
     Containment is proved at the first radius q.radius / 2**h, h <= 20, with
@@ -195,12 +200,12 @@ def verify_quadratic_witness(domain: Domain, q: QuadraticWitness,
     radius proves it, `samples` random points per radius decide it, as in
     sample_containment, which raises ContainmentError when that fails too.
     """
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
+    if samples < MIN_CONTAINMENT_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_CONTAINMENT_SAMPLES}")
     Z = q.direction
     checks = {
         "q_zero_at_center": abs(eval_quadratic(q, q.center)) <= 1e-12,
-        "gradient_nonzero": float(np.linalg.norm(q.lin)) > domain.tol.grad_floor,
+        "gradient_nonzero": float(np.linalg.norm(q.lin)) > GRAD_FLOOR,
         "direction_tangent": abs(complex(np.sum(q.lin * Z))) <= 1e-10,
     }
     levi_value = levi_form_of_quadratic(q, Z)

@@ -15,7 +15,7 @@ back by congruence.  A batch of slices shares each of those calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,24 +39,19 @@ VERDICT_DEGENERATE = "degenerate"
 BOX_INFLATION = 0.1
 # degenerate-gradient samples tolerated before the verdict becomes "degenerate"
 DEGENERATE_FRACTION = 0.1
-# random points of the sampled realness check, and its seed
-REALNESS_TRIALS = 64
-REALNESS_SEED = 0
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    boundary_eps: float = 1e-9
-    grad_floor: float = 1e-8
-    levi_eps: float = 1e-7
-    realness_eps: float = 1e-9
+# Newton accepts |rho| <= BOUNDARY_EPS (1 + |grad_R rho|), and a point with
+# rho < -BOUNDARY_EPS is inside
+BOUNDARY_EPS = 1e-9
+# a gradient below this norm is degenerate
+GRAD_FLOOR = 1e-8
+# a Levi minimum below -LEVI_EPS is negative
+LEVI_EPS = 1e-7
 
 
 @dataclass(frozen=True)
 class Domain:
     ast: ex.Ast
     box: np.ndarray          # (2n, 2) bounds, real coords ordered re1, im1, re2, ...
-    tol: Tolerances = field(default_factory=Tolerances)
 
     @property
     def n(self) -> int:
@@ -64,10 +59,9 @@ class Domain:
         return self.box.shape[0] // 2
 
 
-def square_box(n: int, half_width: float, center=None) -> np.ndarray:
-    """Box [c - w, c + w] in every one of the 2n real coordinates."""
-    centers = np.zeros(2 * n) if center is None else np.asarray(center, float)
-    return np.stack([centers - half_width, centers + half_width], axis=1)
+def square_box(n: int, half_width: float) -> np.ndarray:
+    """Box [-w, w] in every one of the 2n real coordinates."""
+    return np.array([[-half_width, half_width]] * (2 * n), float)
 
 
 def _checked_box(box, n: int) -> np.ndarray:
@@ -79,7 +73,7 @@ def _checked_box(box, n: int) -> np.ndarray:
     return box
 
 
-def make_domain(rho, box=None, tol: Tolerances = Tolerances()) -> Domain:
+def make_domain(rho, box=None) -> Domain:
     """Parse and validate a domain in C^n.
 
     The dimension n is the box's when one is given, else the largest
@@ -92,10 +86,9 @@ def make_domain(rho, box=None, tol: Tolerances = Tolerances()) -> Domain:
     if ast.n > n:
         raise DomainError(f"rho uses z{ast.n} but the domain has dimension {n}")
     box = _checked_box(square_box(n, 1.5) if box is None else box, n)
-    if not ex.check_real_valued(ast, REALNESS_TRIALS, REALNESS_SEED, box=box,
-                                realness_tol=tol.realness_eps):
+    if not ex.check_real_valued(ast, box):
         raise DomainError("defining function is not real-valued on the sampling box")
-    return Domain(ast, box, tol)
+    return Domain(ast, box)
 
 
 @dataclass(frozen=True)
@@ -189,7 +182,7 @@ def _rows(x, rows):
     return None if x is None else x[rows]
 
 
-def _newton(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None,
+def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
             frame=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-direction Newton toward {rho = 0} on a batch of points, for at
     most 50 iterations.
@@ -224,11 +217,11 @@ def _newton(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None,
         rgn = 2.0 * gn
         # eval_value_grad raises on a non-finite value, but not on a
         # non-finite point where rho stays finite
-        fail = rgn < tol.grad_floor
+        fail = rgn < GRAD_FLOOR
         finite = np.isfinite(pw)
         if not finite.all():
             fail |= ~finite.all(axis=1)
-        conv = ~fail & (np.abs(vals) <= tol.boundary_eps * (1.0 + rgn))
+        conv = ~fail & (np.abs(vals) <= BOUNDARY_EPS * (1.0 + rgn))
         step = ~(fail | conv)
         if not step.all():
             stop = np.flatnonzero(~step)
@@ -249,17 +242,17 @@ def _newton(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None,
     return w, done
 
 
-def _project(ast: ex.Ast, tol: Tolerances, w0: np.ndarray, a=None,
+def _project(ast: ex.Ast, w0: np.ndarray, a=None,
              frame=None) -> tuple[np.ndarray, np.ndarray]:
     """Newton on the batch; where evaluation fails, split it so one bad point
     cannot poison the rest.  A point that fails alone keeps its start and is
     marked unconverged."""
     try:
-        return _newton(ast, tol, w0, a, frame)
+        return _newton(ast, w0, a, frame)
     except ex.EvalError:
         if len(w0) == 1:
             return w0.copy(), np.zeros(1, bool)
-    halves = [_project(ast, tol, w0[part], _rows(a, part), _rows(frame, part))
+    halves = [_project(ast, w0[part], _rows(a, part), _rows(frame, part))
               for part in (slice(None, len(w0) // 2), slice(len(w0) // 2, None))]
     return (np.concatenate([h[0] for h in halves]),
             np.concatenate([h[1] for h in halves]))
@@ -283,7 +276,7 @@ def _boundary_batch(domain: Domain, box: np.ndarray, count: int, seed, a=None,
     starts = sample_box_points(box, slices * count, seed)
     if frame is not None:
         a, frame = a[rows], frame[rows]
-    pts, ok = _project(domain.ast, domain.tol, starts, a, frame)
+    pts, ok = _project(domain.ast, starts, a, frame)
     ok &= _in_inflated_box(box, pts)
     for found in np.bincount(rows[ok], minlength=slices):
         if found < 0.5 * count:
@@ -305,19 +298,19 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:
 # Levi form
 # ---------------------------------------------------------------------------
 
-def _levi_min(grad: np.ndarray, mixed: np.ndarray, grad_floor: float):
+def _levi_min(grad: np.ndarray, mixed: np.ndarray):
     """Restricted Levi minima at a batch of jets (grad (B, n), mixed (B, n, n)).
 
-    Returns (ok, lam, Z, gn): ok marks gradients at or above the floor; for
+    Returns (ok, lam, Z, gn): ok marks gradients of at least GRAD_FLOOR; for
     those rows lam is the smallest eigenvalue of the Levi form on the complex
     tangent space and Z a unit minimizer.  Other rows hold nan and zeros.
     """
     gn = np.linalg.norm(grad, axis=1)
-    ok = gn >= grad_floor
+    ok = gn >= GRAD_FLOOR
     lam = np.full(len(grad), np.nan)
     Z = np.zeros(grad.shape, complex)
     if ok.any():
-        basis = la.tangent_null_basis(grad[ok], grad_floor=grad_floor)
+        basis = la.tangent_null_basis(grad[ok], grad_floor=GRAD_FLOOR)
         restricted = np.swapaxes(basis, 1, 2) @ mixed[ok] @ np.conj(basis)
         eigvals, vecs = la.hermitian_eig(restricted)
         # with restricted = P^T H conj(P), the Levi form of P v is
@@ -328,7 +321,7 @@ def _levi_min(grad: np.ndarray, mixed: np.ndarray, grad_floor: float):
     return ok, lam, Z, gn
 
 
-def _report(points, ok, lam, Z, gn, levi_eps: float) -> LeviReport:
+def _report(points, ok, lam, Z, gn) -> LeviReport:
     """Verdict of one classification from its per-point Levi minima.
 
     Degenerate-gradient samples are skipped and counted; they force the
@@ -339,7 +332,7 @@ def _report(points, ok, lam, Z, gn, levi_eps: float) -> LeviReport:
     if not ok.any() or degenerate > DEGENERATE_FRACTION * len(points):
         return LeviReport(*kept, None, VERDICT_DEGENERATE, degenerate, len(points))
     worst = int(np.argmin(kept[1]))
-    if kept[1][worst] < -levi_eps:
+    if kept[1][worst] < -LEVI_EPS:
         verdict = VERDICT_NONPSEUDOCONVEX
     else:
         verdict = VERDICT_PSEUDOCONVEX
@@ -349,8 +342,7 @@ def _report(points, ok, lam, Z, gn, levi_eps: float) -> LeviReport:
 def restricted_levi_min(domain: Domain, M) -> LeviProbe:
     M = np.asarray(M, complex)
     jet = ex.eval_jet(domain.ast, M, holo=False)
-    ok, lam, Z, gn = _levi_min(jet.grad[None, :], jet.mixed[None],
-                               domain.tol.grad_floor)
+    ok, lam, Z, gn = _levi_min(jet.dz[None, :], jet.dzzb[None])
     if not ok[0]:
         raise la.DegenerateGradientError(f"gradient norm {gn[0]:.3e} below floor")
     return LeviProbe(point=M.copy(), lambda_min=float(lam[0]), direction=Z[0],
@@ -361,8 +353,7 @@ def classify(domain: Domain, count: int = 200, seed: int = 0) -> LeviReport:
     """Probe sampled boundary points and classify the domain."""
     points = sample_boundary(domain, count, seed)
     jets = ex.eval_jet_batch(domain.ast, points, holo=False)
-    return _report(points, *_levi_min(jets.grad, jets.mixed, domain.tol.grad_floor),
-                   domain.tol.levi_eps)
+    return _report(points, *_levi_min(jets.dz, jets.dzzb))
 
 
 def classify_slices(domain: Domain, a, frame, window: float, count: int,
@@ -382,16 +373,14 @@ def classify_slices(domain: Domain, a, frame, window: float, count: int,
     frame = np.asarray(frame, complex)
     if a.ndim != 2 or frame.shape != (*a.shape, 2):
         raise ValueError("need one n x 2 frame per slice base point")
-    tol = domain.tol
     box = _checked_box(square_box(2, window), 2)
-    if not ex.check_real_valued(domain.ast, REALNESS_TRIALS, REALNESS_SEED, box=box,
-                                realness_tol=tol.realness_eps, a=a, frame=frame):
+    if not ex.check_real_valued(domain.ast, box, a, frame):
         raise DomainError("defining function is not real-valued on the sampling box")
     w, rows = _boundary_batch(domain, box, count, seed, a, frame)
     F = frame[rows]
     jets = ex.eval_jet_batch(domain.ast, _ambient(w, a[rows], F), holo=False)
-    grad = _pulled_back_grad(jets.grad, F)
-    levi_min = _levi_min(grad, _pulled_back_mixed(jets.mixed, F), tol.grad_floor)
+    levi_min = _levi_min(_pulled_back_grad(jets.dz, F),
+                         _pulled_back_mixed(jets.dzzb, F))
     bounds = np.searchsorted(rows, np.arange(len(a) + 1))
-    return [_report(w[lo:hi], *(x[lo:hi] for x in levi_min), tol.levi_eps)
+    return [_report(w[lo:hi], *(x[lo:hi] for x in levi_min))
             for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -128,7 +128,7 @@ class TheoremRun:
 
 
 def verify_theorem(domain: Domain, samples: int, seed: int,
-                   containment_samples: int = 10000) -> TheoremRun:
+                   containment_samples: int = hm.CONTAINMENT_SAMPLES) -> TheoremRun:
     """Classify the domain at `samples` boundary points, then check the
     direction of the theorem that its verdict calls for.
 

@@ -43,10 +43,6 @@ class Slice:
     c: np.ndarray
 
     @property
-    def n(self) -> int:
-        return len(self.a)
-
-    @property
     def frame(self) -> np.ndarray:
         """The n x 2 matrix [b c]."""
         return np.stack([self.b, self.c], axis=1)
@@ -70,12 +66,11 @@ def inward_step(domain: Domain, M, grad) -> tuple[np.ndarray, np.ndarray]:
 
     Row k of M (B, n) steps along the inward complex normal
     -conj(grad_k)/|grad_k|, from t = 0.1 (1 + |M_k|), and halves t until
-    rho < -boundary_eps there, at most MAX_BACKTRACK_HALVINGS times.
+    rho < -levi.BOUNDARY_EPS there, at most MAX_BACKTRACK_HALVINGS times.
     Returns the points (B, n) and their steps t (B,).
     """
-    tol = domain.tol
     gn = la.row_norms(grad)
-    if np.any(gn < tol.grad_floor):
+    if np.any(gn < levi.GRAD_FLOOR):
         raise la.DegenerateGradientError(f"gradient norm {gn.min():.3e} below floor")
     nu = np.conj(grad) * (1.0 / gn)[:, None]
     t = 0.1 * (1.0 + la.row_norms(M))
@@ -83,7 +78,7 @@ def inward_step(domain: Domain, M, grad) -> tuple[np.ndarray, np.ndarray]:
     todo = np.arange(len(M))
     for _ in range(MAX_BACKTRACK_HALVINGS + 1):
         candidates = M[todo] - t[todo, None] * nu[todo]
-        inside = ex.eval_raw(domain.ast, candidates).real < -tol.boundary_eps
+        inside = ex.eval_raw(domain.ast, candidates).real < -levi.BOUNDARY_EPS
         points[todo[inside]] = candidates[inside]
         todo = todo[~inside]
         if not todo.size:
@@ -117,8 +112,7 @@ def witness_slice(domain: Domain, probe: LeviProbe,
     here unless the caller already has it; its blocks are the jet of rho at
     M that the checks read.
     """
-    tol = domain.tol
-    if probe.lambda_min >= -tol.levi_eps:
+    if probe.lambda_min >= -levi.LEVI_EPS:
         raise WitnessError(
             f"probe lambda_min {probe.lambda_min:.3e} does not witness "
             "nonpseudoconvexity")

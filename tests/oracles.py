@@ -115,7 +115,7 @@ def levi_form_at(domain: Domain, M, Z) -> float:
     """Levi form sum_{j,k} (d^2 rho / dz_j dzbar_k)(M) Z_j conj(Z_k)."""
     Z = np.asarray(Z, complex)
     jet = ex.eval_jet(domain.ast, M, holo=False)
-    raw = complex(np.einsum("jk,j,k->", jet.mixed, Z, np.conj(Z)))
+    raw = complex(np.einsum("jk,j,k->", jet.dzzb, Z, np.conj(Z)))
     if abs(raw.imag) > 1e-10 * (1.0 + abs(raw)):
         raise levi.DomainError(f"Levi form not real: imaginary part {raw.imag:.3e}")
     return raw.real
@@ -167,12 +167,12 @@ def slice_gradient_check(s: Slice, domain: Domain, mu) -> bool:
     """
     _, grads = ex.eval_value_grad(domain.ast, phi(s, mu)[None, :])
     grad_h = s.frame.T @ grads[0]
-    return bool(np.linalg.norm(grad_h) > domain.tol.grad_floor)
+    return bool(np.linalg.norm(grad_h) > levi.GRAD_FLOOR)
 
 
 def project_to_boundary(domain: Domain, z0) -> np.ndarray:
     z0 = np.asarray(z0, complex)[None, :]
-    pts, ok = levi._newton(domain.ast, domain.tol, z0)
+    pts, ok = levi._newton(domain.ast, z0)
     if not ok[0]:
         raise ProjectionError("boundary projection did not converge")
     return pts[0]
@@ -192,7 +192,7 @@ def sweep_slices_one_by_one(domain: Domain, points, slices: int, seed: int):
         t = 0.1 * (1.0 + np.linalg.norm(M))
         for _ in range(MAX_BACKTRACK_HALVINGS + 1):
             a = M - t * nu
-            if ex.eval_raw(domain.ast, a[None])[0].real < -domain.tol.boundary_eps:
+            if ex.eval_raw(domain.ast, a[None])[0].real < -levi.BOUNDARY_EPS:
                 break
             t /= 2.0
         else:

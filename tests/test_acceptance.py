@@ -42,10 +42,10 @@ def test_criterion_1_ad_matches_finite_differences():
             val, grad, mixed, holo = fd_wirtinger_jet(ast, point)
             scale = 1.0 + max(abs(val), np.max(np.abs(grad)),
                               np.max(np.abs(mixed)), np.max(np.abs(holo)))
-            err = max(abs(jet.value - val),
-                      np.max(np.abs(jet.grad - grad)),
-                      np.max(np.abs(jet.mixed - mixed)),
-                      np.max(np.abs(jet.holo - holo))) / scale
+            err = max(abs(jet.val - val),
+                      np.max(np.abs(jet.dz - grad)),
+                      np.max(np.abs(jet.dzzb - mixed)),
+                      np.max(np.abs(jet.dzz - holo))) / scale
             worst = max(worst, err)
     report(1, f"AD vs finite differences, worst rel err {worst:.2e}",
            worst <= 1e-6)
@@ -69,13 +69,13 @@ def test_criterion_3_equality_chain_on_witness_certificates():
     for name in ("saddle2", "saddle3"):
         dom = CATALOG[name].domain()
         for probe in levi.classify(dom, 50, seed=11).probes:
-            if probe.lambda_min >= -dom.tol.levi_eps:
+            if probe.lambda_min >= -levi.LEVI_EPS:
                 continue
             cert = sl.witness_slice(dom, probe)
             transported = levi_form_at(dom, cert.M, cert.Z)
             ok &= (abs(cert.lambda_slice - transported)
                    <= 1e-9 * (1 + abs(transported)))
-            grad = E.eval_jet(dom.ast, cert.M, holo=False).grad
+            grad = E.eval_jet(dom.ast, cert.M, holo=False).dz
             grad_h = levi._pulled_back_grad(grad[None], cert.slice.frame[None])[0]
             ok &= abs(grad_h[1]) <= 1e-10
     report(3, "witness-slice equality chain (saddle2, saddle3)", ok)
@@ -99,14 +99,14 @@ def test_criterion_4_two_path_pullback():
         w = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         jet1 = E.eval_jet(dom.ast, phi(s, w), holo=False)
         frame = s.frame[None]
-        grad1 = levi._pulled_back_grad(jet1.grad[None], frame)[0]
-        mixed1 = levi._pulled_back_mixed(jet1.mixed[None], frame)[0]
+        grad1 = levi._pulled_back_grad(jet1.dz[None], frame)[0]
+        mixed1 = levi._pulled_back_mixed(jet1.dzzb[None], frame)[0]
         jet2 = E.eval_jet(compose_with_affine(dom.ast, a, b, c), w, holo=False)
-        scale = 1.0 + max(abs(jet2.value), np.max(np.abs(jet2.grad)),
-                          np.max(np.abs(jet2.mixed)))
-        ok &= abs(jet1.value - jet2.value) <= 1e-9 * scale
-        ok &= np.max(np.abs(grad1 - jet2.grad)) <= 1e-9 * scale
-        ok &= np.max(np.abs(mixed1 - jet2.mixed)) <= 1e-9 * scale
+        scale = 1.0 + max(abs(jet2.val), np.max(np.abs(jet2.dz)),
+                          np.max(np.abs(jet2.dzzb)))
+        ok &= abs(jet1.val - jet2.val) <= 1e-9 * scale
+        ok &= np.max(np.abs(grad1 - jet2.dz)) <= 1e-9 * scale
+        ok &= np.max(np.abs(mixed1 - jet2.dzzb)) <= 1e-9 * scale
     report(4, "two-path pullback, 100 triples", ok)
 
 

@@ -238,6 +238,25 @@ def test_containment_samples_below_100_is_an_input_error(capsys, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("samples", "0", "samples must be at least 1, got 0"),
+    ("seed", "-1", "seed must be non-negative, got -1")])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_samples_below_one_or_negative_seed_is_an_input_error(capsys, tmp_path, source,
+                                                              key, value, message):
+    if source == "flag":
+        argv, expected = ["ball", f"--{key}", value], f"--{message}"
+    else:
+        path = tmp_path / "ball.dom"
+        path.write_text("n = 2\nrho = abs2(z1)+abs2(z2)-1\nbox = -1.5,1.5,-1.5,1.5\n"
+                        f"{key} = {value}\n")
+        argv, expected = [str(path)], f"{path}: {message}"
+    code, out, err = run(capsys, "check", *argv)
+    assert code == cli.EXIT_INPUT
+    assert err == f"error: {expected}\n"
+    assert out == ""
+
+
 def test_verify_theorem_ball_forward(capsys):
     code, payload = run_json(capsys, "verify-theorem", "ball", "--samples", "15")
     assert code == cli.EXIT_OK

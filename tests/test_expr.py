@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import levislice
 from levislice import expr as E
 from levislice import pipeline
 from levislice.catalog import CATALOG
@@ -68,24 +69,24 @@ def test_numbers_with_exponents():
 
 def test_jet_ball_at_boundary_point():
     jet = E.eval_jet(E.parse(BALL), [1, 0])
-    assert jet.value == pytest.approx(0.0, abs=1e-15)
-    assert np.allclose(jet.grad, [1, 0])
-    assert np.allclose(jet.mixed, np.eye(2))
-    assert np.allclose(jet.holo, 0)
+    assert jet.val == pytest.approx(0.0, abs=1e-15)
+    assert np.allclose(jet.dz, [1, 0])
+    assert np.allclose(jet.dzzb, np.eye(2))
+    assert np.allclose(jet.dzz, 0)
 
 
 def test_jet_saddle_at_origin():
     jet = E.eval_jet(E.parse(SADDLE), [0, 0])
-    assert jet.value == pytest.approx(0.0, abs=1e-15)
-    assert np.allclose(jet.grad, [0, 0.5])
-    assert np.allclose(jet.mixed, np.diag([-1.0, 0.0]))
-    assert np.allclose(jet.holo, 0)
+    assert jet.val == pytest.approx(0.0, abs=1e-15)
+    assert np.allclose(jet.dz, [0, 0.5])
+    assert np.allclose(jet.dzzb, np.diag([-1.0, 0.0]))
+    assert np.allclose(jet.dzz, 0)
 
 
 def test_jet_saddle3_at_origin():
     jet = E.eval_jet(E.parse("re(z3)-abs2(z1)-abs2(z2)"), [0, 0, 0])
-    assert np.allclose(jet.grad, [0, 0, 0.5])
-    assert np.allclose(jet.mixed, np.diag([-1.0, -1.0, 0.0]))
+    assert np.allclose(jet.dz, [0, 0, 0.5])
+    assert np.allclose(jet.dzzb, np.diag([-1.0, -1.0, 0.0]))
 
 
 def test_jet_division_by_zero():
@@ -103,10 +104,10 @@ def test_jet_matches_finite_differences(rng):
             val, grad, mixed, holo = fd_wirtinger_jet(ast, point)
             scale = 1.0 + max(abs(val), np.max(np.abs(grad)),
                               np.max(np.abs(mixed)), np.max(np.abs(holo)))
-            assert abs(jet.value - val) <= 1e-6 * scale
-            assert np.max(np.abs(jet.grad - grad)) <= 1e-6 * scale
-            assert np.max(np.abs(jet.mixed - mixed)) <= 1e-6 * scale
-            assert np.max(np.abs(jet.holo - holo)) <= 1e-6 * scale
+            assert abs(jet.val - val) <= 1e-6 * scale
+            assert np.max(np.abs(jet.dz - grad)) <= 1e-6 * scale
+            assert np.max(np.abs(jet.dzzb - mixed)) <= 1e-6 * scale
+            assert np.max(np.abs(jet.dzz - holo)) <= 1e-6 * scale
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,9 +117,9 @@ def test_mixed_hessian_hermitian_for_real_expressions(seed):
     ast = E.parse("abs2(z1)^2+re(z1*conj(z2))+exp(im(z2))-abs2(z2)")
     pts = random_points(rng, 2, 8, scale=0.8)
     jets = E.eval_jet_batch(ast, pts)
-    gap = np.abs(jets.mixed - np.conj(np.swapaxes(jets.mixed, 1, 2)))
+    gap = np.abs(jets.dzzb - np.conj(np.swapaxes(jets.dzzb, 1, 2)))
     assert np.max(gap) <= 1e-12
-    sym_gap = np.abs(jets.holo - np.swapaxes(jets.holo, 1, 2))
+    sym_gap = np.abs(jets.dzz - np.swapaxes(jets.dzz, 1, 2))
     assert np.max(sym_gap) <= 1e-12
 
 
@@ -129,7 +130,7 @@ def test_conj_swaps_jet_blocks(rng):
     j1 = E.eval_jet_batch(base, pts)
     j2 = E.eval_jet_batch(flipped, pts)
     # mixed(conj u) = conj(mixed u)^T, holo(conj u) = conj(antiholo u)
-    assert np.allclose(j2.mixed, np.conj(np.swapaxes(j1.mixed, 1, 2)))
+    assert np.allclose(j2.dzzb, np.conj(np.swapaxes(j1.dzzb, 1, 2)))
 
 
 def test_mixed_only_jets_match_full_jets(rng):
@@ -137,10 +138,24 @@ def test_mixed_only_jets_match_full_jets(rng):
     pts = random_points(rng, 2, 7, scale=0.8)
     full = E.eval_jet_batch(ast, pts)
     mixed_only = E.eval_jet_batch(ast, pts, holo=False)
-    assert mixed_only.holo is None and full.holo is not None
-    assert np.array_equal(mixed_only.mixed, full.mixed)
-    assert np.array_equal(mixed_only.grad, full.grad)
-    assert np.array_equal(mixed_only.value, full.value)
+    assert mixed_only.dzz is None and full.dzz is not None
+    assert np.array_equal(mixed_only.dzzb, full.dzzb)
+    assert np.array_equal(mixed_only.dz, full.dz)
+    assert np.array_equal(mixed_only.val, full.val)
+
+
+def test_every_jet_entry_point_returns_the_one_jet_type(rng):
+    ast = E.parse(SADDLE)
+    pts = random_points(rng, 2, 5)
+    full = E.eval_jet_batch(ast, pts)
+    mixed_only = E.eval_jet_batch(ast, pts, holo=False)
+    jets = (full, mixed_only, E.eval_jet(ast, pts[0]), E.enclose_jet_batch(ast, pts, 0.1))
+    assert all(type(jet) is E.Jet for jet in jets)
+    assert len(full) == len(mixed_only) == len(jets[3]) == 5
+    assert full.val.dtype == np.float64 and isinstance(jets[2].val, float)
+    assert mixed_only.dzz is None and full.dzz is not None
+    assert not any(hasattr(mod, name) for mod in (E, levislice, levislice.levi)
+                   for name in ("WirtingerJet", "Tolerances"))
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +190,17 @@ def same_bits(x, y) -> bool:
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+def same_bits_but_nan(x, y) -> bool:
+    """As same_bits, except that NaNs need only sit at the same places: the
+    real and imaginary parts are compared one by one."""
+    x, y = (np.ascontiguousarray(np.atleast_1d(v)) for v in (x, y))
+    if x.shape != y.shape or x.dtype != y.dtype:
+        return False
+    x, y = x.view(np.float64), y.view(np.float64)
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and same_bits(x[~nan], y[~nan])
+
+
 def replayed(tape, pts, blocks) -> dict:
     code, outputs = tape.program(blocks)
     registers = tape.replay(pts, code)
@@ -188,6 +214,8 @@ def row(block, B, k):
 
 @settings(max_examples=60, deadline=None)
 @given(root=TREES, seed=st.integers(0, 2**32 - 1))
+# exp overflows on some rows: their dzzb is NaN batched and alone, in other bits
+@example(root=abs2_of(E.Exp(E.Exp(E.Exp(E.Var(1))))), seed=0)
 def test_replay_matches_direct_walk_bit_for_bit(root, seed):
     rng = np.random.default_rng(seed)
     ast = E.Ast(root, 3)
@@ -200,14 +228,16 @@ def test_replay_matches_direct_walk_bit_for_bit(root, seed):
                 reference = getattr(direct, name)
                 assert (block is None) == (reference is None), name
                 assert block is None or same_bits(block, reference), name
-        # each row equals its point evaluated alone; the other programs
-        # run a subset of these instructions on the same operands
+        # each row equals its point evaluated alone, up to the bits of a
+        # NaN, which numpy may set differently for another batch length;
+        # the other programs run a subset of these instructions on the same
+        # operands
         blocks = replayed(tape, pts, PROGRAMS[-1])
         for k in range(B):
             alone = replayed(tape, pts[k:k + 1], PROGRAMS[-1])
             for name, block in blocks.items():
-                assert block is None or same_bits(row(block, B, k),
-                                                  row(alone[name], 1, 0)), name
+                assert block is None or same_bits_but_nan(
+                    row(block, B, k), row(alone[name], 1, 0)), name
     assert len(ast._tapes) == 1
 
 
@@ -298,7 +328,7 @@ def test_points_of_any_dtype_replay_the_complex_tape(dtype, traces, rng):
         value, grad = E.eval_value_grad(ast, points)
         jet = E.eval_jet_batch(ast, points)
         return (E.eval_raw(ast, points), value, grad,
-                jet.value, jet.grad, jet.mixed, jet.holo)
+                jet.val, jet.dz, jet.dzzb, jet.dzz)
     for got, want in zip(every_block(pts), every_block(pts.astype(complex))):
         assert same_bits(got, want)
     assert len(traces) == 1 and list(ast._tapes) == [2]
@@ -316,16 +346,16 @@ def jets_on_every_path(ast, pts):
     mixed_only = E.eval_jet_batch(ast, pts, holo=False)
     B, n = pts.shape
     assert raw.shape == value.shape == (B,)
-    assert grad.shape == (B, n) and full.mixed.shape == full.holo.shape == (B, n, n)
-    for block in (raw, grad, full.grad, full.mixed, full.holo, mixed_only.mixed):
+    assert grad.shape == (B, n) and full.dzzb.shape == full.dzz.shape == (B, n, n)
+    for block in (raw, grad, full.dz, full.dzzb, full.dzz, mixed_only.dzzb):
         assert block.dtype == np.complex128
-    assert mixed_only.holo is None
+    assert mixed_only.dzz is None
     assert np.array_equal(value, raw.real)
     for jets in (full, mixed_only):
-        assert np.array_equal(jets.value, value)
-        assert np.array_equal(jets.grad, grad)
-    assert np.array_equal(mixed_only.mixed, full.mixed)
-    return value, grad, full.mixed, full.holo
+        assert np.array_equal(jets.val, value)
+        assert np.array_equal(jets.dz, grad)
+    assert np.array_equal(mixed_only.dzzb, full.dzzb)
+    return value, grad, full.dzzb, full.dzz
 
 
 def test_constant_expression_has_zero_blocks(rng):
@@ -421,8 +451,8 @@ def test_disc_walk_matches_float_walk_at_thin_points(rng):
     pts = random_points(rng, 2, 5, scale=0.6)
     enc = E.enclose_jet_batch(ast, pts, 0.0)
     jet = E.eval_jet_batch(ast, pts)
-    for disc, values in [(enc.val, jet.value), (enc.dz, jet.grad),
-                         (enc.dzz, jet.holo), (enc.dzzb, jet.mixed)]:
+    for disc, values in [(enc.val, jet.val), (enc.dz, jet.dz),
+                         (enc.dzz, jet.dzz), (enc.dzzb, jet.dzzb)]:
         assert np.all(np.abs(values - disc.mid) <= disc.rad)
         assert np.max(disc.rad) <= 1e-10
 
@@ -437,10 +467,11 @@ def test_disc_division_by_a_disc_around_zero():
 # ---------------------------------------------------------------------------
 
 def test_check_real_valued():
-    assert E.check_real_valued(E.parse("abs2(z1)-1"), 50, 3)
-    assert not E.check_real_valued(E.parse("z1"), 50, 3)
-    assert E.check_real_valued(E.parse("re(z1)+im(z2)"), 50, 3)
-    assert not E.check_real_valued(E.parse("z1*z2+1"), 50, 3)
+    one, two = (np.array([[-1.0, 1.0]] * (2 * n)) for n in (1, 2))
+    assert E.check_real_valued(E.parse("abs2(z1)-1"), one)
+    assert not E.check_real_valued(E.parse("z1"), one)
+    assert E.check_real_valued(E.parse("re(z1)+im(z2)"), two)
+    assert not E.check_real_valued(E.parse("z1*z2+1"), two)
 
 
 def test_check_real_valued_on_affine_maps():
@@ -449,11 +480,11 @@ def test_check_real_valued_on_affine_maps():
     box = np.array([[-2.0, 2.0]] * 4)
     a = np.array([[0, 0.5], [0, 0.5]], complex)
     frame = np.array([[[1, 0], [0, 0]], [[1, 0], [0, 1]]], complex)
-    assert E.check_real_valued(ast, 64, 0, box=box, a=a[:1], frame=frame[:1])
-    assert not E.check_real_valued(ast, 64, 0, box=box, a=a, frame=frame)
+    assert E.check_real_valued(ast, box, a=a[:1], frame=frame[:1])
+    assert not E.check_real_valued(ast, box, a=a, frame=frame)
     composed = [compose_with_affine(ast, a[k], frame[k, :, 0], frame[k, :, 1])
                 for k in range(2)]
-    assert [E.check_real_valued(c, 64, 0, box=box) for c in composed] == [True, False]
+    assert [E.check_real_valued(c, box) for c in composed] == [True, False]
 
 
 # ---------------------------------------------------------------------------

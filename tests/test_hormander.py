@@ -79,9 +79,9 @@ def test_quadratic_matches_taylor_plus_bump(rng):
     jet = E.eval_jet(dom.ast, q.center)
     for _ in range(50):
         d = 0.2 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        taylor = (2 * np.sum(jet.grad * d).real
-                  + np.einsum("jk,j,k->", jet.holo, d, d).real
-                  + np.einsum("jk,j,k->", jet.mixed, d, np.conj(d)).real)
+        taylor = (2 * np.sum(jet.dz * d).real
+                  + np.einsum("jk,j,k->", jet.dzz, d, d).real
+                  + np.einsum("jk,j,k->", jet.dzzb, d, np.conj(d)).real)
         expected = taylor + q.eps * np.vdot(d, d).real
         assert hm.eval_quadratic(q, q.center + d) == pytest.approx(
             expected, abs=1e-12)
@@ -217,8 +217,8 @@ def test_polydisc_enclosure_contains_jets(name, rng):
     enc = E.enclose_jet_batch(dom.ast, q.center[None], q.radius)
     u = np.sqrt(rng.random((2000, n))) * np.exp(2j * np.pi * rng.random((2000, n)))
     jets = E.eval_jet_batch(dom.ast, q.center + q.radius * u)
-    for disc, values in [(enc.val, jets.value), (enc.dz, jets.grad),
-                         (enc.dzz, jets.holo), (enc.dzzb, jets.mixed)]:
+    for disc, values in [(enc.val, jets.val), (enc.dz, jets.dz),
+                         (enc.dzz, jets.dzz), (enc.dzzb, jets.dzzb)]:
         assert np.all(np.abs(values - disc.mid) <= disc.rad)
 
 

@@ -78,13 +78,12 @@ def test_sample_boundary_single_point():
 def test_projection_drops_only_points_that_fail_to_evaluate():
     # the extra term is 0 except at re(z1) = 0.5, where it divides by zero
     ast = E.parse("abs2(z1)+abs2(z2)-1+0*(1/(re(z1)-0.5))")
-    tol = levi.Tolerances()
     starts = np.array([[0.3, 0.2j], [0.5, 0.3], [2.0, 0.0], [0.1j, -0.9]], complex)
-    pts, ok = levi._project(ast, tol, starts)
+    pts, ok = levi._project(ast, starts)
     assert ok.tolist() == [True, False, True, True]
     assert np.array_equal(pts[1], starts[1])
     for i in (0, 2, 3):
-        alone, ok_alone = levi._newton(ast, tol, starts[i:i + 1])
+        alone, ok_alone = levi._newton(ast, starts[i:i + 1])
         assert ok_alone[0] and np.array_equal(pts[i], alone[0])
 
 
@@ -112,11 +111,11 @@ def test_packed_newton_matches_each_row_alone(monkeypatch):
     starts = np.concatenate([levi.sample_box_points(dom.box, 12, seed=4),
                              [[0, 0], [30, 40j], [1e-3, 0], [1e5, -1e5j]]])
     sizes = _eval_sizes(monkeypatch)
-    w, done = levi._newton(dom.ast, dom.tol, starts)
+    w, done = levi._newton(dom.ast, starts)
     assert len(set(sizes)) >= 4               # the pack shrank at least three times
     assert not done[12] and done.sum() == len(starts) - 1
     for i in range(len(starts)):
-        alone, done_alone = levi._newton(dom.ast, dom.tol, starts[i:i + 1])
+        alone, done_alone = levi._newton(dom.ast, starts[i:i + 1])
         assert _same_bits(w[i], alone[0]) and done[i] == done_alone[0]
 
 
@@ -128,10 +127,10 @@ def test_packed_newton_on_slice_frames_matches_each_row_alone(monkeypatch):
     rows = np.repeat(np.arange(6), 5)
     starts = levi.sample_box_points(box, 30, seed=2)
     sizes = _eval_sizes(monkeypatch)
-    w, done = levi._newton(dom.ast, dom.tol, starts, a[rows], frame[rows])
+    w, done = levi._newton(dom.ast, starts, a[rows], frame[rows])
     assert len(set(sizes)) >= 3
     for i, k in enumerate(rows):
-        alone, done_alone = levi._newton(dom.ast, dom.tol, starts[i:i + 1],
+        alone, done_alone = levi._newton(dom.ast, starts[i:i + 1],
                                          a[k:k + 1], frame[k:k + 1])
         assert _same_bits(w[i], alone[0]) and done[i] == done_alone[0]
 
@@ -140,18 +139,17 @@ def test_projection_splits_off_a_row_that_overflows_partway(monkeypatch):
     # from re(z1) = -10 the first step jumps to re(z1) ~ 2e4, where exp
     # overflows: the row fails on its second evaluation, not its first
     ast = E.parse("exp(re(z1))+abs2(z2)-1")
-    tol = levi.Tolerances()
     starts = np.array([[0.5, 0.3], [-10, 0], [-1, 2j], [-30, 0.1]], complex)
     sizes = _eval_sizes(monkeypatch)
     with pytest.raises(E.EvalError):
-        levi._newton(ast, tol, starts[1:2])
+        levi._newton(ast, starts[1:2])
     assert sizes == [1, 1]
     with pytest.raises(E.EvalError):
-        levi._newton(ast, tol, starts)
-    pts, ok = levi._project(ast, tol, starts)
+        levi._newton(ast, starts)
+    pts, ok = levi._project(ast, starts)
     assert ok.tolist() == [True, False, True, True]
     for i in range(len(starts)):
-        alone, ok_alone = levi._project(ast, tol, starts[i:i + 1])
+        alone, ok_alone = levi._project(ast, starts[i:i + 1])
         assert _same_bits(pts[i], alone[0]) and ok[i] == ok_alone[0]
     assert _same_bits(pts[1], starts[1])
 
@@ -159,12 +157,11 @@ def test_projection_splits_off_a_row_that_overflows_partway(monkeypatch):
 def test_newton_fails_a_non_finite_point_where_rho_stays_finite():
     # rho leaves z1 out, so a non-finite z1 leaves rho and its gradient finite
     ast = E.parse("abs2(z2)-1")
-    tol = levi.Tolerances()
     starts = np.array([[np.nan, 0.5], [0.3, 2.0], [np.inf, 0.2j]], complex)
-    w, done = levi._newton(ast, tol, starts)
+    w, done = levi._newton(ast, starts)
     assert done.tolist() == [False, True, False]
     assert _same_bits(w[[0, 2]], starts[[0, 2]])
-    alone, _ = levi._newton(ast, tol, starts[1:2])
+    alone, _ = levi._newton(ast, starts[1:2])
     assert _same_bits(w[1], alone[0])
 
 
@@ -215,7 +212,7 @@ def test_restricted_levi_min_ball():
     dom = domain_of("ball")
     probe = levi.restricted_levi_min(dom, [1, 0])
     assert probe.lambda_min == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.sum(E.eval_jet(dom.ast, probe.point).grad * probe.direction)) <= 1e-10
+    assert abs(np.sum(E.eval_jet(dom.ast, probe.point).dz * probe.direction)) <= 1e-10
 
 
 def test_restricted_levi_min_saddle_origin():
@@ -246,7 +243,7 @@ def test_restricted_min_lower_bounds_random_tangents(rng):
     dom = domain_of("polyball")
     M = project_to_boundary(dom, [0.8, 0.7 + 0.2j])
     probe = levi.restricted_levi_min(dom, M)
-    g = E.eval_jet(dom.ast, M).grad
+    g = E.eval_jet(dom.ast, M).dz
     basis = la.tangent_null_basis(g)
     for _ in range(50):
         coeff = rng.standard_normal(1) + 1j * rng.standard_normal(1)
@@ -281,7 +278,7 @@ def test_classify_tangency_invariant():
     dom = domain_of("saddle3")
     report = levi.classify(dom, 50, seed=2)
     for probe in report.probes:
-        g = E.eval_jet(dom.ast, probe.point).grad
+        g = E.eval_jet(dom.ast, probe.point).dz
         assert abs(np.sum(g * probe.direction)) <= 1e-10
         assert np.linalg.norm(probe.direction) == pytest.approx(1.0, abs=1e-12)
 
@@ -309,9 +306,9 @@ def test_batched_classify_matches_pointwise_minimum(kind):
             levi.restricted_levi_min(dom, M).lambda_min, abs=1e-12)
         # independent route: SVD null space of Z -> grad . Z, then eigvalsh
         jet = E.eval_jet(dom.ast, M)
-        null = np.linalg.svd(jet.grad[None, :])[2][1:].conj().T
-        restricted = null.T @ jet.mixed @ null.conj()
-        scale = 1.0 + np.max(np.abs(jet.mixed))
+        null = np.linalg.svd(jet.dz[None, :])[2][1:].conj().T
+        restricted = null.T @ jet.dzzb @ null.conj()
+        scale = 1.0 + np.max(np.abs(jet.dzzb))
         assert report.lambdas[i] == pytest.approx(
             np.linalg.eigvalsh(restricted)[0], abs=1e-12 * scale)
         Z = report.directions[i]
@@ -335,7 +332,7 @@ def test_batched_slices_match_composed_slice_domains(monkeypatch, name):
         12, pipeline.SLICE_PROBES, 2)
     for a, frame, block, report in zip(bases, frames, blocks, reports):
         composed = compose_with_affine(dom.ast, a, frame[:, 0], frame[:, 1])
-        dom_h = levi.make_domain(composed, box=box, tol=dom.tol)
+        dom_h = levi.make_domain(composed, box=box)
         with monkeypatch.context() as m:
             m.setattr(levi, "sample_box_points", lambda *_, block=block: block)
             oracle = levi.classify(dom_h, pipeline.SLICE_PROBES, seed=0)

@@ -54,7 +54,7 @@ def test_sweep_base_points_lie_inside_the_domain(scale):
                            box=levi.square_box(2, 1.5))
     points = levi.classify(dom, 25, seed=3).points
     bases, _ = pipeline.sweep_slices(dom, points, 25, seed=3)
-    assert np.all(E.eval_raw(dom.ast, bases).real < -dom.tol.boundary_eps)
+    assert np.all(E.eval_raw(dom.ast, bases).real < -levi.BOUNDARY_EPS)
 
 
 def test_a_sweep_request_builds_a_fixed_number_of_generators(monkeypatch):
@@ -77,16 +77,16 @@ def test_a_sweep_request_builds_a_fixed_number_of_generators(monkeypatch):
     assert built[0] == built[1]
     assert len(built[0]) == 5
     # the sweep's two streams differ from each other and from classify's
-    assert len({repr(s) for s in built[0] if s != levi.REALNESS_SEED}) == 3
+    assert len({repr(s) for s in built[0] if s != E.REALNESS_SEED}) == 3
 
 
 def test_verify_theorem_projects_the_ambient_boundary_once(monkeypatch):
     framed = []
     newton = levi._newton
 
-    def counted(ast, tol, w0, a=None, frame=None):
+    def counted(ast, w0, a=None, frame=None):
         framed.append(frame is not None)
-        return newton(ast, tol, w0, a, frame)
+        return newton(ast, w0, a, frame)
 
     monkeypatch.setattr(levi, "_newton", counted)
     run = pipeline.verify_theorem(CATALOG["ball"].domain(), samples=25, seed=4)

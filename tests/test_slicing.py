@@ -67,8 +67,8 @@ def pulled_back(dom, s, w):
     levi's slice classification."""
     jet = E.eval_jet(dom.ast, phi(s, w), holo=False)
     frame = s.frame[None]
-    return (jet.value, levi._pulled_back_grad(jet.grad[None], frame)[0],
-            levi._pulled_back_mixed(jet.mixed[None], frame)[0])
+    return (jet.val, levi._pulled_back_grad(jet.dz[None], frame)[0],
+            levi._pulled_back_mixed(jet.dzzb[None], frame)[0])
 
 
 def test_pullback_canonical_ball():
@@ -109,11 +109,11 @@ def test_two_path_pullback_equality(rng):
             w = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
             value, grad, mixed = pulled_back(dom, s, w)
             jet = E.eval_jet(compose_with_affine(dom.ast, a, b, c), w, holo=False)
-            scale = 1.0 + max(abs(jet.value), np.max(np.abs(jet.grad)),
-                              np.max(np.abs(jet.mixed)))
-            assert abs(value - jet.value) <= 1e-9 * scale
-            assert np.max(np.abs(grad - jet.grad)) <= 1e-9 * scale
-            assert np.max(np.abs(mixed - jet.mixed)) <= 1e-9 * scale
+            scale = 1.0 + max(abs(jet.val), np.max(np.abs(jet.dz)),
+                              np.max(np.abs(jet.dzzb)))
+            assert abs(value - jet.val) <= 1e-9 * scale
+            assert np.max(np.abs(grad - jet.dz)) <= 1e-9 * scale
+            assert np.max(np.abs(mixed - jet.dzzb)) <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_inward_step_halves_until_inside():
     M = levi.classify(dom, 25, seed=3).points
     _, grads = E.eval_value_grad(dom.ast, M)
     p0, t = sl.inward_step(dom, M, grads)
-    assert np.all(E.eval_raw(dom.ast, p0).real < -dom.tol.boundary_eps)
+    assert np.all(E.eval_raw(dom.ast, p0).real < -levi.BOUNDARY_EPS)
     first = 0.1 * (1.0 + np.linalg.norm(M, axis=1))
     halvings = np.log2(first / t)
     assert np.allclose(halvings, np.round(halvings)) and 0 < np.sum(halvings > 0) < 25
@@ -201,7 +201,7 @@ def test_witness_invariants_on_sampled_probes():
         dom = domain_of(name)
         report = levi.classify(dom, 50, seed=3)
         for probe in report.probes:
-            if probe.lambda_min >= -dom.tol.levi_eps:
+            if probe.lambda_min >= -levi.LEVI_EPS:
                 continue
             cert = sl.witness_slice(dom, probe)
             assert float(E.eval_raw(dom.ast, cert.p0[None, :])[0].real) < 0
@@ -218,7 +218,7 @@ def test_forward_direction_random_slices_of_ball(rng):
     boundary = levi.sample_boundary(dom, 20, seed=13)
     for k in range(20):
         M = boundary[k % len(boundary)]
-        g = E.eval_jet(dom.ast, M).grad
+        g = E.eval_jet(dom.ast, M).dz
         a = M - 0.05 * np.conj(g) / np.linalg.norm(g)
         b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
