@@ -16,6 +16,7 @@ bounds both the real and imaginary part of that coordinate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,10 @@ class DomainFileError(Exception):
 
 DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 7
+# Domains kept built per process.  A domain of dimension 2 to 5 with its tape
+# and pruned programs holds about 50 KB (tracemalloc, 60 generated ellipsoids
+# and saddles after one `check` each), so 128 of them hold about 6.5 MB.
+DOMAIN_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -43,14 +48,31 @@ class DomainSpec:
     seed: int = DEFAULT_SEED
 
     def box(self) -> np.ndarray:
-        rows = []
-        for lo, hi in self.box_pairs:
-            rows.append((lo, hi))  # real part
-            rows.append((lo, hi))  # imaginary part
-        return np.array(rows, float)
+        return _box(self.box_pairs)
 
     def domain(self) -> Domain:
-        return make_domain(self.rho, box=self.box())
+        """The domain {rho < 0} over the box, built once per process for each
+        (rho, box_pairs) and shared by every spec with both equal; its box
+        is read-only."""
+        return _built_domain(self.rho, self.box_pairs)
+
+
+def _box(box_pairs) -> np.ndarray:
+    rows = []
+    for lo, hi in box_pairs:
+        rows.append((lo, hi))  # real part
+        rows.append((lo, hi))  # imaginary part
+    return np.array(rows, float)
+
+
+@functools.lru_cache(maxsize=DOMAIN_CACHE_SIZE)
+def _built_domain(rho: str, box_pairs) -> Domain:
+    """Parse, trace and realness-check a domain.  The result depends on
+    (rho, box_pairs) alone, as the realness check has a fixed seed and the
+    tape is a function of the expression.  A load that raises is not kept."""
+    domain = make_domain(rho, box=_box(box_pairs))
+    domain.box.flags.writeable = False
+    return domain
 
 
 def _entry(name, n, rho, half, expected) -> DomainSpec:

@@ -161,6 +161,8 @@ def cmd_check(args) -> int:
 def cmd_slice(args) -> int:
     if args.grid is not None and args.grid < 1:
         raise InputError(f"--grid must be at least 1, got {args.grid}")
+    if not (np.isfinite(args.window) and args.window > 0):
+        raise InputError(f"--window must be positive and finite, got {args.window}")
     started, domain, report = _start(args, "slice")
     a = parse_cvector(args.a) if args.a else np.zeros(domain.n, complex)
     b = parse_cvector(args.b)

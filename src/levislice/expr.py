@@ -358,7 +358,9 @@ class Jet:
     dzbzb: np.ndarray | None = None
 
     def __len__(self) -> int:
-        """Number of points of a batch."""
+        """Number of points of a batch; a single-point jet has no length."""
+        if np.ndim(self.val) == 0:
+            raise TypeError("a single-point jet has no len()")
         return self.val.shape[0]
 
 
@@ -900,6 +902,20 @@ def enclose_jet_batch(ast: Ast, centers, radii) -> Jet:
                dzzb=full(jet.dzzb, 2))
 
 
+def sample_box(box, count: int, seed) -> np.ndarray:
+    """`count` pseudorandom points of C^n in the (2n, 2) box, from one stream
+    filled row by row.
+
+    The seed is an int or a tuple of ints, as numpy.random.default_rng
+    takes it.  Row i is drawn after rows 0..i-1, so a shorter request
+    returns a prefix of a longer one with the same seed.
+    """
+    box = np.asarray(box, float)
+    rng = np.random.default_rng(seed)
+    reals = box[:, 0] + rng.random((count, box.shape[0])) * (box[:, 1] - box[:, 0])
+    return reals[:, 0::2] + 1j * reals[:, 1::2]
+
+
 def check_real_valued(ast: Ast, box: np.ndarray, a: np.ndarray | None = None,
                       frame: np.ndarray | None = None) -> bool:
     """Sampled realness check: max |Im rho| at REALNESS_TRIALS random points
@@ -909,11 +925,7 @@ def check_real_valued(ast: Ast, box: np.ndarray, a: np.ndarray | None = None,
     box and rho is checked at a_k + frame_k w on every map k, each against its
     own scale, in one evaluation; the result is True iff every map passes.
     """
-    box = np.asarray(box, float)
-    rng = np.random.default_rng(REALNESS_SEED)
-    width = box[:, 1] - box[:, 0]
-    reals = box[:, 0] + rng.random((REALNESS_TRIALS, box.shape[0])) * width
-    pts = reals[:, 0::2] + 1j * reals[:, 1::2]
+    pts = sample_box(box, REALNESS_TRIALS, REALNESS_SEED)
     if frame is None:
         vals = eval_raw(ast, pts)[None, :]
     else:

@@ -133,15 +133,9 @@ class LeviReport:
 # ---------------------------------------------------------------------------
 
 def sample_box_points(box: np.ndarray, count: int, seed) -> np.ndarray:
-    """Pseudorandom points in the box from one stream, filled row by row.
-
-    The seed is an int or a tuple of ints, as numpy.random.default_rng
-    takes it.  Row i is drawn after rows 0..i-1, so a shorter request
-    returns a prefix of a longer one with the same seed.
-    """
-    rng = np.random.default_rng(seed)
-    reals = box[:, 0] + rng.random((count, box.shape[0])) * (box[:, 1] - box[:, 0])
-    return reals[:, 0::2] + 1j * reals[:, 1::2]
+    """Pseudorandom points in the box, drawn as the realness check draws its
+    own (expr.sample_box)."""
+    return ex.sample_box(box, count, seed)
 
 
 def _in_inflated_box(box: np.ndarray, pts: np.ndarray) -> np.ndarray:

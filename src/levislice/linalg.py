@@ -40,8 +40,9 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_symmetrized(a))
 
 
-def tangent_null_basis(g, grad_floor: float = 1e-8) -> np.ndarray:
-    """Orthonormal bases of {Z : sum_j g_j Z_j = 0}.
+def tangent_null_basis(g, grad_floor: float) -> np.ndarray:
+    """Orthonormal bases of {Z : sum_j g_j Z_j = 0}; a gradient of norm below
+    grad_floor raises DegenerateGradientError.
 
     For one gradient g of length n, the basis is the columns of an
     n x (n-1) matrix; for a stack (B, n) the result is (B, n, n-1).  Each is

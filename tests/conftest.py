@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from levislice import catalog
 from levislice.catalog import CATALOG
+
+
+@pytest.fixture(autouse=True)
+def cold_domains():
+    """Each test starts with no domain built, so a test of the cold path
+    means the same whatever ran before it."""
+    catalog._built_domain.cache_clear()
 
 
 @pytest.fixture

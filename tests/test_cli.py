@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levislice import cli
+from levislice import catalog, cli
 from levislice import hormander as hm
 from levislice import levi
 from levislice import pipeline
@@ -167,6 +167,16 @@ def test_slice_nonfinite_input_is_an_input_error(capsys, flag, value):
                          "--c", "0:0,1:0", flag, value)
     assert code == cli.EXIT_INPUT
     assert err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("window", ["0", "-1", "nan", "inf"])
+def test_slice_window_must_be_positive_and_finite(capsys, window):
+    code, out, err = run(capsys, "slice", "ball", "--b", "1:0,0:0",
+                         "--c", "0:0,1:0", "--window", window)
+    assert code == cli.EXIT_INPUT
+    assert err == f"error: --window must be positive and finite, got {float(window)}\n"
+    assert out == ""
+    assert catalog._built_domain.cache_info().misses == 0  # checked before loading
 
 
 def test_slice_grid_csv(capsys, tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import levislice
 from levislice import expr as E
-from levislice import pipeline
+from levislice import levi, pipeline
 from levislice.catalog import CATALOG
 from fd_oracle import fd_wirtinger_jet
 from oracles import compose_with_affine
@@ -156,6 +156,13 @@ def test_every_jet_entry_point_returns_the_one_jet_type(rng):
     assert mixed_only.dzz is None and full.dzz is not None
     assert not any(hasattr(mod, name) for mod in (E, levislice, levislice.levi)
                    for name in ("WirtingerJet", "Tolerances"))
+
+
+def test_only_a_batch_jet_has_a_length(rng):
+    ast = E.parse(BALL)
+    assert len(E.eval_jet_batch(ast, random_points(rng, 2, 3))) == 3
+    with pytest.raises(TypeError, match="single-point jet"):
+        len(E.eval_jet(ast, [1, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +479,20 @@ def test_check_real_valued():
     assert not E.check_real_valued(E.parse("z1"), one)
     assert E.check_real_valued(E.parse("re(z1)+im(z2)"), two)
     assert not E.check_real_valued(E.parse("z1*z2+1"), two)
+
+
+def test_realness_points_are_the_box_samples_of_its_seed(monkeypatch):
+    drawn = []
+    eval_raw = E.eval_raw
+
+    def recorded(ast, points):
+        drawn.append(points)
+        return eval_raw(ast, points)
+    monkeypatch.setattr(E, "eval_raw", recorded)
+    box = CATALOG["ball"].box()
+    assert E.check_real_valued(E.parse(BALL), box)
+    assert np.array_equal(drawn[0], levi.sample_box_points(
+        box, E.REALNESS_TRIALS, E.REALNESS_SEED))
 
 
 def test_check_real_valued_on_affine_maps():

@@ -244,7 +244,7 @@ def test_restricted_min_lower_bounds_random_tangents(rng):
     M = project_to_boundary(dom, [0.8, 0.7 + 0.2j])
     probe = levi.restricted_levi_min(dom, M)
     g = E.eval_jet(dom.ast, M).dz
-    basis = la.tangent_null_basis(g)
+    basis = la.tangent_null_basis(g, levi.GRAD_FLOOR)
     for _ in range(50):
         coeff = rng.standard_normal(1) + 1j * rng.standard_normal(1)
         W = basis @ coeff

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levislice import linalg as la
+from levislice.levi import GRAD_FLOOR
 from oracles import DependentVectorsError, gram_solve_2
 
 
@@ -92,13 +93,13 @@ def test_eig_stack_matches_single_matrices(rng):
 # ---------------------------------------------------------------------------
 
 def test_tangent_basis_axis_case():
-    basis = la.tangent_null_basis(np.array([0.0, 0.5]))
+    basis = la.tangent_null_basis(np.array([0.0, 0.5]), GRAD_FLOOR)
     assert basis.shape == (2, 1)
     assert np.allclose(basis[:, 0], [1, 0])
 
 
 def test_tangent_basis_e1_c3():
-    basis = la.tangent_null_basis(np.array([1.0, 0, 0], complex))
+    basis = la.tangent_null_basis(np.array([1.0, 0, 0], complex), GRAD_FLOOR)
     assert basis.shape == (3, 2)
     assert np.max(np.abs(basis[0, :])) <= 1e-12   # columns span {Z1 = 0}
     assert np.allclose(basis.conj().T @ basis, np.eye(2))
@@ -106,7 +107,7 @@ def test_tangent_basis_e1_c3():
 
 def test_tangent_basis_hand_null_space():
     g = np.array([1.0, 1.0]) / np.sqrt(2)
-    basis = la.tangent_null_basis(g)
+    basis = la.tangent_null_basis(g, GRAD_FLOOR)
     v = basis[:, 0]
     assert abs(v[0] + v[1]) <= 1e-12
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -114,7 +115,7 @@ def test_tangent_basis_hand_null_space():
 
 def test_tangent_basis_gradient_floor():
     with pytest.raises(la.DegenerateGradientError):
-        la.tangent_null_basis(np.array([1e-10, 0]))
+        la.tangent_null_basis(np.array([1e-10, 0]), GRAD_FLOOR)
 
 
 @settings(max_examples=50, deadline=None)
@@ -122,7 +123,7 @@ def test_tangent_basis_gradient_floor():
 def test_tangent_basis_properties(seed, n):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    basis = la.tangent_null_basis(g)
+    basis = la.tangent_null_basis(g, GRAD_FLOOR)
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(n - 1))) <= 1e-12
     # bilinear tangency convention: sum_j g_j v_j = 0 (no conjugate on g)
     assert np.max(np.abs(g @ basis)) <= 1e-12 * np.linalg.norm(g)
@@ -131,15 +132,16 @@ def test_tangent_basis_properties(seed, n):
 def test_tangent_basis_stack_matches_rows(rng):
     g = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
     g[0] = [0, 2, 0, 0]          # first coordinate zero: the unit-phase fallback
-    stack = la.tangent_null_basis(g)
+    stack = la.tangent_null_basis(g, GRAD_FLOOR)
     assert stack.shape == (9, 4, 3)
     for k in range(9):
-        assert np.allclose(stack[k], la.tangent_null_basis(g[k]), atol=1e-15)
+        assert np.allclose(stack[k], la.tangent_null_basis(g[k], GRAD_FLOOR),
+                           atol=1e-15)
 
 
 def test_tangent_basis_stack_gradient_floor():
     with pytest.raises(la.DegenerateGradientError):
-        la.tangent_null_basis(np.array([[1.0, 0.0], [1e-10, 0.0]]))
+        la.tangent_null_basis(np.array([[1.0, 0.0], [1e-10, 0.0]]), GRAD_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -65,17 +65,17 @@ def test_a_sweep_request_builds_a_fixed_number_of_generators(monkeypatch):
         seeds.append(seed)
         return default_rng(seed)
 
+    dom = CATALOG["ball"].domain()
     monkeypatch.setattr(np.random, "default_rng", counted)
     built = []
     for samples in (5, 40):
         seeds.clear()
-        run = pipeline.verify_theorem(CATALOG["ball"].domain(), samples, seed=6)
+        run = pipeline.verify_theorem(dom, samples, seed=6)
         assert run.forward is not None and run.forward.count == samples
         built.append(list(seeds))
-    # realness check and classify for the domain, the frames, the slices'
-    # realness check and their box starts
+    # classify, the frames, the slices' realness check and their box starts
     assert built[0] == built[1]
-    assert len(built[0]) == 5
+    assert len(built[0]) == 4
     # the sweep's two streams differ from each other and from classify's
     assert len({repr(s) for s in built[0] if s != E.REALNESS_SEED}) == 3
 
