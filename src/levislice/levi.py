@@ -134,7 +134,9 @@ class LeviReport:
 
 def sample_box_points(box: np.ndarray, count: int, seed) -> np.ndarray:
     """Pseudorandom points in the box, drawn as the realness check draws its
-    own (expr.sample_box)."""
+    own (expr.sample_box).  A function of its own, not an alias: the traced
+    benchmark counts `levi.box_points` by wrapping this name, and wrapping an
+    alias would wrap `expr.sample_box` too and count the realness draws."""
     return ex.sample_box(box, count, seed)
 
 
