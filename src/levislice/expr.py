@@ -33,9 +33,11 @@ numpy calls on the same operands.  A row gets the same bits in any batch,
 except in a NaN, whose bits numpy may set differently for another batch
 length; that is harmless, as every NaN row is rejected as non-finite.  A
 trace stands for every batch only because the walk's control flow depends
-on the AST alone: its one test of values, whether a divisor may vanish, is
-recorded and made at every replay, and any new test of values must be
-recorded the same way.
+on the AST alone: the walk makes no test of values.  A divisor's exact
+zeros become NaN before it divides, so a row that divides by zero comes out
+NaN, and the tape is pure dataflow.  eval_raw and eval_jet_batch raise
+EvalError on a non-finite row; eval_value_grad returns it as it is, for
+Newton to drop.
 
 The same walk also runs on midpoint-radius discs instead of points: over a
 polydisc it returns discs that enclose every value the jet takes there,
@@ -521,8 +523,8 @@ class _Walk:
 
     The points are a (B, columns) complex array, a _Disc of that shape or
     the _Sym of a tape being traced; the walk touches its numbers only
-    through arithmetic, numpy ufuncs, indexing, reshape and swapaxes and the
-    two hooks const and check_divisor, which serve all three number types.
+    through arithmetic, numpy ufuncs, indexing, reshape and swapaxes,
+    _zero_to_nan and the hook const, which serve all three number types.
     Its control flow depends on the AST alone, never on a value: that is
     what lets one trace stand for every batch.
     """
@@ -534,8 +536,8 @@ class _Walk:
         self.memo: dict[int, Jet] = {}
 
     def run(self) -> Jet:
-        """The root jet.  Overflow and invalid operations make inf or nan,
-        which the callers turn into an EvalError, so numpy need not warn."""
+        """The root jet.  Overflow, invalid operations and division by zero
+        make inf or nan, which the callers reject, so numpy need not warn."""
         with np.errstate(over="ignore", invalid="ignore"):
             return self.eval(self.root)
 
@@ -544,14 +546,6 @@ class _Walk:
         that arithmetic on constants is enclosed too."""
         c = np.complex128(value)
         return _Disc.of(c) if isinstance(self.points, _Disc) else c
-
-    def check_divisor(self, x):
-        """Raise EvalError if x may be zero at some point of the batch; on a
-        traced walk, record the test, so that every replay makes it."""
-        if isinstance(x, _Sym):
-            x.tape.record(_check_divisor, (x,), 0)
-        else:
-            _check_divisor(x)
 
     def eval(self, node: Node) -> Jet:
         key = id(node)
@@ -606,8 +600,9 @@ class _Walk:
                               _outer(u.dzb, v.dzb), _outer(v.dzb, u.dzb)))
 
     def inv(self, u: Jet) -> Jet:
-        self.check_divisor(u.val)
-        w = 1.0 / u.val
+        # a disc divisor is left to _Disc.reciprocal, which raises where the
+        # disc may hold 0
+        w = 1.0 / (u.val if isinstance(u.val, _Disc) else _zero_to_nan(u.val))
         w2 = w * w
         w3 = w * w * w
 
@@ -646,14 +641,12 @@ class _Walk:
         return result
 
 
-def _check_divisor(x):
-    """Raise EvalError if the array or disc x may be zero anywhere."""
-    if isinstance(x, _Disc):
-        vanish = not np.all(x.gap() > 0.0)
-    else:
-        vanish = bool(np.any(x == 0))
-    if vanish:
-        raise EvalError("division by zero")
+def _zero_to_nan(x):
+    """x with its exact zeros made NaN, so that dividing by it gives NaN, not
+    inf, in a row that divides by zero; recorded like any operation."""
+    if isinstance(x, _Sym):
+        return _elementwise(_zero_to_nan, (x,))
+    return np.where(x == 0, np.nan, x)
 
 
 # ---------------------------------------------------------------------------
@@ -723,9 +716,9 @@ class _Tape:
 
     A register file holds the points (slot 0), the constants folded at
     trace time and one slot per recorded result.  An instruction is (fn,
-    argument slots, result slot); a divisor test is one whose result no
-    instruction reads.  `program` prunes the tape to what some blocks of the
-    root need, and `replay` runs such a program on a batch of points.
+    argument slots, result slot).  `program` prunes the tape to what some
+    blocks of the root need, and `replay` runs such a program on a batch of
+    points.
     """
 
     def __init__(self):
@@ -750,16 +743,16 @@ class _Tape:
     def program(self, blocks: tuple) -> tuple:
         """(code, {block: slot}) for the named blocks of the root jet.
 
-        The code keeps every divisor test and the instructions the blocks
-        read, in tape order, as (fn, a, b, out, drop): b is None for a unary
-        fn, and drop lists the points and results whose last reader it is.
+        The code keeps the instructions the blocks read, in tape order, as
+        (fn, a, b, out, drop): b is None for a unary fn, and drop lists the
+        points and results whose last reader it is.
         """
         if blocks not in self.programs:
             outputs = {name: self.blocks[name] for name in blocks}
             needed = set(outputs.values())
             code = []
             for fn, args, out in reversed(self.code):
-                if out in needed or fn is _check_divisor:
+                if out in needed:
                     # the points and results hold None until the replay
                     drop = tuple(s for s in set(args) - needed
                                  if self.registers[s] is None)
@@ -804,8 +797,9 @@ def _as_points(ast: Ast, points) -> np.ndarray:
 
 def _tape(ast: Ast, points: np.ndarray) -> _Tape:
     """The expression's tape for points of this column count, traced on
-    first use.  A trace that raises is not kept, so a constant zero divisor
-    raises on every call."""
+    first use.  A trace never raises on a value: a constant zero divisor is
+    a NaN constant on the tape, and every evaluation that checks its rows
+    raises."""
     columns = points.shape[1]
     if columns not in ast._tapes:
         ast._tapes[columns] = _trace(ast.root, columns)
@@ -826,8 +820,6 @@ def _run(ast: Ast, points, blocks: tuple) -> Jet:
     registers = tape.replay(points, code)
     B, n = points.shape
     jet = Jet(np.array(np.broadcast_to(registers[outputs["val"]], (B,))))
-    if not np.all(np.isfinite(jet.val)):
-        raise EvalError("non-finite value in evaluation")
     for name in blocks[1:]:
         # a block's rank is its number of derivatives: dz 1, dzz and dzzb 2
         shape = (B,) + (n,) * name.count("z")
@@ -842,12 +834,20 @@ def _run(ast: Ast, points, blocks: tuple) -> Jet:
 # ---------------------------------------------------------------------------
 
 def eval_raw(ast: Ast, points) -> np.ndarray:
-    """Raw complex values at a (B, n) batch of points."""
-    return _run(ast, points, ("val",)).val
+    """Raw complex values at a (B, n) batch of points.  Raises EvalError if
+    some value is not finite."""
+    val = _run(ast, points, ("val",)).val
+    if not np.all(np.isfinite(val)):
+        raise EvalError("non-finite value in evaluation")
+    return val
 
 
 def eval_value_grad(ast: Ast, points) -> tuple[np.ndarray, np.ndarray]:
-    """Real values and holomorphic gradients at a (B, n) batch of points."""
+    """Real values and holomorphic gradients at a (B, n) batch of points.
+
+    Never raises on a value: a row that overflows or divides by zero comes
+    back non-finite, as it is, and the caller decides what to do with it
+    (Newton drops it)."""
     jet = _run(ast, points, ("val", "dz"))
     return jet.val.real.astype(float), jet.dz
 
@@ -858,10 +858,12 @@ def eval_jet_batch(ast: Ast, points, holo: bool = True) -> Jet:
 
     With holo=False the holomorphic block dzz is neither computed nor
     returned (it is None), which saves a third of the work and memory of
-    the walk.
+    the walk.  Raises EvalError if some value or derivative is not finite.
     """
     blocks = ("val", "dz", "dzzb", "dzz") if holo else ("val", "dz", "dzzb")
     jet = _run(ast, points, blocks)
+    if not np.all(np.isfinite(jet.val)):
+        raise EvalError("non-finite value in evaluation")
     for block in (jet.dz, jet.dzz, jet.dzzb):
         if block is not None and not np.all(np.isfinite(block)):
             raise EvalError("non-finite derivative in evaluation")

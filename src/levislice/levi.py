@@ -174,10 +174,6 @@ def _pulled_back_mixed(mixed: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.einsum("bli,blm,bmj->bij", F, H, np.conj(F)))
 
 
-def _rows(x, rows):
-    return None if x is None else x[rows]
-
-
 def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
             frame=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-direction Newton toward {rho = 0} on a batch of points, for at
@@ -188,8 +184,10 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
     step for the linearization of rho along that direction.  Each point's
     iteration depends on that point alone, so only the points still moving
     are evaluated.  They are kept packed, with their rows of a and frame, and
-    the pack shrinks only on an iteration where some point stops.  Returns
-    the final points and a convergence mask.
+    the pack shrinks only on an iteration where some point stops.  A point
+    fails, and stops where it is, when rho or the point is not finite (an
+    overflow or a division by zero) or its gradient is below GRAD_FLOOR.
+    Returns the final points and a convergence mask.
     """
     w = np.empty_like(w0)
     done = np.zeros(len(w), bool)
@@ -211,9 +209,8 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
             big = np.abs(g).max(axis=1)
             gn[over] = big * np.linalg.norm(g / big[:, None], axis=1)
         rgn = 2.0 * gn
-        # eval_value_grad raises on a non-finite value, but not on a
-        # non-finite point where rho stays finite
-        fail = rgn < GRAD_FLOOR
+        # rho may stay finite at a non-finite point
+        fail = (rgn < GRAD_FLOOR) | ~np.isfinite(vals)
         finite = np.isfinite(pw)
         if not finite.all():
             fail |= ~finite.all(axis=1)
@@ -238,22 +235,6 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
     return w, done
 
 
-def _project(ast: ex.Ast, w0: np.ndarray, a=None,
-             frame=None) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on the batch; where evaluation fails, split it so one bad point
-    cannot poison the rest.  A point that fails alone keeps its start and is
-    marked unconverged."""
-    try:
-        return _newton(ast, w0, a, frame)
-    except ex.EvalError:
-        if len(w0) == 1:
-            return w0.copy(), np.zeros(1, bool)
-    halves = [_project(ast, w0[part], _rows(a, part), _rows(frame, part))
-              for part in (slice(None, len(w0) // 2), slice(len(w0) // 2, None))]
-    return (np.concatenate([h[0] for h in halves]),
-            np.concatenate([h[1] for h in halves]))
-
-
 def _boundary_batch(domain: Domain, box: np.ndarray, count: int, seed, a=None,
                     frame=None) -> tuple[np.ndarray, np.ndarray]:
     """Project `count` box samples per slice onto the boundary; drop failures.
@@ -272,7 +253,7 @@ def _boundary_batch(domain: Domain, box: np.ndarray, count: int, seed, a=None,
     starts = sample_box_points(box, slices * count, seed)
     if frame is not None:
         a, frame = a[rows], frame[rows]
-    pts, ok = _project(domain.ast, starts, a, frame)
+    pts, ok = _newton(domain.ast, starts, a, frame)
     ok &= _in_inflated_box(box, pts)
     for found in np.bincount(rows[ok], minlength=slices):
         if found < 0.5 * count:

@@ -291,18 +291,50 @@ def test_cached_tape_raises_where_a_divisor_vanishes(rng):
     E.eval_value_grad(ast, random_points(rng, 2, 4))
     tape = ast._tapes[2]
     bad = np.array([[0.5, 1j], [0.0, 1.0]])
-    for evaluate in (E.eval_raw, E.eval_value_grad, E.eval_jet_batch):
-        with pytest.raises(E.EvalError, match="division by zero"):
+    for evaluate in (E.eval_raw, E.eval_jet_batch):
+        with pytest.raises(E.EvalError, match="non-finite value in evaluation"):
             evaluate(ast, bad)
+    # eval_value_grad returns the zero-divisor row as NaN, and the other row
+    # as it is alone
+    value, grad = E.eval_value_grad(ast, bad)
+    alone_value, alone_grad = E.eval_value_grad(ast, bad[:1])
+    assert np.isnan(value[1]) and np.isnan(grad[1, 0])
+    assert same_bits(value[:1], alone_value) and same_bits(grad[:1], alone_grad)
     assert ast._tapes == {2: tape}
 
 
 def test_constant_zero_divisor_raises_on_every_call(traces, rng):
+    # the zero divisor is a NaN constant on the tape, which is kept
     ast = E.parse("abs2(z1)+1/(2-2)")
     for _ in range(3):
-        with pytest.raises(E.EvalError, match="division by zero"):
+        with pytest.raises(E.EvalError, match="non-finite value in evaluation"):
             E.eval_raw(ast, random_points(rng, 1, 4))
-    assert len(traces) == 3 and ast._tapes == {}
+    assert len(traces) == 1 and list(ast._tapes) == [1]
+
+
+def test_pruned_programs_are_pure_dataflow(rng):
+    # every instruction of a program is read by a later one or is an output:
+    # nothing is kept for a side effect, divisions included
+    ast = E.parse("abs2(z1)/(2+abs2(z2))+re(1/(z1-3))+exp(im(z2))/(1+abs2(z1-z2))")
+    pts = random_points(rng, 2, 5)
+    E.eval_raw(ast, pts)
+    E.eval_value_grad(ast, pts)
+    E.eval_jet_batch(ast, pts, holo=False)
+    E.eval_jet_batch(ast, pts, holo=True)
+    tape = ast._tapes[2]
+    assert sorted(tape.programs) == sorted(PROGRAMS)
+    for blocks, (code, outputs) in tape.programs.items():
+        read = set(outputs.values())
+        for fn, a, b, out, _ in reversed(code):
+            assert out in read, (blocks, fn)
+            read.update((a, b))
+
+
+def test_zero_power_of_a_zero_divisor_is_one(rng):
+    # the tape prunes the unused base, so its division by zero never runs
+    ast = E.parse("abs2(z2)+(1/(z1-z1))^0")
+    pts = random_points(rng, 2, 3)
+    assert same_bits(E.eval_raw(ast, pts), E.eval_raw(E.parse("abs2(z2)+1"), pts))
 
 
 def test_replay_releases_every_intermediate(rng):

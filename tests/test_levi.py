@@ -1,12 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from levislice import catalog
 from levislice import expr as E
 from levislice import levi
 from levislice import pipeline
 from levislice.catalog import CATALOG
 from oracles import compose_with_affine, levi_form_at, project_to_boundary
 from rotated import rotated_domain
+
+DATA = Path(__file__).parent / "data"
 
 
 def domain_of(name):
@@ -75,18 +80,6 @@ def test_sample_boundary_single_point():
     assert pts.shape == (1, 2)
 
 
-def test_projection_drops_only_points_that_fail_to_evaluate():
-    # the extra term is 0 except at re(z1) = 0.5, where it divides by zero
-    ast = E.parse("abs2(z1)+abs2(z2)-1+0*(1/(re(z1)-0.5))")
-    starts = np.array([[0.3, 0.2j], [0.5, 0.3], [2.0, 0.0], [0.1j, -0.9]], complex)
-    pts, ok = levi._project(ast, starts)
-    assert ok.tolist() == [True, False, True, True]
-    assert np.array_equal(pts[1], starts[1])
-    for i in (0, 2, 3):
-        alone, ok_alone = levi._newton(ast, starts[i:i + 1])
-        assert ok_alone[0] and np.array_equal(pts[i], alone[0])
-
-
 def _eval_sizes(monkeypatch) -> list[int]:
     """Record the batch size of every eval_value_grad call from here on."""
     sizes = []
@@ -135,23 +128,43 @@ def test_packed_newton_on_slice_frames_matches_each_row_alone(monkeypatch):
         assert _same_bits(w[i], alone[0]) and done[i] == done_alone[0]
 
 
+def _one_newton_run(sizes, count: int) -> bool:
+    """Whether the recorded batch sizes are those of one packed Newton run
+    on count starts: it starts with all of them and its pack only shrinks."""
+    return (0 < len(sizes) <= 50 and sizes[0] == count
+            and sizes == sorted(sizes, reverse=True))
+
+
+def test_projection_drops_only_points_that_fail_to_evaluate(monkeypatch):
+    # the extra term is 0 except at re(z1) = 0.5, where it divides by zero
+    ast = E.parse("abs2(z1)+abs2(z2)-1+0*(1/(re(z1)-0.5))")
+    starts = np.array([[0.3, 0.2j], [0.5, 0.3], [2.0, 0.0], [0.1j, -0.9]], complex)
+    sizes = _eval_sizes(monkeypatch)
+    pts, ok = levi._newton(ast, starts)
+    assert ok.tolist() == [True, False, True, True]
+    assert _one_newton_run(sizes, len(starts))
+    for i in (0, 2, 3):
+        alone, ok_alone = levi._newton(ast, starts[i:i + 1])
+        assert ok_alone[0] and _same_bits(pts[i], alone[0])
+
+
 def test_projection_splits_off_a_row_that_overflows_partway(monkeypatch):
     # from re(z1) = -10 the first step jumps to re(z1) ~ 2e4, where exp
     # overflows: the row fails on its second evaluation, not its first
     ast = E.parse("exp(re(z1))+abs2(z2)-1")
     starts = np.array([[0.5, 0.3], [-10, 0], [-1, 2j], [-30, 0.1]], complex)
     sizes = _eval_sizes(monkeypatch)
-    with pytest.raises(E.EvalError):
-        levi._newton(ast, starts[1:2])
-    assert sizes == [1, 1]
-    with pytest.raises(E.EvalError):
-        levi._newton(ast, starts)
-    pts, ok = levi._project(ast, starts)
+    alone, ok_alone = levi._newton(ast, starts[1:2])
+    assert sizes == [1, 1] and not ok_alone[0]
+    # it stops where it failed, not at its start
+    assert np.isinf(E.eval_value_grad(ast, alone)[0][0])
+    del sizes[:]
+    pts, ok = levi._newton(ast, starts)
     assert ok.tolist() == [True, False, True, True]
-    for i in range(len(starts)):
-        alone, ok_alone = levi._project(ast, starts[i:i + 1])
-        assert _same_bits(pts[i], alone[0]) and ok[i] == ok_alone[0]
-    assert _same_bits(pts[1], starts[1])
+    assert _one_newton_run(sizes, len(starts))
+    for i in (0, 2, 3):
+        alone, ok_alone = levi._newton(ast, starts[i:i + 1])
+        assert ok_alone[0] and _same_bits(pts[i], alone[0])
 
 
 def test_newton_fails_a_non_finite_point_where_rho_stays_finite():
