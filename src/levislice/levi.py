@@ -174,6 +174,7 @@ def _pulled_back_mixed(mixed: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.einsum("bli,blm,bmj->bij", F, H, np.conj(F)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
             frame=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-direction Newton toward {rho = 0} on a batch of points, for at
@@ -185,9 +186,10 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
     iteration depends on that point alone, so only the points still moving
     are evaluated.  They are kept packed, with their rows of a and frame, and
     the pack shrinks only on an iteration where some point stops.  A point
-    fails, and stops where it is, when rho or the point is not finite (an
-    overflow or a division by zero) or its gradient is below GRAD_FLOOR.
-    Returns the final points and a convergence mask.
+    fails, and stops where it is, when rho, its real gradient norm or the
+    point is not finite (an overflow or a division by zero) or the norm is
+    below GRAD_FLOOR; so numpy need not warn of overflow.  Returns the final
+    points and a convergence mask.
     """
     w = np.empty_like(w0)
     done = np.zeros(len(w), bool)
@@ -198,8 +200,7 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
             break
         vals, grads = ex.eval_value_grad(ast, _ambient(pw, a, frame))
         grads = _pulled_back_grad(grads, frame)
-        with np.errstate(over="ignore"):
-            gn = np.linalg.norm(grads, axis=1)
+        gn = np.linalg.norm(grads, axis=1)
         over = np.isinf(gn)
         if over.any():
             # the squares of a finite gradient overflowed: scale its row by
@@ -210,7 +211,7 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
             gn[over] = big * np.linalg.norm(g / big[:, None], axis=1)
         rgn = 2.0 * gn
         # rho may stay finite at a non-finite point
-        fail = (rgn < GRAD_FLOOR) | ~np.isfinite(vals)
+        fail = (rgn < GRAD_FLOOR) | ~np.isfinite(rgn) | ~np.isfinite(vals)
         finite = np.isfinite(pw)
         if not finite.all():
             fail |= ~finite.all(axis=1)
@@ -224,8 +225,7 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
             rows, pw, vals, grads, gn, a, frame = (
                 None if x is None else x.take(keep, axis=0)
                 for x in (rows, pw, vals, grads, gn, a, frame))
-        with np.errstate(over="ignore"):
-            gn2 = 2.0 * np.maximum(gn ** 2, np.finfo(float).tiny)
+        gn2 = 2.0 * np.maximum(gn ** 2, np.finfo(float).tiny)
         coef = vals / gn2
         over = np.isinf(gn2)
         if over.any():

@@ -105,14 +105,18 @@ def test_dimension_one_is_an_input_error(capsys, command):
 @pytest.mark.parametrize("command", ["check", "verify-theorem"])
 def test_overflow_writes_no_warning(capsys, command):
     # steep.dom: before its norms were taken without overflow, Newton also
-    # accepted 14 points where rho exceeds 1e165 as boundary points
-    for name, message in [
-            ("overflow.dom", "non-finite value in evaluation"),
-            ("steep.dom", "only 1/50 samples reached the boundary; "
-                          "the sampling box likely misses it")]:
+    # accepted 14 points where rho exceeds 1e165 as boundary points, and at
+    # 2000 samples 2 points where 2|grad rho| itself overflows
+    for args, message in [
+            (["overflow.dom"], "non-finite value in evaluation"),
+            (["steep.dom"], "only 1/50 samples reached the boundary; "
+                            "the sampling box likely misses it"),
+            (["steep.dom", "--samples", "2000", "--seed", "1"],
+             "only 118/2000 samples reached the boundary; "
+             "the sampling box likely misses it")]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, command, str(DATA / name))
+            code, out, err = run(capsys, command, str(DATA / args[0]), *args[1:])
         assert code == cli.EXIT_INPUT
         assert err == f"error: {message}\n"
         assert out == ""

@@ -167,6 +167,30 @@ def test_projection_splits_off_a_row_that_overflows_partway(monkeypatch):
         assert ok_alone[0] and _same_bits(pts[i], alone[0])
 
 
+def test_classify_projects_in_one_newton_run(monkeypatch):
+    # steep.dom's rho overflows on most of its box; each failed row drops out
+    # of the one run instead of splitting the batch and restarting Newton
+    dom = catalog.load_domain_spec(str(DATA / "steep.dom")).domain()
+    sizes = _eval_sizes(monkeypatch)
+    with pytest.raises(levi.BoundaryNotFoundError):
+        levi.classify(dom, 2000, 1)
+    assert _one_newton_run(sizes, 2000)
+
+
+def test_newton_accepts_only_points_within_tolerance_of_the_boundary():
+    # on steep.dom the gradient overflows near some iterates: a row whose
+    # 2|grad rho| is inf would pass |rho| <= BOUNDARY_EPS (1 + 2|grad rho|)
+    # at any finite rho, so such a row fails instead
+    dom = catalog.load_domain_spec(str(DATA / "steep.dom")).domain()
+    starts = levi.sample_box_points(dom.box, 2000, 1)
+    w, done = levi._newton(dom.ast, starts)
+    vals, grads = E.eval_value_grad(dom.ast, w[done])
+    big = np.abs(grads).max(axis=1)
+    rgn = 2.0 * big * np.linalg.norm(grads / big[:, None], axis=1)
+    assert done.any() and np.all(np.isfinite(rgn))
+    assert np.all(np.abs(vals) <= levi.BOUNDARY_EPS * (1.0 + rgn))
+
+
 def test_newton_fails_a_non_finite_point_where_rho_stays_finite():
     # rho leaves z1 out, so a non-finite z1 leaves rho and its gradient finite
     ast = E.parse("abs2(z2)-1")
