@@ -180,10 +180,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# deepest nesting of parentheses, function calls and unary minus signs the
+# parser takes; a level costs it up to four Python frames
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.k]
@@ -226,15 +232,21 @@ class _Parser:
             node = Mul(node, rhs) if op == "*" else Div(node, rhs)
 
     def factor(self) -> Node:
+        # every level of nesting passes here once
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels")
         if self.accept_op("-"):
-            return Mul(Const(-1.0 + 0j), self.factor())
-        node = self.atom()
-        if self.accept_op("^"):
-            kind, value, _ = self.peek()
-            if kind != "num" or not value.isdigit():
-                self.fail("expected a nonnegative integer exponent")
-            self.advance()
-            node = Pow(node, int(value))
+            node = Mul(Const(-1.0 + 0j), self.factor())
+        else:
+            node = self.atom()
+            if self.accept_op("^"):
+                kind, value, _ = self.peek()
+                if kind != "num" or not value.isdigit():
+                    self.fail("expected a nonnegative integer exponent")
+                self.advance()
+                node = Pow(node, int(value))
+        self.depth -= 1
         return node
 
     def atom(self) -> Node:
@@ -287,10 +299,26 @@ def _children(node: Node) -> tuple:
     return (node.lhs, node.rhs)
 
 
-def _dimension(node: Node) -> int:
-    if isinstance(node, Var):
-        return node.index
-    return max(map(_dimension, _children(node)), default=0)
+def _postorder(root: Node) -> list:
+    """Each distinct node of the tree, by identity, after its children, left
+    to right: the order in which a memoized recursive walk finishes them,
+    found without recursion."""
+    order, seen = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, finished = stack.pop()
+        if finished:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_children(node)))
+    return order
+
+
+def _dimension(root: Node) -> int:
+    return max((node.index for node in _postorder(root) if isinstance(node, Var)),
+               default=0)
 
 
 def parse(text: str) -> Ast:
@@ -518,7 +546,8 @@ class _Walk:
     Every block is formed, the holomorphic ones included: on a traced walk
     the tape's programs pick the blocks each caller reads, and the direct
     walks (discs, tests) want them all.  Shared subtrees (abs2 shares its
-    argument) are evaluated once.  The operations skip structural zeros: a
+    argument) are evaluated once, and no node costs a Python frame, so a
+    long or deep expression cannot exhaust the stack.  The operations skip structural zeros: a
     term with a missing factor is not formed.
 
     The points are a (B, columns) complex array, a _Disc of that shape or
@@ -533,13 +562,16 @@ class _Walk:
         self.root = root
         self.points = points
         self.columns = columns
-        self.memo: dict[int, Jet] = {}
 
     def run(self) -> Jet:
-        """The root jet.  Overflow, invalid operations and division by zero
-        make inf or nan, which the callers reject, so numpy need not warn."""
+        """The root jet, the nodes taken in post-order.  Overflow, invalid
+        operations and division by zero make inf or nan, which the callers
+        reject, so numpy need not warn."""
+        memo: dict[int, Jet] = {}
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.eval(self.root)
+            for node in _postorder(self.root):
+                memo[id(node)] = self.jet(node, *(memo[id(c)] for c in _children(node)))
+        return memo[id(self.root)]
 
     def const(self, value: complex):
         """A constant of the walk's number type; a thin disc among discs, so
@@ -547,13 +579,8 @@ class _Walk:
         c = np.complex128(value)
         return _Disc.of(c) if isinstance(self.points, _Disc) else c
 
-    def eval(self, node: Node) -> Jet:
-        key = id(node)
-        if key not in self.memo:
-            self.memo[key] = self.jet(node)
-        return self.memo[key]
-
-    def jet(self, node: Node) -> Jet:
+    def jet(self, node: Node, *args: Jet) -> Jet:
+        """The jet of node from the jets of its children."""
         if isinstance(node, Var):
             # the column as a view; d/dz is one-hot and the same at every point
             dz = np.zeros((1, self.columns), complex)
@@ -562,16 +589,14 @@ class _Walk:
         if isinstance(node, Const):
             return Jet(self.const(node.value))
         if isinstance(node, Conj):
-            return self.conj(self.eval(node.arg))
+            return self.conj(*args)
         if isinstance(node, Exp):
-            return self.exp(self.eval(node.arg))
+            return self.exp(*args)
         if isinstance(node, Pow):
-            base = self.eval(node.base)
             if node.exponent == 0:
                 return Jet(self.const(1.0))
-            return self.pow(base, node.exponent)
-        lhs = self.eval(node.lhs)
-        rhs = self.eval(node.rhs)
+            return self.pow(*args, node.exponent)
+        lhs, rhs = args
         if isinstance(node, Add):
             return self.add(lhs, rhs, 1.0)
         if isinstance(node, Sub):

@@ -122,6 +122,22 @@ def test_overflow_writes_no_warning(capsys, command):
         assert out == ""
 
 
+def test_long_sum_classifies_and_deep_nesting_is_an_input_error(capsys, tmp_path):
+    # neither a sum of 900 terms nor 400 nested parentheses may exhaust the
+    # Python stack: the first classifies, the second is refused by the parser
+    deep = tmp_path / "deep.dom"
+    deep.write_text(f"n = 2\nrho = {'(' * 400}abs2(z1){')' * 400}+abs2(z2)-1\n"
+                    "box = -1.5,1.5,-1.5,1.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(capsys, "check", str(DATA / "long_sum.dom"))
+        assert code == cli.EXIT_OK
+        assert payload["verdict"] == "pseudoconvex-at-samples"
+        code, out, err = run(capsys, "check", str(deep))
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err.startswith("error: expression nested deeper than 200 levels")
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/file.dom")
     assert code == cli.EXIT_INPUT

@@ -50,6 +50,22 @@ def test_parse_rejects_fractional_exponent():
         E.parse("z1^1.5")
 
 
+@pytest.mark.parametrize("open_, close", [("(", ")"), ("exp(", ")"), ("-", "")])
+def test_parse_caps_nesting_depth(open_, close):
+    # parentheses, calls and unary minus signs nest; the cap leaves room on
+    # the Python stack for its caller
+    levels = E.MAX_NESTING - 1
+    assert E.parse(open_ * levels + "z1" + close * levels).n == 1
+    with pytest.raises(E.ExprSyntaxError, match=f"nested deeper than {E.MAX_NESTING}"):
+        E.parse(open_ * 2 * levels + "z1" + close * 2 * levels)
+
+
+def test_parse_takes_a_long_sum():
+    ast = E.parse("+".join(["abs2(z1)"] * 1200) + "+abs2(z3)")
+    assert ast.n == 3
+    assert E.eval_raw(ast, [[1, 0, 2]])[0] == 1204
+
+
 def test_parse_grammar_shapes(rng):
     # unary minus binds after the power, per the grammar
     ast = E.parse("-z1^2")
@@ -246,6 +262,21 @@ def test_replay_matches_direct_walk_bit_for_bit(root, seed):
                 assert block is None or same_bits_but_nan(
                     row(block, B, k), row(alone[name], 1, 0)), name
     assert len(ast._tapes) == 1
+
+
+def recursive_postorder(node, order):
+    if all(node is not done for done in order):
+        for child in E._children(node):
+            recursive_postorder(child, order)
+        order.append(node)
+    return order
+
+
+@settings(max_examples=60, deadline=None)
+@given(root=TREES)
+def test_postorder_is_the_memoized_recursive_order(root):
+    order = E._postorder(root)
+    assert [id(node) for node in order] == [id(node) for node in recursive_postorder(root, [])]
 
 
 @pytest.fixture
