@@ -10,7 +10,7 @@ verifies the whole chain numerically.
 __version__ = "0.1.0"
 
 from .expr import (Ast, Jet, check_real_valued, eval_jet, eval_jet_batch,
-                   eval_raw, parse, to_string)
+                   eval_raw, parse)
 from .hormander import (QuadraticWitness, VerificationRecord,
                         build_quadratic_witness, eval_quadratic,
                         sample_containment, verify_quadratic_witness)
@@ -23,7 +23,7 @@ from .pipeline import (ForwardSweep, PipelineError, TheoremRun,
 from .slicing import Slice, WitnessCertificate, make_slice, witness_slice
 
 __all__ = [
-    "Ast", "Jet", "parse", "to_string", "eval_jet", "eval_jet_batch",
+    "Ast", "Jet", "parse", "eval_jet", "eval_jet_batch",
     "eval_raw", "check_real_valued",
     "hermitian_eig", "tangent_null_basis",
     "Domain", "LeviProbe", "LeviReport", "make_domain",

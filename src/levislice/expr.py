@@ -1,4 +1,4 @@
-"""Defining-function expressions: parsing, printing, and Wirtinger jets.
+"""Defining-function expressions: parsing and Wirtinger jets.
 
 Expressions are real-valued functions of n complex variables written in a
 small grammar (z1, z2, ..., i, conj, re, im, abs2, exp, + - * / ^).  They
@@ -328,37 +328,6 @@ def parse(text: str) -> Ast:
     if kind != "eof":
         raise ExprSyntaxError(f"unexpected trailing input {value!r}", pos)
     return Ast(root, _dimension(root))
-
-
-# ---------------------------------------------------------------------------
-# Printing (parse . to_string is the identity up to evaluation)
-# ---------------------------------------------------------------------------
-
-def _fmt_const(c: complex) -> str:
-    re_s = repr(float(c.real))
-    if c.imag == 0.0:
-        return f"({re_s})"
-    sign = "+" if c.imag >= 0 else "-"
-    return f"({re_s}{sign}{repr(abs(float(c.imag)))}*i)"
-
-
-def _node_str(node: Node) -> str:
-    if isinstance(node, Var):
-        return f"z{node.index}"
-    if isinstance(node, Const):
-        return _fmt_const(node.value)
-    if isinstance(node, Conj):
-        return f"conj({_node_str(node.arg)})"
-    if isinstance(node, Exp):
-        return f"exp({_node_str(node.arg)})"
-    if isinstance(node, Pow):
-        return f"{_node_str(node.base)}^{node.exponent}"
-    op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
-    return f"({_node_str(node.lhs)}{op}{_node_str(node.rhs)})"
-
-
-def to_string(ast: Ast) -> str:
-    return _node_str(ast.root)
 
 
 # ---------------------------------------------------------------------------

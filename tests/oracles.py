@@ -85,20 +85,28 @@ def _substitute(node: Node, table: dict[int, Node], memo: dict) -> Node:
 # Rendering q in the expression grammar
 # ---------------------------------------------------------------------------
 
+def _fmt_const(c: complex) -> str:
+    re_s = repr(float(c.real))
+    if c.imag == 0.0:
+        return f"({re_s})"
+    sign = "+" if c.imag >= 0 else "-"
+    return f"({re_s}{sign}{repr(abs(float(c.imag)))}*i)"
+
+
 def quadratic_as_expression(q: QuadraticWitness) -> str:
     """Render q as a parseable expression string in z1..zn."""
     n = len(q.center)
-    dvar = [f"(z{j + 1}-{ex._fmt_const(q.center[j])})" for j in range(n)]
+    dvar = [f"(z{j + 1}-{_fmt_const(q.center[j])})" for j in range(n)]
     terms = []
-    lin_parts = [f"{ex._fmt_const(q.lin[j])}*{dvar[j]}"
+    lin_parts = [f"{_fmt_const(q.lin[j])}*{dvar[j]}"
                  for j in range(n) if q.lin[j] != 0]
     if lin_parts:
         terms.append(f"2*re({'+'.join(lin_parts)})")
-    holo_parts = [f"{ex._fmt_const(q.holo2[j, k])}*{dvar[j]}*{dvar[k]}"
+    holo_parts = [f"{_fmt_const(q.holo2[j, k])}*{dvar[j]}*{dvar[k]}"
                   for j in range(n) for k in range(n) if q.holo2[j, k] != 0]
     if holo_parts:
         terms.append(f"re({'+'.join(holo_parts)})")
-    mixed_parts = [f"{ex._fmt_const(q.mixed2[j, k])}*{dvar[j]}*conj({dvar[k]})"
+    mixed_parts = [f"{_fmt_const(q.mixed2[j, k])}*{dvar[j]}*conj({dvar[k]})"
                    for j in range(n) for k in range(n) if q.mixed2[j, k] != 0]
     if mixed_parts:
         terms.append(f"re({'+'.join(mixed_parts)})")

@@ -572,22 +572,6 @@ def test_check_real_valued_on_affine_maps():
 
 
 # ---------------------------------------------------------------------------
-# printing round trip
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("text", [
-    BALL, SADDLE, "exp(z1^3/(1+abs2(z2)))-im(z2)", "-(z1-conj(z2))^4+2.5e-3*i",
-])
-def test_print_parse_round_trip(text, rng):
-    ast = E.parse(text)
-    again = E.parse(E.to_string(ast))
-    pts = random_points(rng, max(ast.n, 1), 10, scale=0.6)
-    v1 = E.eval_raw(ast, pts)
-    v2 = E.eval_raw(again, pts)
-    assert np.max(np.abs(v1 - v2)) <= 1e-12 * (1 + np.max(np.abs(v1)))
-
-
-# ---------------------------------------------------------------------------
 # affine composition
 # ---------------------------------------------------------------------------
 
