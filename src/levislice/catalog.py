@@ -128,8 +128,9 @@ def parse_domain_file(path) -> DomainSpec:
             f"got {len(numbers)}")
     pairs = tuple((numbers[2 * j], numbers[2 * j + 1]) for j in range(n))
     for lo, hi in pairs:
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise DomainFileError(f"{path}: box bounds must be finite with lo < hi")
+        if not (np.isfinite(hi - lo) and lo < hi):
+            raise DomainFileError(f"{path}: box bounds must be finite with lo < hi "
+                                  "and a finite width hi - lo")
     expected = fields.get("expected")
     if expected is not None and expected not in ("pseudoconvex", "nonpseudoconvex"):
         raise DomainFileError(

@@ -163,6 +163,8 @@ def cmd_slice(args) -> int:
         raise InputError(f"--grid must be at least 1, got {args.grid}")
     if not (np.isfinite(args.window) and args.window > 0):
         raise InputError(f"--window must be positive and finite, got {args.window}")
+    if not np.isfinite(2.0 * args.window):
+        raise InputError(f"--window must have a finite width 2*window, got {args.window}")
     started, domain, report = _start(args, "slice")
     a = parse_cvector(args.a) if args.a else np.zeros(domain.n, complex)
     b = parse_cvector(args.b)

@@ -68,8 +68,12 @@ def _checked_box(box, n: int) -> np.ndarray:
     box = np.asarray(box, float)
     if box.shape != (2 * n, 2):
         raise DomainError(f"box must have shape ({2 * n}, 2), got {box.shape}")
-    if not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
-        raise DomainError("box bounds must be finite with lower < upper")
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = box[:, 1] - box[:, 0]
+    # a positive, finite width needs finite bounds
+    if not np.all(np.isfinite(width) & (width > 0)):
+        raise DomainError("box bounds must be finite with lower < upper "
+                          "and a finite width upper - lower")
     return box
 
 

@@ -181,7 +181,8 @@ def test_slice_wrong_vector_length(capsys):
     assert code == cli.EXIT_INPUT
 
 
-@pytest.mark.parametrize("flag, value", [("--window", "inf"), ("--a", "nan:0,0:0")])
+@pytest.mark.parametrize("flag, value", [("--window", "inf"), ("--window", "1e308"),
+                                         ("--a", "nan:0,0:0")])
 def test_slice_nonfinite_input_is_an_input_error(capsys, flag, value):
     code, out, err = run(capsys, "slice", "ball", "--b", "1:0,0:0",
                          "--c", "0:0,1:0", flag, value)
@@ -197,6 +198,26 @@ def test_slice_window_must_be_positive_and_finite(capsys, window):
     assert err == f"error: --window must be positive and finite, got {float(window)}\n"
     assert out == ""
     assert catalog._built_domain.cache_info().misses == 0  # checked before loading
+
+
+@pytest.mark.parametrize("source", ["window", "file"])
+def test_box_of_infinite_width_is_an_input_error(capsys, tmp_path, source):
+    # finite bounds whose difference overflows: refused before numpy warns
+    if source == "window":
+        argv = ["slice", "ball", "--b", "1:0,0:0", "--c", "0:0,1:0", "--window", "1e308"]
+        expected = "--window must have a finite width 2*window, got 1e+308"
+    else:
+        path = tmp_path / "wide.dom"
+        path.write_text("n = 2\nrho = abs2(z1)+abs2(z2)-1\n"
+                        "box = -1e308,1e308,-1e308,1e308\n")
+        argv = ["check", str(path)]
+        expected = f"{path}: box bounds must be finite with lo < hi and a finite width hi - lo"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_INPUT
+    assert err == f"error: {expected}\n"
+    assert out == ""
 
 
 def test_slice_grid_csv(capsys, tmp_path):
