@@ -516,8 +516,8 @@ class _Walk:
     the tape's programs pick the blocks each caller reads, and the direct
     walks (discs, tests) want them all.  Shared subtrees (abs2 shares its
     argument) are evaluated once, and no node costs a Python frame, so a
-    long or deep expression cannot exhaust the stack.  The operations skip structural zeros: a
-    term with a missing factor is not formed.
+    long or deep expression cannot exhaust the stack.  The operations skip
+    structural zeros: a term with a missing factor is not formed.
 
     The points are a (B, columns) complex array, a _Disc of that shape or
     the _Sym of a tape being traced; the walk touches its numbers only
@@ -539,7 +539,8 @@ class _Walk:
         memo: dict[int, Jet] = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for node in _postorder(self.root):
-                memo[id(node)] = self.jet(node, *(memo[id(c)] for c in _children(node)))
+                args = (memo[id(child)] for child in _children(node))
+                memo[id(node)] = self.jet(node, *args)
         return memo[id(self.root)]
 
     def const(self, value: complex):

@@ -192,8 +192,8 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
     the pack shrinks only on an iteration where some point stops.  A point
     fails, and stops where it is, when rho, its real gradient norm or the
     point is not finite (an overflow or a division by zero) or the norm is
-    below GRAD_FLOOR; so numpy need not warn of overflow.  Returns the final
-    points and a convergence mask.
+    below GRAD_FLOOR; as overflow only fails points, numpy need not warn of
+    it.  Returns the final points and a convergence mask.
     """
     w = np.empty_like(w0)
     done = np.zeros(len(w), bool)
@@ -214,8 +214,8 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
             big = np.abs(g).max(axis=1)
             gn[over] = big * np.linalg.norm(g / big[:, None], axis=1)
         rgn = 2.0 * gn
-        # rho may stay finite at a non-finite point
         fail = (rgn < GRAD_FLOOR) | ~np.isfinite(rgn) | ~np.isfinite(vals)
+        # rho may stay finite at a non-finite point
         finite = np.isfinite(pw)
         if not finite.all():
             fail |= ~finite.all(axis=1)

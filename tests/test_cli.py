@@ -184,10 +184,13 @@ def test_slice_wrong_vector_length(capsys):
 @pytest.mark.parametrize("flag, value", [("--window", "inf"), ("--window", "1e308"),
                                          ("--a", "nan:0,0:0")])
 def test_slice_nonfinite_input_is_an_input_error(capsys, flag, value):
+    # --window 1e308 is finite, but the width 2*window of its box is not
     code, out, err = run(capsys, "slice", "ball", "--b", "1:0,0:0",
                          "--c", "0:0,1:0", flag, value)
     assert code == cli.EXIT_INPUT
     assert err.startswith("error:") and out == ""
+    if value == "1e308":
+        assert err == "error: --window must have a finite width 2*window, got 1e+308\n"
 
 
 @pytest.mark.parametrize("window", ["0", "-1", "nan", "inf"])
@@ -200,23 +203,16 @@ def test_slice_window_must_be_positive_and_finite(capsys, window):
     assert catalog._built_domain.cache_info().misses == 0  # checked before loading
 
 
-@pytest.mark.parametrize("source", ["window", "file"])
-def test_box_of_infinite_width_is_an_input_error(capsys, tmp_path, source):
+def test_domain_file_box_of_infinite_width_is_an_input_error(capsys, tmp_path):
     # finite bounds whose difference overflows: refused before numpy warns
-    if source == "window":
-        argv = ["slice", "ball", "--b", "1:0,0:0", "--c", "0:0,1:0", "--window", "1e308"]
-        expected = "--window must have a finite width 2*window, got 1e+308"
-    else:
-        path = tmp_path / "wide.dom"
-        path.write_text("n = 2\nrho = abs2(z1)+abs2(z2)-1\n"
-                        "box = -1e308,1e308,-1e308,1e308\n")
-        argv = ["check", str(path)]
-        expected = f"{path}: box bounds must be finite with lo < hi and a finite width hi - lo"
+    path = tmp_path / "wide.dom"
+    path.write_text("n = 2\nrho = abs2(z1)+abs2(z2)-1\nbox = -1e308,1e308,-1e308,1e308\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, "check", str(path))
     assert code == cli.EXIT_INPUT
-    assert err == f"error: {expected}\n"
+    assert err == (f"error: {path}: box bounds must be finite with lo < hi "
+                   "and a finite width hi - lo\n")
     assert out == ""
 
 

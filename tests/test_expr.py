@@ -275,8 +275,8 @@ def recursive_postorder(node, order):
 @settings(max_examples=60, deadline=None)
 @given(root=TREES)
 def test_postorder_is_the_memoized_recursive_order(root):
-    order = E._postorder(root)
-    assert [id(node) for node in order] == [id(node) for node in recursive_postorder(root, [])]
+    expected = recursive_postorder(root, [])
+    assert [id(node) for node in E._postorder(root)] == [id(node) for node in expected]
 
 
 @pytest.fixture
