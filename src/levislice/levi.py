@@ -208,8 +208,8 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
         over = np.isinf(gn)
         if over.any():
             # the squares of a finite gradient overflowed: scale its row by
-            # its largest entry; rows with a finite norm keep their bits
-            over &= np.isfinite(grads).all(axis=1)
+            # its largest entry (a non-finite gradient's row comes out NaN
+            # and fails); rows with a finite norm keep their bits
             g = grads[over]
             big = np.abs(g).max(axis=1)
             gn[over] = big * np.linalg.norm(g / big[:, None], axis=1)
