@@ -303,16 +303,18 @@ def _postorder(root: Node) -> list:
     """Each distinct node of the tree, by identity, after its children, left
     to right: the order in which a memoized recursive walk finishes them,
     found without recursion."""
-    order, seen = [], set()
-    stack = [(root, False)]
+    order, seen = [], {id(root)}
+    stack = [(root, iter(_children(root)))]
     while stack:
-        node, finished = stack.pop()
-        if finished:
+        node, children = stack[-1]
+        for child in children:
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append((child, iter(_children(child))))
+                break
+        else:
+            stack.pop()
             order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(_children(node)))
     return order
 
 
@@ -531,17 +533,16 @@ class _Walk:
         self.root = root
         self.points = points
         self.columns = columns
+        self.memo: dict[int, Jet] = {}
 
     def run(self) -> Jet:
         """The root jet, the nodes taken in post-order.  Overflow, invalid
         operations and division by zero make inf or nan, which the callers
         reject, so numpy need not warn."""
-        memo: dict[int, Jet] = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for node in _postorder(self.root):
-                args = (memo[id(child)] for child in _children(node))
-                memo[id(node)] = self.jet(node, *args)
-        return memo[id(self.root)]
+                self.memo[id(node)] = self.jet(node)
+        return self.memo[id(self.root)]
 
     def const(self, value: complex):
         """A constant of the walk's number type; a thin disc among discs, so
@@ -549,8 +550,9 @@ class _Walk:
         c = np.complex128(value)
         return _Disc.of(c) if isinstance(self.points, _Disc) else c
 
-    def jet(self, node: Node, *args: Jet) -> Jet:
-        """The jet of node from the jets of its children."""
+    def jet(self, node: Node) -> Jet:
+        """The jet of node from the jets of its children, already in memo."""
+        memo = self.memo
         if isinstance(node, Var):
             # the column as a view; d/dz is one-hot and the same at every point
             dz = np.zeros((1, self.columns), complex)
@@ -559,14 +561,14 @@ class _Walk:
         if isinstance(node, Const):
             return Jet(self.const(node.value))
         if isinstance(node, Conj):
-            return self.conj(*args)
+            return self.conj(memo[id(node.arg)])
         if isinstance(node, Exp):
-            return self.exp(*args)
+            return self.exp(memo[id(node.arg)])
         if isinstance(node, Pow):
             if node.exponent == 0:
                 return Jet(self.const(1.0))
-            return self.pow(*args, node.exponent)
-        lhs, rhs = args
+            return self.pow(memo[id(node.base)], node.exponent)
+        lhs, rhs = memo[id(node.lhs)], memo[id(node.rhs)]
         if isinstance(node, Add):
             return self.add(lhs, rhs, 1.0)
         if isinstance(node, Sub):
