@@ -1,6 +1,7 @@
 """Built-in model domains and the domain-file format.
 
-Domain files are flat key=value text (UTF-8, '#' comments):
+Domain files are flat key=value text (UTF-8, with or without a byte-order
+mark; '#' comments):
 
     name = saddle2
     n = 2
@@ -98,7 +99,7 @@ CATALOG: dict[str, DomainSpec] = {
 def parse_domain_file(path) -> DomainSpec:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as err:
         raise DomainFileError(f"cannot read {path}: {err}") from err
     fields: dict[str, str] = {}

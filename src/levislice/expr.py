@@ -2,8 +2,9 @@
 
 Expressions are real-valued functions of n complex variables written in a
 small grammar (z1, z2, ..., i, conj, re, im, abs2, exp, + - * / ^).  They
-are parsed into an immutable AST over eight core node kinds; re/im/abs2 are
-rewritten in terms of conj at parse time.
+are parsed into an immutable table of nodes in post-order, over eight core
+node kinds; re/im/abs2 are rewritten in terms of conj at parse time, and
+equal subexpressions become one node.
 
 Differentiation is forward-mode over the doubled variable set (z, zbar)
 treated as formally independent, so conj is exact: it swaps the holomorphic
@@ -52,7 +53,6 @@ from __future__ import annotations
 import operator
 import re as _re
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -83,61 +83,16 @@ REALNESS_EPS = 1e-9
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Const:
-    value: complex
-
-
-@dataclass(frozen=True)
-class Conj:
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class Add:
-    lhs: "Node"
-    rhs: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    lhs: "Node"
-    rhs: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    lhs: "Node"
-    rhs: "Node"
-
-
-@dataclass(frozen=True)
-class Div:
-    lhs: "Node"
-    rhs: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int  # nonnegative integer
-
-
-@dataclass(frozen=True)
-class Exp:
-    arg: "Node"
-
-
-Node = Union[Var, Const, Conj, Add, Sub, Mul, Div, Pow, Exp]
-
-
-@dataclass(frozen=True)
 class Ast:
-    root: Node
+    """A parsed expression as a table of nodes in post-order.
+
+    Each node is a flat tuple: ("var", j) for z_j (1-based), ("const", c),
+    ("conj" | "exp", k), ("pow", k, e) with a nonnegative integer e, or
+    ("add" | "sub" | "mul" | "div", k1, k2).  An operand k indexes an
+    earlier node, and the root is the last.  Equality, hashing and repr are
+    those of the tuple, so no node costs a Python frame.
+    """
+    nodes: tuple
     n: int  # number of complex variables (largest index that occurs)
     # the traced jet walk, one _Tape per column count of the points;
     # filled on first evaluation and no part of the expression's identity
@@ -186,10 +141,20 @@ MAX_NESTING = 200
 
 
 class _Parser:
+    """Recursive descent that emits each node once into a post-order table
+    and returns node indices."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0
+        # the table: each node and its index, in the order emitted
+        self.nodes: dict[tuple, int] = {}
+
+    def emit(self, node: tuple) -> int:
+        """The index of node in the table, appended if it is new: equal
+        subexpressions become one node."""
+        return self.nodes.setdefault(node, len(self.nodes))
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.k]
@@ -213,31 +178,32 @@ class _Parser:
         if not self.accept_op(op):
             self.fail(f"expected {op!r}")
 
-    def expr(self) -> Node:
+    def expr(self) -> int:
         node = self.term()
         while True:
             op = self.accept_op("+", "-")
             if op is None:
                 return node
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = self.emit(("add" if op == "+" else "sub", node, rhs))
 
-    def term(self) -> Node:
+    def term(self) -> int:
         node = self.factor()
         while True:
             op = self.accept_op("*", "/")
             if op is None:
                 return node
             rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            node = self.emit(("mul" if op == "*" else "div", node, rhs))
 
-    def factor(self) -> Node:
+    def factor(self) -> int:
         # every level of nesting passes here once
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"expression nested deeper than {MAX_NESTING} levels")
         if self.accept_op("-"):
-            node = Mul(Const(-1.0 + 0j), self.factor())
+            minus = self.emit(("const", -1.0 + 0j))
+            node = self.emit(("mul", minus, self.factor()))
         else:
             node = self.atom()
             if self.accept_op("^"):
@@ -245,29 +211,29 @@ class _Parser:
                 if kind != "num" or not value.isdigit():
                     self.fail("expected a nonnegative integer exponent")
                 self.advance()
-                node = Pow(node, int(value))
+                node = self.emit(("pow", node, int(value)))
         self.depth -= 1
         return node
 
-    def atom(self) -> Node:
+    def atom(self) -> int:
         kind, value, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Const(complex(float(value)))
+            return self.emit(("const", complex(float(value))))
         if kind == "ident":
             self.advance()
             if value == "i":
-                return Const(1j)
+                return self.emit(("const", 1j))
             if value[0] == "z" and value[1:].isdigit():
                 index = int(value[1:])
                 if index == 0:
                     raise ExprSyntaxError("variable index must be >= 1", pos)
-                return Var(index)
+                return self.emit(("var", index))
             if value in _FUNCS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return _apply_func(value, arg)
+                return self.function(value, arg)
             raise ExprSyntaxError(f"unknown function or name {value!r}", pos)
         if self.accept_op("("):
             node = self.expr()
@@ -275,61 +241,29 @@ class _Parser:
             return node
         self.fail("expected expression")
 
-
-def _apply_func(name: str, arg: Node) -> Node:
-    if name == "conj":
-        return Conj(arg)
-    if name == "exp":
-        return Exp(arg)
-    if name == "re":
-        return Mul(Const(0.5 + 0j), Add(arg, Conj(arg)))
-    if name == "im":
-        return Mul(Const(-0.5j), Sub(arg, Conj(arg)))
-    # abs2(u) = u * conj(u); the subtree is shared on purpose
-    return Mul(arg, Conj(arg))
-
-
-def _children(node: Node) -> tuple:
-    if isinstance(node, (Var, Const)):
-        return ()
-    if isinstance(node, (Conj, Exp)):
-        return (node.arg,)
-    if isinstance(node, Pow):
-        return (node.base,)
-    return (node.lhs, node.rhs)
-
-
-def _postorder(root: Node) -> list:
-    """Each distinct node of the tree, by identity, after its children, left
-    to right: the order in which a memoized recursive walk finishes them,
-    found without recursion."""
-    order, seen = [], {id(root)}
-    stack = [(root, iter(_children(root)))]
-    while stack:
-        node, children = stack[-1]
-        for child in children:
-            if id(child) not in seen:
-                seen.add(id(child))
-                stack.append((child, iter(_children(child))))
-                break
-        else:
-            stack.pop()
-            order.append(node)
-    return order
-
-
-def _dimension(root: Node) -> int:
-    return max((node.index for node in _postorder(root) if isinstance(node, Var)),
-               default=0)
+    def function(self, name: str, arg: int) -> int:
+        """name(arg), with re, im and abs2 rewritten in terms of conj; each
+        reads the one node of its argument twice."""
+        if name in ("conj", "exp"):
+            return self.emit((name, arg))
+        conj = self.emit(("conj", arg))
+        if name == "re":
+            half = self.emit(("const", 0.5 + 0j))
+            return self.emit(("mul", half, self.emit(("add", arg, conj))))
+        if name == "im":
+            half = self.emit(("const", -0.5j))
+            return self.emit(("mul", half, self.emit(("sub", arg, conj))))
+        return self.emit(("mul", arg, conj))  # abs2(u) = u * conj(u)
 
 
 def parse(text: str) -> Ast:
     parser = _Parser(text)
-    root = parser.expr()
+    parser.expr()
     kind, value, pos = parser.peek()
     if kind != "eof":
         raise ExprSyntaxError(f"unexpected trailing input {value!r}", pos)
-    return Ast(root, _dimension(root))
+    nodes = tuple(parser.nodes)
+    return Ast(nodes, max((node[1] for node in nodes if node[0] == "var"), default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +450,9 @@ class _Walk:
 
     Every block is formed, the holomorphic ones included: on a traced walk
     the tape's programs pick the blocks each caller reads, and the direct
-    walks (discs, tests) want them all.  Shared subtrees (abs2 shares its
-    argument) are evaluated once, and no node costs a Python frame, so a
+    walks (discs, tests) want them all.  The walk takes the node table in
+    order, so a node the parser shared (abs2's argument, a repeated z_j or
+    subexpression) is evaluated once, and no node costs a Python frame: a
     long or deep expression cannot exhaust the stack.  The operations skip
     structural zeros: a term with a missing factor is not formed.
 
@@ -529,20 +464,20 @@ class _Walk:
     what lets one trace stand for every batch.
     """
 
-    def __init__(self, root: Node, points, columns: int):
-        self.root = root
+    def __init__(self, nodes: tuple, points, columns: int):
+        self.nodes = nodes
         self.points = points
         self.columns = columns
-        self.memo: dict[int, Jet] = {}
 
     def run(self) -> Jet:
-        """The root jet, the nodes taken in post-order.  Overflow, invalid
+        """The root jet, one jet per node in table order.  Overflow, invalid
         operations and division by zero make inf or nan, which the callers
         reject, so numpy need not warn."""
+        jets: list[Jet] = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for node in _postorder(self.root):
-                self.memo[id(node)] = self.jet(node)
-        return self.memo[id(self.root)]
+            for node in self.nodes:
+                jets.append(self.jet(node, jets))
+        return jets[-1]
 
     def const(self, value: complex):
         """A constant of the walk's number type; a thin disc among discs, so
@@ -550,33 +485,32 @@ class _Walk:
         c = np.complex128(value)
         return _Disc.of(c) if isinstance(self.points, _Disc) else c
 
-    def jet(self, node: Node) -> Jet:
-        """The jet of node from the jets of its children, already in memo."""
-        memo = self.memo
-        if isinstance(node, Var):
+    def jet(self, node: tuple, jets: list) -> Jet:
+        """The jet of node from the jets of the nodes before it."""
+        kind = node[0]
+        if kind == "var":
             # the column as a view; d/dz is one-hot and the same at every point
             dz = np.zeros((1, self.columns), complex)
-            dz[0, node.index - 1] = 1.0
-            return Jet(self.points[:, node.index - 1], dz=dz)
-        if isinstance(node, Const):
-            return Jet(self.const(node.value))
-        if isinstance(node, Conj):
-            return self.conj(memo[id(node.arg)])
-        if isinstance(node, Exp):
-            return self.exp(memo[id(node.arg)])
-        if isinstance(node, Pow):
-            if node.exponent == 0:
-                return Jet(self.const(1.0))
-            return self.pow(memo[id(node.base)], node.exponent)
-        lhs, rhs = memo[id(node.lhs)], memo[id(node.rhs)]
-        if isinstance(node, Add):
-            return self.add(lhs, rhs, 1.0)
-        if isinstance(node, Sub):
-            return self.add(lhs, rhs, -1.0)
-        if isinstance(node, Mul):
-            return self.mul(lhs, rhs)
-        if isinstance(node, Div):
-            return self.mul(lhs, self.inv(rhs))
+            dz[0, node[1] - 1] = 1.0
+            return Jet(self.points[:, node[1] - 1], dz=dz)
+        if kind == "const":
+            return Jet(self.const(node[1]))
+        u = jets[node[1]]
+        if kind == "conj":
+            return self.conj(u)
+        if kind == "exp":
+            return self.exp(u)
+        if kind == "pow":
+            return Jet(self.const(1.0)) if node[2] == 0 else self.pow(u, node[2])
+        v = jets[node[2]]
+        if kind == "add":
+            return self.add(u, v, 1.0)
+        if kind == "sub":
+            return self.add(u, v, -1.0)
+        if kind == "mul":
+            return self.mul(u, v)
+        if kind == "div":
+            return self.mul(u, self.inv(v))
         raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
     def add(self, u: Jet, v: Jet, sign: float) -> Jet:
@@ -772,10 +706,10 @@ class _Tape:
         return r
 
 
-def _trace(root: Node, columns: int) -> _Tape:
+def _trace(nodes: tuple, columns: int) -> _Tape:
     """Run the walk once on a symbolic batch of points with these columns."""
     tape = _Tape()
-    jet = _Walk(root, _Sym(tape, 0, 2), columns).run()
+    jet = _Walk(nodes, _Sym(tape, 0, 2), columns).run()
     for name in ("val", "dz", "dzz", "dzzb"):
         block = getattr(jet, name)
         tape.blocks[name] = None if block is None else tape.slot(block)
@@ -799,7 +733,7 @@ def _tape(ast: Ast, points: np.ndarray) -> _Tape:
     raises."""
     columns = points.shape[1]
     if columns not in ast._tapes:
-        ast._tapes[columns] = _trace(ast.root, columns)
+        ast._tapes[columns] = _trace(ast.nodes, columns)
     return ast._tapes[columns]
 
 
@@ -889,7 +823,7 @@ def enclose_jet_batch(ast: Ast, centers, radii) -> Jet:
     centers = _as_points(ast, centers)
     points = _Disc(centers, np.broadcast_to(np.asarray(radii, float), centers.shape))
     B, n = centers.shape
-    jet = _Walk(ast.root, points, n).run()
+    jet = _Walk(ast.nodes, points, n).run()
 
     def full(block, ndim):
         block = _Disc.of(0.0 if block is None else block)

@@ -48,8 +48,10 @@ GRAD_FLOOR = 1e-8
 LEVI_EPS = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
+    """Domains compare and hash by identity, as their box is an array; the
+    per-process domain cache shares one object per (rho, box)."""
     ast: ex.Ast
     box: np.ndarray          # (2n, 2) bounds, real coords ordered re1, im1, re2, ...
 

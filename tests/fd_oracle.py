@@ -1,9 +1,9 @@
 """Independent finite-difference oracle for Wirtinger jets.
 
-Evaluates expressions with its own tiny recursive interpreter in extended
-precision (np.clongdouble), builds the full real gradient/Hessian by
-second-order central differences with step h = cbrt(double eps) scaled by
-1 + |coordinate|, and converts to Wirtinger derivatives:
+Evaluates expressions with its own tiny interpreter of the node table in
+extended precision (np.clongdouble), builds the full real gradient/Hessian
+by second-order central differences with step h = cbrt(double eps) scaled
+by 1 + |coordinate|, and converts to Wirtinger derivatives:
 
     d/dz_j    = (d/dx_j - i d/dy_j) / 2
     d/dzbar_j = (d/dx_j + i d/dy_j) / 2
@@ -23,28 +23,28 @@ assert np.finfo(np.longdouble).eps < 1e-18, "extended precision required"
 _H0 = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
-def eval_extended(node, zs: np.ndarray) -> np.ndarray:
-    """Evaluate an AST on a (B, n) clongdouble batch, independently of the
-    library's evaluator."""
-    if isinstance(node, E.Var):
-        return zs[:, node.index - 1]
-    if isinstance(node, E.Const):
-        return np.full(zs.shape[0], node.value, np.clongdouble)
-    if isinstance(node, E.Conj):
-        return np.conj(eval_extended(node.arg, zs))
-    if isinstance(node, E.Add):
-        return eval_extended(node.lhs, zs) + eval_extended(node.rhs, zs)
-    if isinstance(node, E.Sub):
-        return eval_extended(node.lhs, zs) - eval_extended(node.rhs, zs)
-    if isinstance(node, E.Mul):
-        return eval_extended(node.lhs, zs) * eval_extended(node.rhs, zs)
-    if isinstance(node, E.Div):
-        return eval_extended(node.lhs, zs) / eval_extended(node.rhs, zs)
-    if isinstance(node, E.Pow):
-        return eval_extended(node.base, zs) ** node.exponent
-    if isinstance(node, E.Exp):
-        return np.exp(eval_extended(node.arg, zs))
-    raise TypeError(node)
+_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
+
+
+def eval_extended(nodes: tuple, zs: np.ndarray) -> np.ndarray:
+    """Evaluate a node table on a (B, n) clongdouble batch, independently of
+    the library's evaluator: one value per node, in table order."""
+    vals = []
+    for kind, *args in nodes:
+        if kind == "var":
+            val = zs[:, args[0] - 1]
+        elif kind == "const":
+            val = np.full(zs.shape[0], args[0], np.clongdouble)
+        elif kind == "conj":
+            val = np.conj(vals[args[0]])
+        elif kind == "exp":
+            val = np.exp(vals[args[0]])
+        elif kind == "pow":
+            val = vals[args[0]] ** args[1]
+        else:
+            val = _BINARY[kind](vals[args[0]], vals[args[1]])
+        vals.append(val)
+    return vals[-1]
 
 
 def fd_wirtinger_jet(ast: E.Ast, point):
@@ -61,7 +61,7 @@ def fd_wirtinger_jet(ast: E.Ast, point):
         return (reals[:, 0::2] + 1j * reals[:, 1::2]).astype(np.clongdouble)
 
     def f(offsets):
-        return eval_extended(ast.root, make_points(offsets)).real
+        return eval_extended(ast.nodes, make_points(offsets)).real
 
     m = 2 * n
     zero = np.zeros(m, np.longdouble)

@@ -16,7 +16,7 @@ import numpy as np
 from levislice import expr as ex
 from levislice import levi
 from levislice import linalg as la
-from levislice.expr import Add, Ast, Conj, Const, Exp, Mul, Node, Pow, Var
+from levislice.expr import Ast
 from levislice.hormander import QuadraticWitness
 from levislice.levi import Domain
 from levislice.slicing import MAX_BACKTRACK_HALVINGS, Slice, SliceError, make_slice
@@ -43,42 +43,36 @@ def compose_with_affine(ast: Ast, a, b, c) -> Ast:
 
     The result is the symbolic pullback rho_h = rho . phi.  The pipeline
     pulls jets back by the chain rule instead; this symbolic route is the
-    independent check of that path.
+    independent check of that path.  The node table is rewritten in order:
+    each ("var", j) node becomes the nodes of the affine form, and every
+    operand is renumbered to the rewritten node.
     """
     a = np.asarray(a, complex)
     b = np.asarray(b, complex)
     c = np.asarray(c, complex)
     if not (len(a) == len(b) == len(c) >= max(ast.n, 1)):
         raise ValueError(f"affine data must have equal length >= {max(ast.n, 1)}")
-    table = {}
-    for j in range(len(a)):
-        table[j + 1] = Add(Const(complex(a[j])),
-                           Add(Mul(Const(complex(b[j])), Var(1)),
-                               Mul(Const(complex(c[j])), Var(2))))
-    root = _substitute(ast.root, table, {})
-    return Ast(root, 2)
+    nodes: list[tuple] = []
 
+    def emit(node: tuple) -> int:
+        nodes.append(node)
+        return len(nodes) - 1
 
-def _substitute(node: Node, table: dict[int, Node], memo: dict) -> Node:
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(node, Var):
-        out = table[node.index]
-    elif isinstance(node, Const):
-        out = node
-    elif isinstance(node, Conj):
-        out = Conj(_substitute(node.arg, table, memo))
-    elif isinstance(node, Exp):
-        out = Exp(_substitute(node.arg, table, memo))
-    elif isinstance(node, Pow):
-        out = Pow(_substitute(node.base, table, memo), node.exponent)
-    else:
-        out = type(node)(_substitute(node.lhs, table, memo),
-                         _substitute(node.rhs, table, memo))
-    memo[key] = out
-    return out
+    new = []  # the rewritten index of each node of ast
+    for kind, *args in ast.nodes:
+        if kind == "var":
+            j = args[0] - 1
+            const_a = emit(("const", complex(a[j])))
+            b_w1 = emit(("mul", emit(("const", complex(b[j]))), emit(("var", 1))))
+            c_w2 = emit(("mul", emit(("const", complex(c[j]))), emit(("var", 2))))
+            new.append(emit(("add", const_a, emit(("add", b_w1, c_w2)))))
+        elif kind == "const":
+            new.append(emit((kind, *args)))
+        elif kind == "pow":
+            new.append(emit((kind, new[args[0]], args[1])))
+        else:
+            new.append(emit((kind, *(new[k] for k in args))))
+    return Ast(tuple(nodes), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,17 @@ def test_check_domain_file(capsys, tmp_path):
     assert payload["samples"] == 40 and payload["seed"] == 3
 
 
+def test_domain_file_with_a_byte_order_mark(capsys, tmp_path):
+    # some editors start a UTF-8 file with U+FEFF; it is not part of the key
+    path = tmp_path / "bom.dom"
+    path.write_text("n = 2\nrho = abs2(z1)+abs2(z2)-1\nbox = -1.5,1.5,-1.5,1.5\n",
+                    encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert catalog.parse_domain_file(path).n == 2
+    code, payload = run_json(capsys, "check", str(path), "--samples", "20")
+    assert code == cli.EXIT_OK and payload["domain"] == "bom"
+
+
 def test_check_ball_in_eighteen_variables(capsys, tmp_path):
     # the restricted Levi matrices are 17 x 17
     n = 18

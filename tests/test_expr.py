@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,12 +8,13 @@ from hypothesis import strategies as st
 import levislice
 from levislice import expr as E
 from levislice import levi, pipeline
-from levislice.catalog import CATALOG
+from levislice.catalog import CATALOG, parse_domain_file
 from fd_oracle import fd_wirtinger_jet
 from oracles import compose_with_affine
 
 BALL = "abs2(z1)+abs2(z2)-1"
 SADDLE = "re(z2)-abs2(z1)"
+DATA = Path(__file__).parent / "data"
 
 
 def random_points(rng, n, count, scale=1.0):
@@ -141,7 +144,7 @@ def test_mixed_hessian_hermitian_for_real_expressions(seed):
 
 def test_conj_swaps_jet_blocks(rng):
     base = E.parse("z1*z1*conj(z2)+exp(z2)")
-    flipped = E.Ast(E.Conj(base.root), base.n)
+    flipped = E.parse("conj(z1*z1*conj(z2)+exp(z2))")
     pts = random_points(rng, 2, 6)
     j1 = E.eval_jet_batch(base, pts)
     j2 = E.eval_jet_batch(flipped, pts)
@@ -185,21 +188,46 @@ def test_only_a_batch_jet_has_a_length(rng):
 # the tape: one trace per expression, replayed per batch
 # ---------------------------------------------------------------------------
 
+def shifted(node, by):
+    """node with its operand indices moved up by `by`."""
+    kind, *args = node
+    if kind in ("var", "const"):
+        return node
+    if kind == "pow":
+        return (kind, args[0] + by, args[1])
+    return (kind, *(k + by for k in args))
+
+
+def apply(kind, *tables, extra=()):
+    """The tables one after another, then kind applied to their roots."""
+    nodes, roots = (), []
+    for table in tables:
+        nodes += tuple(shifted(node, len(nodes)) for node in table)
+        roots.append(len(nodes) - 1)
+    return nodes + ((kind, *roots, *extra),)
+
+
 def abs2_of(u):
-    """abs2 as the parser builds it: one subtree object, read twice."""
-    return E.Mul(u, E.Conj(u))
+    """abs2 as the parser builds it: one argument node, read twice."""
+    return u + (("conj", len(u) - 1), ("mul", len(u) - 1, len(u)))
 
 
 CONSTS = st.sampled_from([0j, 0.5 + 0j, -1.25 + 0.5j, 2j, -3.0 + 0j])
+TWO = (("const", 2 + 0j),)
+# node tables built directly, not parsed: an equal subexpression may occur
+# twice, and only abs2 shares its argument
 TREES = st.recursive(
-    st.one_of(st.integers(1, 3).map(E.Var), CONSTS.map(E.Const)),
+    st.one_of(st.integers(1, 3).map(lambda j: (("var", j),)),
+              CONSTS.map(lambda c: (("const", c),))),
     lambda inner: st.one_of(
-        inner.map(E.Conj), inner.map(E.Exp), inner.map(abs2_of),
-        st.builds(E.Pow, inner, st.integers(0, 4)),
-        st.builds(E.Add, inner, inner), st.builds(E.Sub, inner, inner),
-        st.builds(E.Mul, inner, inner),
+        inner.map(lambda u: apply("conj", u)), inner.map(lambda u: apply("exp", u)),
+        inner.map(abs2_of),
+        st.builds(lambda u, e: apply("pow", u, extra=(e,)), inner, st.integers(0, 4)),
+        st.builds(lambda u, v: apply("add", u, v), inner, inner),
+        st.builds(lambda u, v: apply("sub", u, v), inner, inner),
+        st.builds(lambda u, v: apply("mul", u, v), inner, inner),
         # a denominator that cannot vanish
-        st.builds(lambda u, v: E.Div(u, E.Add(E.Const(2 + 0j), abs2_of(v))),
+        st.builds(lambda u, v: apply("div", u, apply("add", TWO, abs2_of(v))),
                   inner, inner)),
     max_leaves=12)
 # the root blocks read by eval_raw, eval_value_grad and eval_jet_batch
@@ -236,16 +264,16 @@ def row(block, B, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(root=TREES, seed=st.integers(0, 2**32 - 1))
+@given(nodes=TREES, seed=st.integers(0, 2**32 - 1))
 # exp overflows on some rows: their dzzb is NaN batched and alone, in other bits
-@example(root=abs2_of(E.Exp(E.Exp(E.Exp(E.Var(1))))), seed=0)
-def test_replay_matches_direct_walk_bit_for_bit(root, seed):
+@example(nodes=abs2_of(apply("exp", apply("exp", apply("exp", (("var", 1),))))), seed=0)
+def test_replay_matches_direct_walk_bit_for_bit(nodes, seed):
     rng = np.random.default_rng(seed)
-    ast = E.Ast(root, 3)
+    ast = E.Ast(nodes, 3)
     for B in (1, 7, 200):
         pts = random_points(rng, 3, B)
         tape = E._tape(ast, pts)
-        direct = E._Walk(root, pts, 3).run()
+        direct = E._Walk(nodes, pts, 3).run()
         for blocks in PROGRAMS:
             for name, block in replayed(tape, pts, blocks).items():
                 reference = getattr(direct, name)
@@ -264,19 +292,42 @@ def test_replay_matches_direct_walk_bit_for_bit(root, seed):
     assert len(ast._tapes) == 1
 
 
-def recursive_postorder(node, order):
-    if all(node is not done for done in order):
-        for child in E._children(node):
-            recursive_postorder(child, order)
-        order.append(node)
-    return order
+TEXTS = st.recursive(
+    st.sampled_from(["z1", "z2", "z3", "0.5", "2", "i"]),
+    lambda inner: st.one_of(
+        st.builds("{}({})".format, st.sampled_from(E._FUNCS), inner),
+        st.builds("({}){}({})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 3)),
+        inner.map("-({})".format)),
+    max_leaves=12)
 
 
 @settings(max_examples=60, deadline=None)
-@given(root=TREES)
-def test_postorder_is_the_memoized_recursive_order(root):
-    expected = recursive_postorder(root, [])
-    assert [id(node) for node in E._postorder(root)] == [id(node) for node in expected]
+@given(text=TEXTS)
+def test_parse_emits_each_node_once_after_its_operands(text):
+    nodes = E.parse(text).nodes
+    assert len(set(nodes)) == len(nodes)
+    read = set()
+    for k, (kind, *args) in enumerate(nodes):
+        operands = args[:{"var": 0, "const": 0, "pow": 1}.get(kind, 2)]
+        assert all(0 <= i < k for i in operands), (k, kind, args)
+        read.update(operands)
+    # the root is the last node, and the only one no node reads
+    assert read == set(range(len(nodes) - 1))
+
+
+def test_parse_shares_equal_subexpressions():
+    assert E.parse("abs2(z1)+abs2(z1)").nodes == (
+        ("var", 1), ("conj", 0), ("mul", 0, 1), ("add", 2, 2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_long_expression_hashes_prints_and_compares():
+    text = parse_domain_file(DATA / "long_sum.dom").rho
+    a, b = E.parse(text), E.parse(text)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) and repr(a).startswith("Ast(nodes=")
+    assert E.parse("z1+z2") != E.parse("z2+z1")
 
 
 @pytest.fixture

@@ -36,6 +36,15 @@ def test_make_domain_rejects_bad_box():
             levi.make_domain("abs2(z1)+abs2(z2)-1", box=np.array([[lo, hi]] * 4))
 
 
+@pytest.mark.filterwarnings("error")
+def test_domains_compare_and_hash_by_identity():
+    spec = catalog.parse_domain_file(DATA / "long_sum.dom")
+    a, b = (levi.make_domain(spec.rho, spec.box()) for _ in range(2))
+    assert a == a and a != b and a.ast == b.ast
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+    assert repr(a).startswith("Domain(ast=Ast(nodes=")
+
+
 # ---------------------------------------------------------------------------
 # projection
 # ---------------------------------------------------------------------------
