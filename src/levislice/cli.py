@@ -169,6 +169,10 @@ def cmd_slice(args) -> int:
     a = parse_cvector(args.a) if args.a else np.zeros(domain.n, complex)
     b = parse_cvector(args.b)
     c = parse_cvector(args.c)
+    for flag, vector in (("a", a), ("b", b), ("c", c)):
+        if not np.all(np.isfinite(vector)):
+            raise InputError(f"--{flag} must have finite entries, "
+                             f"got {getattr(args, flag)}")
     if not (len(a) == len(b) == len(c) == domain.n):
         raise InputError(f"slice vectors must have length {domain.n}")
     result = classify_slice(domain, a, b, c, args.window, report["samples"],
@@ -215,9 +219,10 @@ def cmd_verify_theorem(args) -> int:
         report["certificate"] = {("lambda" if key == "lam" else key): value
                                  for key, value in cert.items()}
         # a witness slice that reclassifies nonpseudoconvex has a worst probe
+        reclass = run.reclassification
         report["witness_slice_reclassification"] = {
-            "verdict": run.reclassification.verdict,
-            "worst_lambda": run.reclassification.worst_probe.lambda_min,
+            "verdict": reclass.verdict,
+            "worst_lambda": float(reclass.lambdas[reclass.worst]),
         }
     report["theorem_consistent"] = True
     _emit(report, args.json, started)

@@ -155,11 +155,6 @@ def _in_inflated_box(box: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.all(np.abs(reals - center) <= half, axis=1)
 
 
-def _ambient(w: np.ndarray, a, frame) -> np.ndarray:
-    """z = a + frame @ w row by row; w itself when there is no frame."""
-    return w if frame is None else a + np.einsum("bjk,bk->bj", frame, w)
-
-
 def _pulled_back_grad(grad: np.ndarray, frame) -> np.ndarray:
     """Holomorphic gradient in w: frame^T grad row by row."""
     return grad if frame is None else np.einsum("bjk,bj->bk", frame, grad)
@@ -188,24 +183,30 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
 
     The points are w with z = a + frame @ w per row (z = w without a frame).
     The real gradient of rho is 2*conj(grad); the step is the exact Newton
-    step for the linearization of rho along that direction.  Each point's
-    iteration depends on that point alone, so only the points still moving
-    are evaluated.  They are kept packed, with their rows of a and frame, and
-    the pack shrinks only on an iteration where some point stops.  A point
-    fails, and stops where it is, when rho, its real gradient norm or the
-    point is not finite (an overflow or a division by zero) or the norm is
-    below GRAD_FLOOR; as overflow only fails points, numpy need not warn of
-    it.  Returns the final points and a convergence mask.
+    step for the linearization of rho along that direction.  Only the points
+    still moving are evaluated, packed batch axis last with their a (n, B)
+    and frame (n, 2, B), so the einsums loop over the batch innermost; all
+    step, then the pack shrinks if some point stopped.  A point fails, and
+    stops where it is, when rho, its real gradient norm or the point is not
+    finite or the norm is below GRAD_FLOOR; as overflow only fails points,
+    numpy need not warn of it.  Returns the final points and a convergence
+    mask.
     """
     w = np.empty_like(w0)
     done = np.zeros(len(w), bool)
     rows = np.arange(len(w))            # row of w of each packed point
-    pw = w0.copy()
+    pw = np.ascontiguousarray(w0.T)
+    if frame is not None:
+        a = np.ascontiguousarray(a.T)
+        frame = np.ascontiguousarray(np.moveaxis(frame, 0, -1))
     for _ in range(50):
         if not rows.size:
             break
-        vals, grads = ex.eval_value_grad(ast, _ambient(pw, a, frame))
-        grads = _pulled_back_grad(grads, frame)
+        z = pw if frame is None else a + np.einsum("jkb,kb->jb", frame, pw)
+        vals, grads = ex.eval_value_grad(ast, z.T)
+        if frame is not None:
+            grads = np.einsum("jkb,jb->kb", frame, grads.T).T
+        # grads is row by row, as the norms must sum each row's squares
         gn = np.linalg.norm(grads, axis=1)
         over = np.isinf(gn)
         if over.any():
@@ -216,28 +217,28 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
             big = np.abs(g).max(axis=1)
             gn[over] = big * np.linalg.norm(g / big[:, None], axis=1)
         rgn = 2.0 * gn
-        fail = (rgn < GRAD_FLOOR) | ~np.isfinite(rgn) | ~np.isfinite(vals)
         # rho may stay finite at a non-finite point
+        live = (rgn >= GRAD_FLOOR) & (rgn < np.inf) & np.isfinite(vals)
         finite = np.isfinite(pw)
         if not finite.all():
-            fail |= ~finite.all(axis=1)
-        conv = ~fail & (np.abs(vals) <= BOUNDARY_EPS * (1.0 + rgn))
-        step = ~(fail | conv)
-        if not step.all():
-            stop = np.flatnonzero(~step)
-            w[rows[stop]] = pw.take(stop, axis=0)
-            done[rows[conv]] = True
-            keep = np.flatnonzero(step)
-            rows, pw, vals, grads, gn, a, frame = (
-                None if x is None else x.take(keep, axis=0)
-                for x in (rows, pw, vals, grads, gn, a, frame))
+            live &= finite.all(axis=0)
+        conv = live & (np.abs(vals) <= BOUNDARY_EPS * (1.0 + rgn))
+        step = live > conv
         gn2 = 2.0 * np.maximum(gn ** 2, np.finfo(float).tiny)
         coef = vals / gn2
         over = np.isinf(gn2)
         if over.any():
             coef[over] = vals[over] / gn[over] / (2.0 * gn[over])
-        pw -= coef[:, None] * np.conj(grads)
-    w[rows] = pw
+        moved = pw - coef * np.conj(grads.T)
+        if not step.all():
+            stop = np.flatnonzero(~step)
+            w[rows[stop]] = pw.take(stop, axis=1).T
+            done[rows[conv]] = True
+            keep = np.flatnonzero(step)
+            rows, moved, a, frame = (None if x is None else x.take(keep, axis=-1)
+                                     for x in (rows, moved, a, frame))
+        pw = moved
+    w[rows] = pw.T
     return w, done
 
 
@@ -266,7 +267,7 @@ def _boundary_batch(domain: Domain, box: np.ndarray, count: int, seed, a=None,
             raise BoundaryNotFoundError(
                 f"only {found}/{count} samples reached the boundary; "
                 "the sampling box likely misses it")
-    return pts[ok], rows[ok]
+    return pts.compress(ok, axis=0), rows[ok]
 
 
 def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:
@@ -293,8 +294,9 @@ def _levi_min(grad: np.ndarray, mixed: np.ndarray):
     lam = np.full(len(grad), np.nan)
     Z = np.zeros(grad.shape, complex)
     if ok.any():
-        basis = la.tangent_null_basis(grad[ok], grad_floor=GRAD_FLOOR)
-        restricted = np.swapaxes(basis, 1, 2) @ mixed[ok] @ np.conj(basis)
+        basis = la.tangent_null_basis(grad.compress(ok, axis=0), grad_floor=GRAD_FLOOR)
+        restricted = (np.swapaxes(basis, 1, 2) @ mixed.compress(ok, axis=0)
+                      @ np.conj(basis))
         eigvals, vecs = la.hermitian_eig(restricted)
         # with restricted = P^T H conj(P), the Levi form of P v is
         # conj(v)^H restricted conj(v), so the minimizer is P conj(eigvec)
@@ -304,22 +306,36 @@ def _levi_min(grad: np.ndarray, mixed: np.ndarray):
     return ok, lam, Z, gn
 
 
-def _report(points, ok, lam, Z, gn) -> LeviReport:
-    """Verdict of one classification from its per-point Levi minima.
+def _reports(rows, slices: int, points, ok, lam, Z, gn) -> list[LeviReport]:
+    """Verdicts of `slices` classifications from their per-point Levi minima,
+    row i of the points belonging to classification rows[i] (sorted).
 
     Degenerate-gradient samples are skipped and counted; they force the
-    "degenerate" verdict once they exceed 10% of the samples.
+    "degenerate" verdict once they exceed 10% of a classification's samples.
+    The worst probe is the first minimum of the kept lambdas, as argmin
+    finds it (a NaN counts as the minimum).
     """
-    degenerate = int(np.count_nonzero(~ok))
-    kept = (points[ok], lam[ok], Z[ok], gn[ok])
-    if not ok.any() or degenerate > DEGENERATE_FRACTION * len(points):
-        return LeviReport(*kept, None, VERDICT_DEGENERATE, degenerate, len(points))
-    worst = int(np.argmin(kept[1]))
-    if kept[1][worst] < -LEVI_EPS:
-        verdict = VERDICT_NONPSEUDOCONVEX
-    else:
-        verdict = VERDICT_PSEUDOCONVEX
-    return LeviReport(*kept, worst, verdict, degenerate, len(points))
+    P, L, D, G = (x.compress(ok, axis=0) for x in (points, lam, Z, gn))
+    sizes = np.bincount(rows, minlength=slices)
+    counts = np.bincount(rows[ok], minlength=slices)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    some = counts > 0
+    starts = bounds[:-1][some]
+    lowest = np.repeat(np.minimum.reduceat(L, starts), counts[some])
+    hits = np.flatnonzero((L == lowest) | np.isnan(L))
+    first = np.zeros(slices, int)
+    first[some] = hits[np.searchsorted(hits, starts)]
+    negative = np.zeros(slices, bool)
+    negative[some] = L[first[some]] < -LEVI_EPS
+    degenerate = sizes - counts
+    valid = some & (degenerate <= DEGENERATE_FRACTION * sizes)
+    verdicts = np.where(valid, np.where(negative, VERDICT_NONPSEUDOCONVEX,
+                                        VERDICT_PSEUDOCONVEX), VERDICT_DEGENERATE)
+    columns = zip(*(x.tolist() for x in (bounds[:-1], bounds[1:], first, valid,
+                                         verdicts, degenerate, sizes)))
+    return [LeviReport(P[lo:hi], L[lo:hi], D[lo:hi], G[lo:hi],
+                       k - lo if v else None, verdict, d, size)
+            for lo, hi, k, v, verdict, d, size in columns]
 
 
 def restricted_levi_min(domain: Domain, M) -> LeviProbe:
@@ -336,7 +352,8 @@ def classify(domain: Domain, count: int = 200, seed: int = 0) -> LeviReport:
     """Probe sampled boundary points and classify the domain."""
     points = sample_boundary(domain, count, seed)
     jets = ex.eval_jet_batch(domain.ast, points, holo=False)
-    return _report(points, *_levi_min(jets.dz, jets.dzzb))
+    return _reports(np.zeros(len(points), int), 1, points,
+                    *_levi_min(jets.dz, jets.dzzb))[0]
 
 
 def classify_slices(domain: Domain, a, frame, window: float, count: int,
@@ -361,9 +378,7 @@ def classify_slices(domain: Domain, a, frame, window: float, count: int,
         raise DomainError("defining function is not real-valued on the sampling box")
     w, rows = _boundary_batch(domain, box, count, seed, a, frame)
     F = frame[rows]
-    jets = ex.eval_jet_batch(domain.ast, _ambient(w, a[rows], F), holo=False)
-    levi_min = _levi_min(_pulled_back_grad(jets.dz, F),
-                         _pulled_back_mixed(jets.dzzb, F))
-    bounds = np.searchsorted(rows, np.arange(len(a) + 1))
-    return [_report(w[lo:hi], *(x[lo:hi] for x in levi_min))
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    jets = ex.eval_jet_batch(domain.ast, a[rows] + np.einsum("bjk,bk->bj", F, w),
+                             holo=False)
+    return _reports(rows, len(a), w, *_levi_min(_pulled_back_grad(jets.dz, F),
+                                                _pulled_back_mixed(jets.dzzb, F)))

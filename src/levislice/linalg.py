@@ -65,8 +65,8 @@ def tangent_null_basis(g, grad_floor: float) -> np.ndarray:
     v = x.copy()
     v[:, 0] += np.where(x0 > 0, x[:, 0] / np.where(x0 > 0, x0, 1.0), 1.0)
     vv = np.sum(v.real ** 2 + v.imag ** 2, axis=1)
-    outer = v[:, :, None] * np.conj(v)[:, None, :]
-    basis = (np.eye(n) - 2.0 * outer / vv[:, None, None])[:, :, 1:]
+    outer = v[:, :, None] * np.conj(v)[:, None, 1:]
+    basis = np.eye(n)[:, 1:] - 2.0 * outer / vv[:, None, None]
     top = np.take_along_axis(basis, np.argmax(np.abs(basis), axis=1)[:, None, :],
                              axis=1)
     basis = basis * (np.conj(top) / np.abs(top))
@@ -90,10 +90,14 @@ def row_norms(x) -> np.ndarray:
 def dependent_rows(b, c) -> np.ndarray:
     """Mask of the rows k of (S, n) arrays where b[k] and c[k] are
     numerically dependent: their Gram determinant
-    |b|^2 |c|^2 - |<c, b>|^2 is at most GRAM_DET_FLOOR |b|^2 |c|^2."""
-    b = np.asarray(b, complex)
-    c = np.asarray(c, complex)
+    |b|^2 |c|^2 - |<c, b>|^2 is at most GRAM_DET_FLOOR |b|^2 |c|^2.  The
+    test is scale-invariant, so each row is first divided by its largest
+    modulus, and its squares cannot overflow or underflow; a zero row or a
+    row with a non-finite entry is dependent."""
+    with np.errstate(invalid="ignore"):
+        b, c = (x / np.maximum(np.abs(x).max(axis=-1, keepdims=True), np.finfo(float).tiny)
+                for x in (np.asarray(b, complex), np.asarray(c, complex)))
     bb = np.sum(b.real ** 2 + b.imag ** 2, axis=-1)
     cc = np.sum(c.real ** 2 + c.imag ** 2, axis=-1)
     cb = np.sum(np.conj(b) * c, axis=-1)
-    return bb * cc - np.abs(cb) ** 2 <= GRAM_DET_FLOOR * bb * cc
+    return ~(bb * cc - np.abs(cb) ** 2 > GRAM_DET_FLOOR * bb * cc)

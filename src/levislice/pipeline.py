@@ -105,7 +105,7 @@ def forward_slice_sweep(domain: Domain, points, slices: int,
     # and from the seed of the domain's classification
     results = levi.classify_slices(domain, bases, frames, SLICE_WINDOW,
                                    SLICE_PROBES, (seed, 7920))
-    lambdas = [r.worst_probe.lambda_min for r in results if r.worst is not None]
+    lambdas = [float(r.lambdas[r.worst]) for r in results if r.worst is not None]
     if not lambdas:
         raise PipelineError("forward-slices",
                             f"none of {len(results)} slices returned a probe")

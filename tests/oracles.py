@@ -5,8 +5,9 @@ checks the chain-rule pullback of jets, `quadratic_as_expression` re-parses
 a quadratic witness, `levi_form_at` evaluates the Levi form in one direction
 at one point, `phi`, `gram_solve_2`, `phi_inv`, `slice_gradient_check` and
 `project_to_boundary` check slices and boundary projection point by point,
-and `sweep_slices_one_by_one` builds the forward sweep's slices one at a
-time.
+`sweep_slices_one_by_one` builds the forward sweep's slices one at a time,
+`newton_reference` is the boundary Newton with a row-major pack, and
+`reports_one_by_one` builds per-slice reports in a loop.
 """
 
 from __future__ import annotations
@@ -216,3 +217,75 @@ def sweep_slices_one_by_one(domain: Domain, points, slices: int, seed: int):
             except SliceError:
                 pending.append(k)
     return np.array(bases), np.array(frames)
+
+
+# ---------------------------------------------------------------------------
+# Boundary Newton and per-slice reports
+# ---------------------------------------------------------------------------
+
+@np.errstate(over="ignore", invalid="ignore")
+def newton_reference(ast: Ast, w0: np.ndarray, a=None,
+                     frame=None) -> tuple[np.ndarray, np.ndarray]:
+    """`levi._newton` as it was with row-major einsums, each iteration's
+    tests on separate masks and a seven-array repack before the step: the
+    same rule, which the packed batch-last Newton must match bit for bit."""
+    w = np.empty_like(w0)
+    done = np.zeros(len(w), bool)
+    rows = np.arange(len(w))            # row of w of each packed point
+    pw = w0.copy()
+    for _ in range(50):
+        if not rows.size:
+            break
+        z = pw if frame is None else a + np.einsum("bjk,bk->bj", frame, pw)
+        vals, grads = ex.eval_value_grad(ast, z)
+        grads = levi._pulled_back_grad(grads, frame)
+        gn = np.linalg.norm(grads, axis=1)
+        over = np.isinf(gn)
+        if over.any():
+            g = grads[over]
+            big = np.abs(g).max(axis=1)
+            gn[over] = big * np.linalg.norm(g / big[:, None], axis=1)
+        rgn = 2.0 * gn
+        fail = (rgn < levi.GRAD_FLOOR) | ~np.isfinite(rgn) | ~np.isfinite(vals)
+        finite = np.isfinite(pw)
+        if not finite.all():
+            fail |= ~finite.all(axis=1)
+        conv = ~fail & (np.abs(vals) <= levi.BOUNDARY_EPS * (1.0 + rgn))
+        step = ~(fail | conv)
+        if not step.all():
+            stop = np.flatnonzero(~step)
+            w[rows[stop]] = pw.take(stop, axis=0)
+            done[rows[conv]] = True
+            keep = np.flatnonzero(step)
+            rows, pw, vals, grads, gn, a, frame = (
+                None if x is None else x.take(keep, axis=0)
+                for x in (rows, pw, vals, grads, gn, a, frame))
+        gn2 = 2.0 * np.maximum(gn ** 2, np.finfo(float).tiny)
+        coef = vals / gn2
+        over = np.isinf(gn2)
+        if over.any():
+            coef[over] = vals[over] / gn[over] / (2.0 * gn[over])
+        pw -= coef[:, None] * np.conj(grads)
+    w[rows] = pw
+    return w, done
+
+
+def reports_one_by_one(rows, slices: int, points, ok, lam, Z, gn) -> list:
+    """The reports of `levi._reports`, one slice at a time: each slice's
+    degenerate rows dropped and counted, and its worst probe the first
+    argmin of its kept lambdas."""
+    reports = []
+    for k in range(slices):
+        mine = rows == k
+        p, o, l, z, g = (x[mine] for x in (points, ok, lam, Z, gn))
+        degenerate = int(np.count_nonzero(~o))
+        kept = (p[o], l[o], z[o], g[o])
+        if not o.any() or degenerate > levi.DEGENERATE_FRACTION * len(p):
+            reports.append(levi.LeviReport(*kept, None, levi.VERDICT_DEGENERATE,
+                                           degenerate, len(p)))
+            continue
+        worst = int(np.argmin(kept[1]))
+        verdict = (levi.VERDICT_NONPSEUDOCONVEX if kept[1][worst] < -levi.LEVI_EPS
+                   else levi.VERDICT_PSEUDOCONVEX)
+        reports.append(levi.LeviReport(*kept, worst, verdict, degenerate, len(p)))
+    return reports

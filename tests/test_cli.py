@@ -192,6 +192,40 @@ def test_slice_wrong_vector_length(capsys):
     assert code == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("scale, message", [
+    # the squares of the entries overflowed or underflowed, and the
+    # orthogonal pair read as dependent; now rho_h itself fails
+    ("1e200", "error: non-finite value in evaluation\n"),
+    ("1e-200", "error: only 0/200 samples reached the boundary; "
+               "the sampling box likely misses it\n")])
+def test_slice_frame_of_huge_or_tiny_scale_is_independent(capsys, scale, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "slice", "ball", "--b", f"{scale}:0,0:0",
+                             "--c", f"0:0,{scale}:0")
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err == message
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b", "--c"])
+@pytest.mark.parametrize("entry", ["inf:0", "0:-inf", "nan:0"])
+def test_slice_non_finite_vector_entry_names_its_flag(capsys, flag, entry):
+    vectors = {"--a": "0:0,0:0", "--b": "1:0,0:0", "--c": "0:0,1:0"}
+    vectors[flag] = f"{entry},0:0" if flag != "--c" else f"0:0,{entry}"
+    argv = [x for pair in vectors.items() for x in pair]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "slice", "ball", *argv)
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err == f"error: {flag} must have finite entries, got {vectors[flag]}\n"
+
+
+def test_slice_zero_direction_is_dependent(capsys):
+    code, out, err = run(capsys, "slice", "ball", "--b", "0:0,0:0", "--c", "0:0,1:0")
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err == "error: b, c numerically dependent\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--window", "inf"), ("--window", "1e308"),
                                          ("--a", "nan:0,0:0")])
 def test_slice_nonfinite_input_is_an_input_error(capsys, flag, value):

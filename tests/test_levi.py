@@ -1,14 +1,18 @@
+import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levislice import catalog
 from levislice import expr as E
 from levislice import levi
 from levislice import pipeline
 from levislice.catalog import CATALOG
-from oracles import compose_with_affine, levi_form_at, project_to_boundary
+from oracles import (compose_with_affine, levi_form_at, newton_reference,
+                     project_to_boundary, reports_one_by_one)
 from rotated import rotated_domain
 
 DATA = Path(__file__).parent / "data"
@@ -215,6 +219,43 @@ def test_newton_fails_a_non_finite_point_where_rho_stays_finite():
     assert _same_bits(w[1], alone[0])
 
 
+@functools.lru_cache(maxsize=None)
+def newton_case(name: str):
+    """(ast, box, a, frame) of a Newton input: an ambient domain (a and frame
+    None), loaded without its realness check, which overflow.dom fails, or
+    the forward-sweep slices of a rotated ellipsoid, with the w-box."""
+    if name.startswith("rot"):
+        dom = rotated_domain("ellipsoid", int(name[-1]), seed=5)
+        a, frame = pipeline.sweep_slices(dom, levi.classify(dom, 6, seed=2).points,
+                                         6, seed=2)
+        return dom.ast, levi.square_box(2, pipeline.SLICE_WINDOW), a, frame
+    spec = catalog.load_domain_spec(name if name == "ball" else str(DATA / f"{name}.dom"))
+    return E.parse(spec.rho), spec.box(), None, None
+
+
+# starts where rho or the point is not finite (the cylinder's rho stays
+# finite where z2 is not), the ball's centre, where the gradient vanishes,
+# and starts far away
+SPECIAL_STARTS = np.array([[np.nan, 0.5], [0.3, np.inf], [np.inf, 0.2j], [0, 0],
+                           [1e5, -1e5j], [-1e5j, 1e5]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["ball", "steep", "overflow", "cylinder",
+                             "rot-ellipsoid3", "rot-ellipsoid4"]),
+       seed=st.integers(0, 2**16), count=st.integers(1, 80))
+def test_newton_matches_the_reference_bit_for_bit(name, seed, count):
+    ast, box, a, frame = newton_case(name)
+    starts = np.concatenate([levi.sample_box_points(box, count, seed),
+                             SPECIAL_STARTS])
+    if frame is not None:
+        rows = np.random.default_rng(seed).integers(0, len(a), len(starts))
+        a, frame = a[rows], frame[rows]
+    w, done = levi._newton(ast, starts, a, frame)
+    want_w, want_done = newton_reference(ast, starts, a, frame)
+    assert _same_bits(w, want_w) and _same_bits(done, want_done)
+
+
 def test_sample_boundary_deterministic_per_index():
     dom = domain_of("ball")
     a = levi.sample_box_points(dom.box, 10, seed=3)
@@ -401,6 +442,61 @@ def test_pulled_back_mixed_equals_the_row_major_einsum(rng, n):
         want = np.einsum("bli,blm,bmj->bij", frame, mixed, np.conj(frame))
         got = levi._pulled_back_mixed(mixed, frame)
         assert got.flags.c_contiguous and _same_bits(got, want)
+
+
+def same_reports(got, want) -> bool:
+    return all(_same_bits(getattr(got, f), getattr(want, f))
+               for f in ("points", "lambdas", "directions", "grad_norms")) and (
+        (got.worst, got.verdict, got.degenerate_count, got.sample_count)
+        == (want.worst, want.verdict, want.degenerate_count, want.sample_count))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+       seed=st.integers(0, 2**16), degenerate=st.floats(0.0, 0.5),
+       nan=st.booleans())
+def test_segment_reports_match_a_loop_over_the_slices(sizes, seed, degenerate, nan):
+    # lambdas from a few values, so that minima tie and the first must win;
+    # slices without rows, with more than 10% degenerate rows, and one slice,
+    # as classify has, all occur
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    B = len(rows)
+    ok = rng.random(B) >= degenerate
+    lam = np.where(ok, rng.choice([-1.0, -1e-8, 0.0, 2.0, -0.0], B), np.nan)
+    if nan and B:
+        lam[rng.integers(B)] = np.nan
+    points = rng.standard_normal((B, 3)) + 1j * rng.standard_normal((B, 3))
+    Z = rng.standard_normal((B, 3)) + 1j * rng.standard_normal((B, 3))
+    gn = rng.random(B)
+    got = levi._reports(rows, len(sizes), points, ok, lam, Z, gn)
+    want = reports_one_by_one(rows, len(sizes), points, ok, lam, Z, gn)
+    assert len(got) == len(sizes)
+    assert all(same_reports(g, w) for g, w in zip(got, want))
+
+
+def test_segment_reports_of_a_slice_without_rows_and_of_ties():
+    rows = np.array([0, 0, 0, 2, 2, 2])
+    ok = np.ones(6, bool)
+    lam = np.array([1.0, -2.0, -2.0, 0.5, 0.5, 0.7])
+    points = np.arange(6.0)[:, None] + 0j
+    reports = levi._reports(rows, 3, points, ok, lam, points, np.ones(6))
+    assert [r.worst for r in reports] == [1, None, 0]
+    assert [r.verdict for r in reports] == [levi.VERDICT_NONPSEUDOCONVEX,
+                                           levi.VERDICT_DEGENERATE,
+                                           levi.VERDICT_PSEUDOCONVEX]
+    assert reports[1].sample_count == reports[1].degenerate_count == 0
+    assert reports[2].points[:, 0].real.tolist() == [3.0, 4.0, 5.0]
+
+
+def test_classify_is_the_one_segment_report():
+    dom = rotated_domain("saddle", 3, seed=11)
+    report = levi.classify(dom, 80, seed=4)
+    points = levi.sample_boundary(dom, 80, 4)
+    jets = E.eval_jet_batch(dom.ast, points, holo=False)
+    [want] = reports_one_by_one(np.zeros(len(points), int), 1, points,
+                                *levi._levi_min(jets.dz, jets.dzzb))
+    assert same_reports(report, want) and report.worst is not None
 
 
 def test_classify_slices_rejects_a_window_without_interior():

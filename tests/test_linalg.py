@@ -215,3 +215,26 @@ def test_dependent_rows_match_gram_solve(rng):
             dependent = True
         assert mask[k] == dependent
     assert mask.tolist() == [False, True, False, False, True, False]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+def test_dependent_rows_hold_at_huge_and_tiny_scales(rng, scale):
+    # the Gram test is scale-invariant: squaring raw entries overflowed at
+    # 1e200 and underflowed at 1e-200, and both read as dependent
+    b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    c = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    c[1] = (2 - 1j) * b[1]
+    want = la.dependent_rows(b, c)
+    assert want.tolist() == [False, True, False, False, False, False]
+    assert la.dependent_rows(scale * b, c).tolist() == want.tolist()
+    assert la.dependent_rows(scale * b, scale * c).tolist() == want.tolist()
+    assert not la.dependent_rows([[scale, 0]], [[0, scale]])[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_and_non_finite_rows_are_dependent():
+    # a naive scaling would divide a zero row by 0 and pass the NaN
+    b = np.array([[0, 0], [np.inf, 0], [np.nan, 1], [1, 0], [1e308 + 1e308j, 1]])
+    c = np.array([[0, 1], [0, 1], [0, 1], [0, 0], [0, 1]], complex)
+    assert la.dependent_rows(b, c).tolist() == [True, True, True, True, False]
