@@ -310,32 +310,25 @@ def _reports(rows, slices: int, points, ok, lam, Z, gn) -> list[LeviReport]:
     """Verdicts of `slices` classifications from their per-point Levi minima,
     row i of the points belonging to classification rows[i] (sorted).
 
-    Degenerate-gradient samples are skipped and counted; they force the
-    "degenerate" verdict once they exceed 10% of a classification's samples.
-    The worst probe is the first minimum of the kept lambdas, as argmin
-    finds it (a NaN counts as the minimum).
+    Degenerate-gradient samples are dropped in one compress and counted;
+    they force the "degenerate" verdict once they exceed 10% of a
+    classification's samples.  The kept rows of classification k form one
+    segment, and its worst probe is the segment's argmin.
     """
     P, L, D, G = (x.compress(ok, axis=0) for x in (points, lam, Z, gn))
-    sizes = np.bincount(rows, minlength=slices)
-    counts = np.bincount(rows[ok], minlength=slices)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    some = counts > 0
-    starts = bounds[:-1][some]
-    lowest = np.repeat(np.minimum.reduceat(L, starts), counts[some])
-    hits = np.flatnonzero((L == lowest) | np.isnan(L))
-    first = np.zeros(slices, int)
-    first[some] = hits[np.searchsorted(hits, starts)]
-    negative = np.zeros(slices, bool)
-    negative[some] = L[first[some]] < -LEVI_EPS
-    degenerate = sizes - counts
-    valid = some & (degenerate <= DEGENERATE_FRACTION * sizes)
-    verdicts = np.where(valid, np.where(negative, VERDICT_NONPSEUDOCONVEX,
-                                        VERDICT_PSEUDOCONVEX), VERDICT_DEGENERATE)
-    columns = zip(*(x.tolist() for x in (bounds[:-1], bounds[1:], first, valid,
-                                         verdicts, degenerate, sizes)))
-    return [LeviReport(P[lo:hi], L[lo:hi], D[lo:hi], G[lo:hi],
-                       k - lo if v else None, verdict, d, size)
-            for lo, hi, k, v, verdict, d, size in columns]
+    sizes = np.bincount(rows, minlength=slices).tolist()
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(rows[ok], minlength=slices))))
+    reports = []
+    for lo, hi, size in zip(bounds[:-1].tolist(), bounds[1:].tolist(), sizes):
+        degenerate = size - (hi - lo)
+        worst, verdict = None, VERDICT_DEGENERATE
+        if hi > lo and degenerate <= DEGENERATE_FRACTION * size:
+            worst = int(L[lo:hi].argmin())
+            verdict = (VERDICT_NONPSEUDOCONVEX if L[lo + worst] < -LEVI_EPS
+                       else VERDICT_PSEUDOCONVEX)
+        reports.append(LeviReport(P[lo:hi], L[lo:hi], D[lo:hi], G[lo:hi], worst,
+                                  verdict, degenerate, size))
+    return reports
 
 
 def restricted_levi_min(domain: Domain, M) -> LeviProbe:
