@@ -31,9 +31,9 @@ pruned to the root blocks they return: the tape's programs, not the walk,
 pick the blocks.  Each program is compiled once into one Python function.
 A replay releases each intermediate after its last reader, and yields the
 walk's bits exactly, because it makes the walk's numpy calls on the same
-operands.  A row gets the same bits in any batch,
-except in a NaN, whose bits numpy may set differently for another batch
-length; that is harmless, as every NaN row is rejected as non-finite.  A
+operands.  A row gets the same bits in any batch, except in a NaN, whose
+bits numpy may set differently for another batch length; that is
+harmless, as every NaN row is rejected as non-finite.  A
 trace stands for every batch only because the walk's control flow depends
 on the AST alone: the walk makes no test of values.  A divisor's exact
 zeros become NaN before it divides, so a row that divides by zero comes out

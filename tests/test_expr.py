@@ -489,7 +489,7 @@ def test_compiled_source_names_only_slots_and_callables():
         code = program.__code__
         names = code.co_varnames + code.co_names
         assert all(re.fullmatch(r"[rf]\d+", name) for name in names), names
-        assert code.co_consts in ((None,), ())
+        assert all(c is None for c in code.co_consts), code.co_consts
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.float64, np.int64])
