@@ -35,8 +35,8 @@ DEFAULT_SEED = 7
 # Domains kept built per process: a bound on their count, not on memory.  A
 # domain's bytes grow with n and the length of rho.  The 60 generated
 # ellipsoids and saddles of the benchmark's check-generic workload (n = 2..5)
-# hold about 56 KB each with their tapes and compiled programs (tracemalloc,
-# after one `check` each), so 128 domains of that size hold about 7 MB.
+# hold about 50 KB each with their tapes and pruned programs (tracemalloc,
+# after one `check` each), so 128 domains of that size hold about 6.5 MB.
 DOMAIN_CACHE_SIZE = 128
 
 

@@ -28,12 +28,11 @@ every linear form, and the mixed and holomorphic Hessians of a quadric.
 Points are always taken as complex128, so the Ast keeps one tape per column
 count.  eval_raw, eval_value_grad, eval_jet_batch and eval_jet replay it,
 pruned to the root blocks they return: the tape's programs, not the walk,
-pick the blocks.  Each program is compiled once into one Python function.
-A replay releases each intermediate after its last reader, and yields the
-walk's bits exactly, because it makes the walk's numpy calls on the same
-operands.  A row gets the same bits in any batch, except in a NaN, whose
-bits numpy may set differently for another batch length; that is
-harmless, as every NaN row is rejected as non-finite.  A
+pick the blocks.  A replay releases each intermediate after its last
+reader, and yields the walk's bits exactly, because it makes the walk's
+numpy calls on the same operands.  A row gets the same bits in any batch,
+except in a NaN, whose bits numpy may set differently for another batch
+length; that is harmless, as every NaN row is rejected as non-finite.  A
 trace stands for every batch only because the walk's control flow depends
 on the AST alone: the walk makes no test of values.  A divisor's exact
 zeros become NaN before it divides, so a row that divides by zero comes out
@@ -648,15 +647,16 @@ class _Tape:
 
     A register file holds the points (slot 0), the constants folded at
     trace time and one slot per recorded result.  An instruction is (fn,
-    argument slots, result slot).  `pruned` keeps what some blocks of the
-    root need, and `program` compiles that into one function of the points.
+    argument slots, result slot).  `program` prunes the tape to what some
+    blocks of the root need, and `replay` runs such a program on a batch of
+    points.
     """
 
     def __init__(self):
         self.registers: list = [None]
         self.code: list[tuple] = []
         self.blocks: dict[str, int | None] = {}
-        self.programs: dict[tuple, object] = {}
+        self.programs: dict[tuple, tuple] = {}
 
     def slot(self, x) -> int:
         """The slot of a _Sym, or a new slot holding the constant x."""
@@ -671,47 +671,39 @@ class _Tape:
         self.code.append((fn, args, out))
         return _Sym(self, out, ndim)
 
-    def program(self, blocks: tuple):
-        """The function of the points that returns the named blocks of the
-        root jet, in order (None for a missing block); compiled on first use."""
+    def program(self, blocks: tuple) -> tuple:
+        """(code, {block: slot}) for the named blocks of the root jet.
+
+        The code keeps the instructions the blocks read, in tape order, as
+        (fn, a, b, out, drop): b is None for a unary fn, and drop lists the
+        points and results whose last reader it is.
+        """
         if blocks not in self.programs:
-            self.programs[blocks] = _compile(self.registers, *self.pruned(blocks))
+            outputs = {name: self.blocks[name] for name in blocks}
+            needed = set(outputs.values())
+            code = []
+            for fn, args, out in reversed(self.code):
+                if out in needed:
+                    # the points and results hold None until the replay
+                    drop = tuple(s for s in set(args) - needed
+                                 if self.registers[s] is None)
+                    needed.update(args)
+                    a, b = args if len(args) == 2 else (*args, None)
+                    code.append((fn, a, b, out, drop))
+            self.programs[blocks] = (code[::-1], outputs)
         return self.programs[blocks]
 
-    def pruned(self, blocks: tuple) -> tuple[list, list]:
-        """(code, outputs) for the named blocks of the root jet: the
-        instructions they read, in tape order, as (fn, args, out, drop) with
-        drop the points and results whose last reader it is, and each
-        block's slot (None for a missing block)."""
-        outputs = [self.blocks[name] for name in blocks]
-        needed = {s for s in outputs if s is not None}
-        code = []
-        for fn, args, out in reversed(self.code):
-            if out in needed:
-                # the points and results hold None until the replay
-                drop = [s for s in set(args) - needed if self.registers[s] is None]
-                needed.update(args)
-                code.append((fn, args, out, drop))
-        return code[::-1], outputs
-
-
-def _compile(registers: list, code: list, outputs: list):
-    """One generated Python function that runs the code on the points.
-
-    It makes the recorded calls in order on locals r<slot> (r0 the points)
-    and sets a local to None after its last reader.  Its source holds only
-    slot numbers and names: f<k> for the callable of instruction k and
-    r<slot> for a constant, bound in its namespace.
-    """
-    namespace = {f"r{s}": x for s, x in enumerate(registers) if x is not None}
-    lines = ["def program(r0):"]
-    for k, (fn, args, out, drop) in enumerate(code):
-        namespace[f"f{k}"] = fn
-        lines.append(f"r{out} = f{k}({', '.join(f'r{s}' for s in args)})")
-        lines += [f"r{s} = None" for s in drop]
-    lines.append(f"return ({', '.join('None' if s is None else f'r{s}' for s in outputs)},)")
-    exec(compile("\n    ".join(lines), "<tape program>", "exec"), namespace)
-    return namespace["program"]
+    def replay(self, points: np.ndarray, code) -> list:
+        """The register file after running code on the points: the
+        constants, the outputs, and None in every released slot."""
+        r = self.registers.copy()
+        r[0] = points
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fn, a, b, out, drop in code:
+                r[out] = fn(r[a]) if b is None else fn(r[a], r[b])
+                for s in drop:
+                    r[s] = None
+        return r
 
 
 def _trace(nodes: tuple, columns: int) -> _Tape:
@@ -754,16 +746,18 @@ def _run(ast: Ast, points, blocks: tuple) -> Jet:
     left by a skipped zero term into the +0.0 that adding the term gives.
     """
     points = _as_points(ast, points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _tape(ast, points).program(blocks)(points)
+    tape = _tape(ast, points)
+    code, outputs = tape.program(blocks)
+    registers = tape.replay(points, code)
     B, n = points.shape
     jet = Jet(np.empty(B, complex))
-    np.copyto(jet.val, values[0])
-    for name, block in zip(blocks[1:], values[1:]):
+    np.copyto(jet.val, registers[outputs["val"]])
+    for name in blocks[1:]:
         # a block's rank is its number of derivatives: dz 1, dzz and dzzb 2
         shape = (B,) + (n,) * name.count("z")
+        block = outputs[name]
         setattr(jet, name, np.zeros(shape, complex) if block is None
-                else np.add(block, 0.0, out=np.empty(shape, complex)))
+                else np.add(registers[block], 0.0, out=np.empty(shape, complex)))
     return jet
 
 

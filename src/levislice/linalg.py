@@ -91,13 +91,22 @@ def dependent_rows(b, c) -> np.ndarray:
     """Mask of the rows k of (S, n) arrays where b[k] and c[k] are
     numerically dependent: their Gram determinant
     |b|^2 |c|^2 - |<c, b>|^2 is at most GRAM_DET_FLOOR |b|^2 |c|^2.  The
-    test is scale-invariant, so each row is first divided by its largest
-    modulus, and its squares cannot overflow or underflow; a zero row or a
-    row with a non-finite entry is dependent."""
+    test is scale-invariant, so each row is first scaled by the power of two
+    that brings its largest real or imaginary part into [0.5, 1): its
+    squares cannot overflow or underflow, and a row whose squares did
+    neither gets the unscaled test's verdict.  A zero row or a row with a
+    non-finite entry is dependent."""
+    b, c = (_power_of_two_rows(x) for x in (b, c))
     with np.errstate(invalid="ignore"):
-        b, c = (x / np.maximum(np.abs(x).max(axis=-1, keepdims=True), np.finfo(float).tiny)
-                for x in (np.asarray(b, complex), np.asarray(c, complex)))
-    bb = np.sum(b.real ** 2 + b.imag ** 2, axis=-1)
-    cc = np.sum(c.real ** 2 + c.imag ** 2, axis=-1)
-    cb = np.sum(np.conj(b) * c, axis=-1)
-    return ~(bb * cc - np.abs(cb) ** 2 > GRAM_DET_FLOOR * bb * cc)
+        bb = np.sum(b.real ** 2 + b.imag ** 2, axis=-1)
+        cc = np.sum(c.real ** 2 + c.imag ** 2, axis=-1)
+        cb = np.sum(np.conj(b) * c, axis=-1)
+        return ~(bb * cc - np.abs(cb) ** 2 > GRAM_DET_FLOOR * bb * cc)
+
+
+def _power_of_two_rows(x) -> np.ndarray:
+    """x (complex rows) times 2**-e per row, e the exponent of the row's
+    largest real or imaginary part (0 for a zero or non-finite row)."""
+    parts = np.ascontiguousarray(x, complex).view(float)
+    top = np.abs(parts).max(axis=-1, keepdims=True)
+    return np.ldexp(parts, -np.frexp(top)[1]).view(complex)

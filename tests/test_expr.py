@@ -1,5 +1,3 @@
-import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -255,8 +253,9 @@ def same_bits_but_nan(x, y) -> bool:
 
 
 def replayed(tape, pts, blocks) -> dict:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return dict(zip(blocks, tape.program(blocks)(pts)))
+    code, outputs = tape.program(blocks)
+    registers = tape.replay(pts, code)
+    return {name: None if s is None else registers[s] for name, s in outputs.items()}
 
 
 def row(block, B, k):
@@ -406,12 +405,11 @@ def test_pruned_programs_are_pure_dataflow(rng):
     E.eval_jet_batch(ast, pts, holo=True)
     tape = ast._tapes[2]
     assert sorted(tape.programs) == sorted(PROGRAMS)
-    for blocks in tape.programs:
-        code, outputs = tape.pruned(blocks)
-        read = set(outputs)
-        for fn, args, out, _ in reversed(code):
+    for blocks, (code, outputs) in tape.programs.items():
+        read = set(outputs.values())
+        for fn, a, b, out, _ in reversed(code):
             assert out in read, (blocks, fn)
-            read.update(args)
+            read.update((a, b))
 
 
 def test_zero_power_of_a_zero_divisor_is_one(rng):
@@ -419,22 +417,6 @@ def test_zero_power_of_a_zero_divisor_is_one(rng):
     ast = E.parse("abs2(z2)+(1/(z1-z1))^0")
     pts = random_points(rng, 2, 3)
     assert same_bits(E.eval_raw(ast, pts), E.eval_raw(E.parse("abs2(z2)+1"), pts))
-
-
-def final_locals(program, pts) -> dict:
-    """The local variables of a compiled program as it returns."""
-    seen = {}
-
-    def profile(frame, event, arg):
-        if event == "return" and frame.f_code is program.__code__:
-            seen.update(frame.f_locals)
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        program(pts)
-    finally:
-        sys.setprofile(previous)
-    return seen
 
 
 def test_replay_releases_every_intermediate(rng):
@@ -448,48 +430,29 @@ def test_replay_releases_every_intermediate(rng):
     E.eval_jet_batch(ast, pts, holo=True)
     tape = ast._tapes[2]
     assert sorted(tape.programs) == sorted(PROGRAMS)
-    for blocks, program in tape.programs.items():
-        code, outputs = tape.pruned(blocks)
-        final = final_locals(program, pts)
-        # every slot the program writes, the points included, is a local
-        assert set(final) == {f"r{out}" for _, _, out, _ in code} | {"r0"}
-        held = {name for name, value in final.items() if value is not None}
-        assert held == {f"r{s}" for s in outputs
+    for blocks, (code, outputs) in tape.programs.items():
+        registers = tape.replay(pts, code)
+        held = {s for s, (now, constant) in enumerate(zip(registers, tape.registers))
+                if now is not None and now is not constant}
+        assert held == {s for s in outputs.values()
                         if s is not None and tape.registers[s] is None}
         assert held, blocks
 
 
-def test_each_program_is_compiled_once_per_tape_and_blocks(monkeypatch, rng):
-    compiled = []
-    compile_program = E._compile
-
-    def counted(registers, code, outputs):
-        compiled.append(tuple(outputs))
-        return compile_program(registers, code, outputs)
-    monkeypatch.setattr(E, "_compile", counted)
+def test_each_program_is_pruned_once_per_tape_and_blocks(rng):
     ast = E.parse("abs2(z1)^2+re(z1*conj(z2))-1")
+    built = {}
     for _ in range(3):
         for cols in (2, 3):
             pts = random_points(rng, cols, 4)
             E.eval_raw(ast, pts)
             E.eval_value_grad(ast, pts)
             E.eval_jet_batch(ast, pts, holo=False)
-    assert sorted(ast._tapes) == [2, 3]
-    assert len(compiled) == 6
-    for tape in ast._tapes.values():
-        assert sorted(tape.programs) == sorted(PROGRAMS[:3])
-
-
-def test_compiled_source_names_only_slots_and_callables():
-    # the program's code object names locals r<slot> and globals f<k> and
-    # r<slot>; no text of rho enters it
-    ast = E.parse("exp(re(z1))*abs2(z2)+2.5*abs2(z1)-1")
-    E.eval_jet_batch(ast, np.ones((2, 2), complex))
-    for program in ast._tapes[2].programs.values():
-        code = program.__code__
-        names = code.co_varnames + code.co_names
-        assert all(re.fullmatch(r"[rf]\d+", name) for name in names), names
-        assert all(c is None for c in code.co_consts), code.co_consts
+            tape = ast._tapes[cols]
+            assert sorted(tape.programs) == sorted(PROGRAMS[:3])
+            for blocks, program in tape.programs.items():
+                assert built.setdefault((cols, blocks), program) is program
+    assert sorted(ast._tapes) == [2, 3] and len(built) == 6
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.float64, np.int64])

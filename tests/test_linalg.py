@@ -238,3 +238,31 @@ def test_zero_and_non_finite_rows_are_dependent():
     b = np.array([[0, 0], [np.inf, 0], [np.nan, 1], [1, 0], [1e308 + 1e308j, 1]])
     c = np.array([[0, 1], [0, 1], [0, 1], [0, 0], [0, 1]], complex)
     assert la.dependent_rows(b, c).tolist() == [True, True, True, True, False]
+
+
+def test_dependent_rows_near_the_floor_keep_the_unscaled_verdict(rng):
+    # rows of moderate scale whose Gram ratio lies within a few ulps of
+    # GRAM_DET_FLOOR: scaling by a power of two must not flip a verdict
+    S, n = 4000, 3
+    b = rng.standard_normal((S, n)) + 1j * rng.standard_normal((S, n))
+    d = rng.standard_normal((S, n)) + 1j * rng.standard_normal((S, n))
+
+    def unscaled(b, c):
+        bb = np.sum(b.real ** 2 + b.imag ** 2, axis=-1)
+        cc = np.sum(c.real ** 2 + c.imag ** 2, axis=-1)
+        cb = np.sum(np.conj(b) * c, axis=-1)
+        return bb * cc - np.abs(cb) ** 2 <= la.GRAM_DET_FLOOR * bb * cc
+
+    # c = b + t d has Gram ratio t^2 |d|^2 r / |c|^2, r that of (b, d):
+    # aim t at the floor, give or take a few percent
+    bb = np.sum(np.abs(b) ** 2, axis=-1)
+    dd = np.sum(np.abs(d) ** 2, axis=-1)
+    r = 1.0 - np.abs(np.sum(np.conj(b) * d, axis=-1)) ** 2 / (bb * dd)
+    t = np.sqrt(la.GRAM_DET_FLOOR * bb / (r * dd))[:, None]
+    t *= 1.0 + 0.03 * rng.standard_normal((S, 1))
+    c = b + t * d
+    b = b * 10.0 ** rng.integers(-70, 70, (S, 1))
+    c = c * 10.0 ** rng.integers(-70, 70, (S, 1))
+    want = unscaled(b, c)
+    assert 0.05 < want.mean() < 0.95
+    assert la.dependent_rows(b, c).tolist() == want.tolist()
