@@ -64,13 +64,15 @@ def main():
     cert = run.certificate
     print("witness slice h(a, b, c):")
     print(f"  a = p0 = {fmt(cert.p0)}  (inward point, t = {cert.t:.6g})")
-    print(f"  b = M - p0 = {fmt(cert.slice.b)}")
+    print(f"  b = (M - p0)/|M - p0| = {fmt(cert.slice.b)}")
     print(f"  c = Z = {fmt(cert.slice.c)}")
+    print(f"  M at w = mu = {fmt(cert.mu)}")
     print(f"  lambda on the slice at mu = {cert.lambda_slice:.6g}")
 
     reclass = run.reclassification
+    window = pipeline.SLICE_WINDOW * cert.mu[0].real
     print(f"witness slice reclassified at {pipeline.RECLASSIFY_SAMPLES} samples "
-          f"of the w-box [-{pipeline.SLICE_WINDOW}, {pipeline.SLICE_WINDOW}]^4: "
+          f"of the w-box [-{window:.6g}, {window:.6g}]^4: "
           f"{reclass.verdict} (worst lambda {reclass.worst_probe.lambda_min:.6g})")
 
 

@@ -80,19 +80,30 @@ class VerificationRecord:
         return all(self.checks.values())
 
 
-def _offset_map(n: int) -> np.ndarray:
-    """P = I (x) [1, i], which maps the real offsets x = d.view(float) to d."""
-    return np.kron(np.eye(n), [1.0, 1j])
+def _real_congruence(X: np.ndarray, conj_right: bool) -> np.ndarray:
+    """Re(P^T X P), or Re(P^T X conj(P)), for the map P = I (x) [1, i] that
+    takes the real offsets x = d.view(float) to d.
+
+    The 2 x 2 block (j, k) is [[Re, -Im], [-Im, -Re]] of X_jk, or
+    [[Re, Im], [-Im, Re]]; the entries are copied, not multiplied out, and
+    equal the products with P's entries 0, 1 and i.
+    """
+    n = len(X)
+    out = np.empty((n, 2, n, 2))
+    out[:, 0, :, 0] = X.real
+    out[:, 0, :, 1] = X.imag if conj_right else -X.imag
+    out[:, 1, :, 0] = -X.imag
+    out[:, 1, :, 1] = X.real if conj_right else -X.real
+    return out.reshape(2 * n, 2 * n)
 
 
 def _eval_offsets(q: QuadraticWitness, x: np.ndarray) -> np.ndarray:
     """q(M + d) at the (B, 2n) real offsets x = d.view(float); d = P x, so g
     and A are real parts of P-congruences of q's blocks."""
-    n = len(q.center)
-    P = _offset_map(n)
-    g = 2.0 * (q.lin @ P).real
-    A = (P.T @ q.holo2 @ P).real + (P.T @ q.mixed2 @ P.conj()).real
-    A += q.eps * np.eye(2 * n)
+    g = 2.0 * np.conj(q.lin).view(float)
+    A = (_real_congruence(q.holo2, conj_right=False)
+         + _real_congruence(q.mixed2, conj_right=True))
+    A += q.eps * np.eye(len(A))
     return x @ g + np.einsum("bk,bk->b", x @ A, x)
 
 
@@ -136,9 +147,8 @@ def _norm_bound(dev, conj_right: bool) -> float:
     the congruence entrywise; the larger of its largest row and column sums
     bounds ||S||_2 even where rounding left X's blocks not quite symmetric.
     """
-    P = _offset_map(len(dev.mid))
-    mid = (P.T @ dev.mid @ (P.conj() if conj_right else P)).real
-    bound = np.abs(mid) + np.kron(dev.rad, np.ones((2, 2)))
+    rad = np.repeat(np.repeat(dev.rad, 2, axis=0), 2, axis=1)
+    bound = np.abs(_real_congruence(dev.mid, conj_right)) + rad
     return float(max(np.max(np.sum(bound, axis=0)), np.max(np.sum(bound, axis=1))))
 
 

@@ -287,23 +287,32 @@ def _levi_min(grad: np.ndarray, mixed: np.ndarray):
 
     Returns (ok, lam, Z, gn): ok marks gradients of at least GRAD_FLOOR; for
     those rows lam is the smallest eigenvalue of the Levi form on the complex
-    tangent space and Z a unit minimizer.  Other rows hold nan and zeros.
+    tangent space and Z a unit minimizer.  Other rows hold nan and zeros;
+    when every row is ok, nothing is scattered.
     """
     gn = np.linalg.norm(grad, axis=1)
     ok = gn >= GRAD_FLOOR
-    lam = np.full(len(grad), np.nan)
-    Z = np.zeros(grad.shape, complex)
-    if ok.any():
-        basis = la.tangent_null_basis(grad.compress(ok, axis=0), grad_floor=GRAD_FLOOR)
-        restricted = (np.swapaxes(basis, 1, 2) @ mixed.compress(ok, axis=0)
-                      @ np.conj(basis))
-        eigvals, vecs = la.hermitian_eig(restricted)
-        # with restricted = P^T H conj(P), the Levi form of P v is
-        # conj(v)^H restricted conj(v), so the minimizer is P conj(eigvec)
-        Zok = (basis @ np.conj(vecs[:, :, :1]))[:, :, 0]
-        Z[ok] = Zok / np.linalg.norm(Zok, axis=1)[:, None]
-        lam[ok] = eigvals[:, 0]
-    return ok, lam, Z, gn
+    every = ok.all()
+    if not every:
+        if not ok.any():
+            return ok, np.full(len(grad), np.nan), np.zeros(grad.shape, complex), gn
+        grad, mixed = grad.compress(ok, axis=0), mixed.compress(ok, axis=0)
+    basis = la.tangent_null_basis(grad, GRAD_FLOOR,
+                                  norms=gn if every else gn.compress(ok))
+    restricted = np.swapaxes(basis, 1, 2) @ mixed @ np.conj(basis)
+    eigvals, vecs = la.hermitian_eig(restricted)
+    # with restricted = P^T H conj(P), the Levi form of P v is
+    # conj(v)^H restricted conj(v), so the minimizer is P conj(eigvec)
+    Z = (basis @ np.conj(vecs[:, :, :1]))[:, :, 0]
+    Z /= np.linalg.norm(Z, axis=1)[:, None]
+    lam = eigvals[:, 0]
+    if every:
+        return ok, lam, Z, gn
+    rows = np.flatnonzero(ok)
+    lam_all = np.full(len(ok), np.nan)
+    Z_all = np.zeros((len(ok), Z.shape[1]), complex)
+    lam_all[rows], Z_all[rows] = lam, Z
+    return ok, lam_all, Z_all, gn
 
 
 def _reports(rows, slices: int, points, ok, lam, Z, gn) -> list[LeviReport]:

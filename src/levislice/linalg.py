@@ -40,9 +40,10 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_symmetrized(a))
 
 
-def tangent_null_basis(g, grad_floor: float) -> np.ndarray:
+def tangent_null_basis(g, grad_floor: float, norms=None) -> np.ndarray:
     """Orthonormal bases of {Z : sum_j g_j Z_j = 0}; a gradient of norm below
-    grad_floor raises DegenerateGradientError.
+    grad_floor raises DegenerateGradientError.  `norms`, the rows' norms as
+    np.linalg.norm(g, axis=1) gives them, spares taking them again.
 
     For one gradient g of length n, the basis is the columns of an
     n x (n-1) matrix; for a stack (B, n) the result is (B, n, n-1).  Each is
@@ -54,7 +55,7 @@ def tangent_null_basis(g, grad_floor: float) -> np.ndarray:
     single = g.ndim == 1
     g = np.atleast_2d(g)
     n = g.shape[1]
-    gn = np.linalg.norm(g, axis=1)
+    gn = np.linalg.norm(g, axis=1) if norms is None else np.atleast_1d(norms)
     if np.any(gn < grad_floor):
         raise DegenerateGradientError(
             f"|gradient| = {gn.min():.3e} below floor {grad_floor:.1e}")

@@ -3,11 +3,14 @@
 A domain that classifies nonpseudoconvex at its samples gets the witness
 chain at its worst probe: the quadratic witness and its five checks, the
 two-dimensional witness slice, and the reclassification of that slice,
-which must come out nonpseudoconvex.  A domain that classifies
-pseudoconvex-at-samples gets the forward sweep: random slices through
-points just inside its boundary, all of which must classify pseudoconvex.
-The sweep draws its frames from one stream and the box starts of all its
-slices from another, both derived from the request seed.
+which must come out nonpseudoconvex.  The slice is reclassified over the
+w-box of half-width SLICE_WINDOW |M - p0|: its frame is orthonormal, so
+the box is the same neighbourhood of p0 along the normal and the tangent.
+A domain that classifies pseudoconvex-at-samples gets the forward sweep:
+random slices through points just inside its boundary, all of which must
+classify pseudoconvex.  The sweep draws its frames from one stream and the
+box starts of all its slices from another, both derived from the request
+seed.
 
 Errors of loading and classifying the domain propagate unchanged; a failure
 in a later stage is a PipelineError that names the stage.
@@ -28,7 +31,8 @@ from . import slicing as sl
 from .levi import (VERDICT_DEGENERATE, VERDICT_NONPSEUDOCONVEX,
                    VERDICT_PSEUDOCONVEX, Domain, LeviReport)
 
-SLICE_WINDOW = 2.0          # half-width of the w-plane sampling box
+SLICE_WINDOW = 2.0          # half-width of the w-plane sampling box, in
+                            # units of |M - p0| on a witness slice
 SLICE_PROBES = 50           # boundary probes per slice in the forward sweep
 RECLASSIFY_SAMPLES = 200    # boundary probes on a witness slice
 
@@ -160,7 +164,8 @@ def verify_theorem(domain: Domain, samples: int, seed: int,
         cert = sl.witness_slice(domain, probe, quadratic)
     with _stage("slice-reclassification"):
         reclass = classify_slice(domain, cert.slice.a, cert.slice.b, cert.slice.c,
-                                 SLICE_WINDOW, RECLASSIFY_SAMPLES, seed)
+                                 SLICE_WINDOW * cert.mu[0].real,
+                                 RECLASSIFY_SAMPLES, seed)
     if reclass.verdict != VERDICT_NONPSEUDOCONVEX:
         raise PipelineError("slice-reclassification",
                             f"witness slice classified {reclass.verdict}")

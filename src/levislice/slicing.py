@@ -9,7 +9,8 @@ sweep alike.  Any boundary probe with a negative restricted Levi minimum
 yields a witness certificate: a slice through an interior point p0 and the
 boundary point M, spanned by the complex normal and the bad tangent
 direction, whose induced two-dimensional domain inherits the same negative
-Levi value.
+Levi value.  Its frame is orthonormal, b the unit normal (M - p0)/|M - p0|
+and c = Z, so w measures lengths as z does and M sits at w = (|M - p0|, 0).
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class WitnessCertificate:
     lam: float                 # negative restricted Levi minimum at M
     p0: np.ndarray             # interior point on the complex normal line
     t: float                   # accepted normal step
-    slice: Slice               # a = p0, b = M - p0, c = Z
-    mu: np.ndarray             # the w of M: a + frame mu = M, mu = (1, 0)
+    slice: Slice               # a = p0, b = (M - p0)/|M - p0|, c = Z
+    mu: np.ndarray             # the w of M: a + frame mu = M, mu = (|M - p0|, 0)
     zeta: np.ndarray           # tangent image of Z = (0, 1)
     lambda_slice: float        # Levi form of rho_h at mu in direction zeta
     quadratic: QuadraticWitness
@@ -107,10 +108,11 @@ def witness_slice(domain: Domain, probe: LeviProbe,
     """Construct the two-dimensional witness slice for a bad boundary probe.
 
     The slice passes through the interior point p0 that `inward_step` finds
-    below M, with b = M - p0 and c = Z.  All certificate invariants are
-    checked before returning.  The quadratic witness at the probe is built
-    here unless the caller already has it; its blocks are the jet of rho at
-    M that the checks read.
+    below M, with b = (M - p0)/|M - p0| and c = Z: unit vectors, orthogonal
+    as Z is a complex tangent vector.  All certificate invariants are checked
+    before returning.  The quadratic witness at the probe is built here
+    unless the caller already has it; its blocks are the jet of rho at M
+    that the checks read.
     """
     if probe.lambda_min >= -levi.LEVI_EPS:
         raise WitnessError(
@@ -123,9 +125,11 @@ def witness_slice(domain: Domain, probe: LeviProbe,
     grad = quadratic.lin[None]
     p0, t = inward_step(domain, M[None], grad)
 
-    s = make_slice(p0[0], M - p0[0], Z)
+    step = M - p0[0]
+    length = float(np.linalg.norm(step))
+    s = make_slice(p0[0], step / length, Z)
     frame = s.frame[None]
-    mu = np.array([1.0 + 0j, 0.0 + 0j])
+    mu = np.array([length + 0j, 0.0 + 0j])
     zeta = np.array([0.0 + 0j, 1.0 + 0j])
 
     if np.linalg.norm(s.a + s.frame @ mu - M) > 1e-12 * (1.0 + np.linalg.norm(M)):

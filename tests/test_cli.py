@@ -313,6 +313,21 @@ def test_verify_theorem_saddle2(capsys):
     assert cert["lambda_slice"] == pytest.approx(cert["lambda"], rel=1e-9)
 
 
+@pytest.mark.parametrize("name, samples, seed", [("narrow_saddle", "500", "5"),
+                                                ("quartic_saddle", "500", "5"),
+                                                ("bump", "2000", "3")])
+def test_witness_slice_reclassifies_at_the_scale_of_the_inward_step(capsys, name,
+                                                                    samples, seed):
+    # each exited 5 at the slice reclassification when the slice had
+    # b = M - p0 and was sampled over a w-box of half-width 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(capsys, "verify-theorem", str(DATA / f"{name}.dom"),
+                                 "--samples", samples, "--seed", seed)
+    assert code == cli.EXIT_OK
+    assert payload["witness_slice_reclassification"]["verdict"] == "nonpseudoconvex"
+
+
 @pytest.mark.parametrize("value", ["50", "0", "-1"])
 def test_containment_samples_below_100_is_an_input_error(capsys, value):
     code, out, err = run(capsys, "verify-theorem", "saddle2",

@@ -2,6 +2,8 @@
 slice-by-slice construction, its base points inside the domain, its seeded
 streams and its reuse of the classification's points."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,12 @@ from levislice import expr as E
 from levislice import levi
 from levislice import linalg as la
 from levislice import pipeline
-from levislice.catalog import CATALOG
+from levislice.catalog import CATALOG, load_domain_spec
 from oracles import sweep_slices_one_by_one
 from rotated import rotated_domain
+from test_levi import _eval_sizes
+
+DATA = Path(__file__).parent / "data"
 
 
 def assert_same_slices(got, want):
@@ -92,6 +97,28 @@ def test_verify_theorem_projects_the_ambient_boundary_once(monkeypatch):
     run = pipeline.verify_theorem(CATALOG["ball"].domain(), samples=25, seed=4)
     assert run.forward is not None and run.forward.count == 25
     assert framed == [False, True]
+
+
+@pytest.mark.parametrize("name", ["saddle2", "saddle3", "holo_saddle3.dom"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_witness_slice_newton_takes_few_iterations(monkeypatch, name, seed):
+    # with b = M - p0 over a w-box of half-width 2, the slice Newton took
+    # 11 to 50 iterations here: w2 spanned ten times the normal's scale
+    dom = load_domain_spec(str(DATA / name) if name.endswith(".dom") else name).domain()
+    sizes = _eval_sizes(monkeypatch)
+    iterations = []
+    classify_slice = pipeline.classify_slice
+
+    def counted(*args):
+        before = len(sizes)
+        report = classify_slice(*args)
+        iterations.append(len(sizes) - before)
+        return report
+
+    monkeypatch.setattr(pipeline, "classify_slice", counted)
+    run = pipeline.verify_theorem(dom, 200, seed)
+    assert run.reclassification.verdict == levi.VERDICT_NONPSEUDOCONVEX
+    assert len(iterations) == 1 and 0 < iterations[0] <= 10
 
 
 def test_sweep_needs_a_slice_and_a_point():

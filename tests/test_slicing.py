@@ -7,6 +7,7 @@ from levislice import slicing as sl
 from levislice.catalog import CATALOG
 from oracles import (OffPlaneError, compose_with_affine, levi_form_at, phi,
                      phi_inv, slice_gradient_check)
+from rotated import rotated_domain
 
 
 def domain_of(name):
@@ -144,15 +145,16 @@ def test_slice_gradient_check_both_tangent():
 # ---------------------------------------------------------------------------
 
 def test_witness_slice_saddle2_worked_example():
+    # b is the unit normal (M - p0)/t, so M sits at w = (t, 0)
     dom = domain_of("saddle2")
     probe = levi.restricted_levi_min(dom, [0, 0])
     cert = sl.witness_slice(dom, probe)
     assert np.allclose(cert.p0, [0, -0.1], atol=1e-12)
     assert cert.t == pytest.approx(0.1)
     assert np.allclose(cert.slice.a, cert.p0)
-    assert np.allclose(cert.slice.b, np.asarray(cert.M) - cert.p0)
+    assert np.allclose(cert.slice.b, [0, 1], atol=1e-12)
     assert cert.lambda_slice == pytest.approx(-1.0, abs=1e-12)
-    assert np.allclose(cert.mu, [1, 0])
+    assert np.allclose(cert.mu, [0.1, 0], atol=1e-12)
     assert np.allclose(cert.zeta, [0, 1])
 
 
@@ -210,6 +212,24 @@ def test_witness_invariants_on_sampled_probes():
                 transported, abs=1e-9 * (1 + abs(transported)))
             _, grad, _ = pulled_back(dom, cert.slice, cert.mu)
             assert abs(grad[1]) <= 1e-10
+
+
+def test_witness_frame_is_orthonormal_and_places_M_at_mu():
+    domains = [domain_of("saddle2"), domain_of("shell"),
+               rotated_domain("saddle", 2, seed=3), rotated_domain("saddle", 3, seed=7),
+               rotated_domain("saddle", 4, seed=23)]
+    for dom in domains:
+        report = levi.classify(dom, 50, seed=3)
+        bad = [p for p in report.probes if p.lambda_min < -levi.LEVI_EPS]
+        assert bad
+        for probe in bad:
+            cert = sl.witness_slice(dom, probe)
+            b, c = cert.slice.b, cert.slice.c
+            assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(b, c)) <= 1e-10
+            assert np.linalg.norm(cert.slice.a + cert.slice.frame @ cert.mu - cert.M) <= (
+                1e-12 * (1.0 + np.linalg.norm(cert.M)))
 
 
 def test_forward_direction_random_slices_of_ball(rng):
