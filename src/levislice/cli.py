@@ -38,7 +38,7 @@ from .levi import (VERDICT_DEGENERATE, VERDICT_NONPSEUDOCONVEX,
                    VERDICT_PSEUDOCONVEX, Domain)
 from .pipeline import (SLICE_WINDOW, PipelineError, classify_slice,
                        verify_theorem)
-from .slicing import SliceError
+from .slicing import SliceError, make_slice
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -167,22 +167,20 @@ def cmd_slice(args) -> int:
         raise InputError(f"--window must have a finite width 2*window, got {args.window}")
     started, domain, report = _start(args, "slice")
     a = parse_cvector(args.a) if args.a else np.zeros(domain.n, complex)
-    b = parse_cvector(args.b)
-    c = parse_cvector(args.c)
+    b, c = parse_cvector(args.b), parse_cvector(args.c)
     for flag, vector in (("a", a), ("b", b), ("c", c)):
         if not np.all(np.isfinite(vector)):
             raise InputError(f"--{flag} must have finite entries, "
                              f"got {getattr(args, flag)}")
     if not (len(a) == len(b) == len(c) == domain.n):
         raise InputError(f"slice vectors must have length {domain.n}")
-    result = classify_slice(domain, a, b, c, args.window, report["samples"],
-                            report["seed"])
+    s = make_slice(a, b, c)
+    result = classify_slice(domain, s, args.window, report["samples"], report["seed"])
     report["slice"] = {"a": _jsonable(a), "b": _jsonable(b), "c": _jsonable(c)}
     _attach_classification(report, result)
     if args.grid is not None:
         path = args.out or "slice_grid.csv"
-        _write_grid(domain, a, np.stack([b, c], axis=1), args.grid, args.window,
-                    path)
+        _write_grid(domain, a, s.frame, args.grid, args.window, path)
         report["grid_csv"] = path
     _emit(report, args.json, started)
     return VERDICT_EXIT[result.verdict]

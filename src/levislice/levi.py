@@ -5,12 +5,13 @@ box; the open set is {rho < 0} and its boundary is {rho = 0}.  This module
 projects points onto the boundary, evaluates the Levi form, minimizes it
 over complex tangent directions, and classifies the domain at sampled
 boundary points.  Every stage works on whole arrays of points: one Newton
-loop, one jet evaluation and one stacked eigensolve per classification.
+loop, one jet evaluation and one stacked eigensolve per ambient classification.
 
-Two-dimensional affine slices z = a + [b c] w are classified the same way
-without building a new expression: Newton runs in w with rho evaluated at
-z and its gradient pulled back by [b c]^T, and the mixed Hessian is pulled
-back by congruence.  A batch of slices shares each of those calls.
+Two-dimensional affine slices z = a + [b c] w are classified without
+building a new expression: Newton runs in w with rho evaluated at z and its
+gradient pulled back by [b c]^T; a slice's complex tangent space is one
+line, so its Levi minimum is the Levi form of rho along [b c] Z, with no
+eigensolve.  A batch of slices shares each of those calls.
 """
 
 from __future__ import annotations
@@ -160,21 +161,6 @@ def _pulled_back_grad(grad: np.ndarray, frame) -> np.ndarray:
     return grad if frame is None else np.einsum("bjk,bj->bk", frame, grad)
 
 
-def _pulled_back_mixed(mixed: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Mixed Hessian in w: frame^T mixed conj(frame) row by row.
-
-    The einsum runs on copies that hold the batch axis last in memory, so its
-    innermost loop runs over the batch rather than over an axis of length 2
-    or n, about four times faster on a thousand rows.  einsum forms the same
-    products and adds them in the same order for either layout, so the result
-    equals the einsum on the row-major arrays to the bit (tests/test_levi.py
-    checks this).
-    """
-    F, H = (np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
-            for x in (frame, mixed))
-    return np.ascontiguousarray(np.einsum("bli,blm,bmj->bij", F, H, np.conj(F)))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
             frame=None) -> tuple[np.ndarray, np.ndarray]:
@@ -282,6 +268,11 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:
 # Levi form
 # ---------------------------------------------------------------------------
 
+def levi_form(mixed: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Levi form Re(W^T mixed conj(W)) row by row: mixed (B, n, n), W (B, n)."""
+    return np.einsum("bj,bj->b", W, np.einsum("bjk,bk->bj", mixed, np.conj(W))).real
+
+
 def _levi_min(grad: np.ndarray, mixed: np.ndarray):
     """Restricted Levi minima at a batch of jets (grad (B, n), mixed (B, n, n)).
 
@@ -313,6 +304,21 @@ def _levi_min(grad: np.ndarray, mixed: np.ndarray):
     Z_all = np.zeros((len(ok), Z.shape[1]), complex)
     lam_all[rows], Z_all[rows] = lam, Z
     return ok, lam_all, Z_all, gn
+
+
+def _slice_levi_min(grad: np.ndarray, mixed: np.ndarray, frame: np.ndarray):
+    """`_levi_min` on two-dimensional slices, in closed form, from the gradient
+    in w (B, 2), the ambient mixed Hessian (B, n, n) and the frames (B, n, 2):
+    the tangent line in w is spanned by Z = (g2, -g1)/|g|, phased as
+    `linalg.tangent_null_basis` phases a column, and the minimum is the Levi
+    form at W = frame Z.  Degenerate rows divide by inf: Z = 0, no warning."""
+    gn = np.linalg.norm(grad, axis=1)
+    ok = gn >= GRAD_FLOOR
+    Z = np.stack([grad[:, 1], -grad[:, 0]], axis=1) / np.where(ok, gn, np.inf)[:, None]
+    top = np.take_along_axis(Z, np.abs(Z).argmax(axis=1)[:, None], axis=1)
+    Z *= np.conj(top) / np.where(ok[:, None], np.abs(top), 1.0)
+    W = frame[:, :, 0] * Z[:, :1] + frame[:, :, 1] * Z[:, 1:]
+    return ok, np.where(ok, levi_form(mixed, W), np.nan), Z, gn
 
 
 def _reports(rows, slices: int, points, ok, lam, Z, gn) -> list[LeviReport]:
@@ -382,5 +388,5 @@ def classify_slices(domain: Domain, a, frame, window: float, count: int,
     F = frame[rows]
     jets = ex.eval_jet_batch(domain.ast, a[rows] + np.einsum("bjk,bk->bj", F, w),
                              holo=False)
-    return _reports(rows, len(a), w, *_levi_min(_pulled_back_grad(jets.dz, F),
-                                                _pulled_back_mixed(jets.dzzb, F)))
+    gw = _pulled_back_grad(jets.dz, F)
+    return _reports(rows, len(a), w, *_slice_levi_min(gw, jets.dzzb, F))

@@ -54,12 +54,10 @@ def _stage(name: str):
         raise PipelineError(name, str(err)) from err
 
 
-def classify_slice(domain: Domain, a, b, c, window: float, count: int,
+def classify_slice(domain: Domain, s: sl.Slice, window: float, count: int,
                    seed: int) -> LeviReport:
     """Classify the slice z = a + b w1 + c w2 over the w-box [-window, window]^4."""
-    s = sl.make_slice(a, b, c)
-    return levi.classify_slices(domain, s.a[None], s.frame[None], window, count,
-                                seed)[0]
+    return levi.classify_slices(domain, s.a[None], s.frame[None], window, count, seed)[0]
 
 
 def sweep_slices(domain: Domain, points, slices: int, seed: int):
@@ -163,8 +161,7 @@ def verify_theorem(domain: Domain, samples: int, seed: int,
     with _stage("witness-slice"):
         cert = sl.witness_slice(domain, probe, quadratic)
     with _stage("slice-reclassification"):
-        reclass = classify_slice(domain, cert.slice.a, cert.slice.b, cert.slice.c,
-                                 SLICE_WINDOW * cert.mu[0].real,
+        reclass = classify_slice(domain, cert.slice, SLICE_WINDOW * cert.mu[0].real,
                                  RECLASSIFY_SAMPLES, seed)
     if reclass.verdict != VERDICT_NONPSEUDOCONVEX:
         raise PipelineError("slice-reclassification",

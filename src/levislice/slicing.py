@@ -1,13 +1,13 @@
 """Affine two-dimensional slices, the inward step and the witness slice.
 
 A slice is the plane h(a, b, c) = {a + b*w1 + c*w2} with b, c linearly
-independent.  Jets of rho pull back to jets of rho_h by congruence with the
-n x 2 frame [b c], through `levi._pulled_back_grad` and
-`levi._pulled_back_mixed`.  Slices pass through points just inside the
-boundary, which `inward_step` finds for the witness slice and the forward
-sweep alike.  Any boundary probe with a negative restricted Levi minimum
-yields a witness certificate: a slice through an interior point p0 and the
-boundary point M, spanned by the complex normal and the bad tangent
+independent.  The gradient of rho_h is that of rho pulled back by the n x 2
+frame [b c] (`levi._pulled_back_grad`), and its Levi form along v is that of
+rho along [b c] v (`levi.levi_form`).  Slices pass through points just
+inside the boundary, which `inward_step` finds for the witness slice and the
+forward sweep alike.  Any boundary probe with a negative restricted Levi
+minimum yields a witness certificate: a slice through an interior point p0
+and the boundary point M, spanned by the complex normal and the bad tangent
 direction, whose induced two-dimensional domain inherits the same negative
 Levi value.  Its frame is orthonormal, b the unit normal (M - p0)/|M - p0|
 and c = Z, so w measures lengths as z does and M sits at w = (|M - p0|, 0).
@@ -128,18 +128,17 @@ def witness_slice(domain: Domain, probe: LeviProbe,
     step = M - p0[0]
     length = float(np.linalg.norm(step))
     s = make_slice(p0[0], step / length, Z)
-    frame = s.frame[None]
     mu = np.array([length + 0j, 0.0 + 0j])
     zeta = np.array([0.0 + 0j, 1.0 + 0j])
 
     if np.linalg.norm(s.a + s.frame @ mu - M) > 1e-12 * (1.0 + np.linalg.norm(M)):
         raise WitnessError("a + frame mu != M")
-    tangency = abs(levi._pulled_back_grad(grad, frame)[0, 1])
+    tangency = abs(levi._pulled_back_grad(grad, s.frame[None])[0, 1])
     if tangency > 1e-10:
         raise WitnessError(f"zeta not tangent to the slice boundary "
                            f"(|d rho_h/d w2| = {tangency:.3e})")
-    mixed_h = levi._pulled_back_mixed(quadratic.mixed2[None], frame)[0]
-    lambda_slice = float(mixed_h[1, 1].real)
+    # the Levi form of rho_h at mu along zeta is that of rho at M along c = Z
+    lambda_slice = float(levi.levi_form(quadratic.mixed2[None], s.c[None])[0])
     if abs(lambda_slice - probe.lambda_min) > 1e-9 * (1.0 + abs(probe.lambda_min)):
         raise WitnessError(
             f"Levi transport failed: lambda_slice {lambda_slice!r} vs "

@@ -1,7 +1,8 @@
 """Independent reference implementations that the tests compare against.
 
 None of these run in a command.  The symbolic pullback (`compose_with_affine`)
-checks the chain-rule pullback of jets, `quadratic_as_expression` re-parses
+checks the chain-rule pullback of jets (`pulled_back_mixed` for the mixed
+Hessian, which the library no longer forms), `quadratic_as_expression` re-parses
 a quadratic witness, `levi_form_at` evaluates the Levi form in one direction
 at one point, `phi`, `gram_solve_2`, `phi_inv`, `slice_gradient_check` and
 `project_to_boundary` check slices and boundary projection point by point,
@@ -74,6 +75,12 @@ def compose_with_affine(ast: Ast, a, b, c) -> Ast:
         else:
             new.append(emit((kind, *(new[k] for k in args))))
     return Ast(tuple(nodes), 2)
+
+
+def pulled_back_mixed(mixed, frame) -> np.ndarray:
+    """Mixed Hessian in w by the chain rule: frame^T mixed conj(frame) row by
+    row, for mixed (B, n, n) and frame (B, n, 2)."""
+    return np.einsum("bli,blm,bmj->bij", frame, mixed, np.conj(frame))
 
 
 # ---------------------------------------------------------------------------

@@ -97,16 +97,24 @@ def test_criterion_4_two_path_pullback():
             except sl.SliceError:
                 continue
         w = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        # the library's route: ambient jet, gradient pulled back, closed-form
+        # slice minimum along frame Z_w
         jet1 = E.eval_jet(dom.ast, phi(s, w), holo=False)
         frame = s.frame[None]
-        grad1 = levi._pulled_back_grad(jet1.dz[None], frame)[0]
-        mixed1 = levi._pulled_back_mixed(jet1.dzzb[None], frame)[0]
+        grad1 = levi._pulled_back_grad(jet1.dz[None], frame)
+        ok1, lam1, Z1, _ = levi._slice_levi_min(grad1, jet1.dzzb[None], frame)
+        # the symbolic route: the jet of rho(a + b w1 + c w2) itself
         jet2 = E.eval_jet(compose_with_affine(dom.ast, a, b, c), w, holo=False)
+        ok2, lam2, Z2, _ = levi._levi_min(jet2.dz[None], jet2.dzzb[None])
         scale = 1.0 + max(abs(jet2.val), np.max(np.abs(jet2.dz)),
                           np.max(np.abs(jet2.dzzb)))
+        ok &= bool(ok1[0] and ok2[0])
         ok &= abs(jet1.val - jet2.val) <= 1e-9 * scale
-        ok &= np.max(np.abs(grad1 - jet2.dz)) <= 1e-9 * scale
-        ok &= np.max(np.abs(mixed1 - jet2.dzzb)) <= 1e-9 * scale
+        ok &= np.max(np.abs(grad1[0] - jet2.dz)) <= 1e-9 * scale
+        levi2 = np.einsum("jk,j,k->", jet2.dzzb, Z1[0], np.conj(Z1[0])).real
+        ok &= abs(lam1[0] - levi2) <= 1e-9 * scale
+        ok &= abs(lam1[0] - lam2[0]) <= 1e-9 * scale
+        ok &= np.max(np.abs(Z1[0] - Z2[0])) <= 1e-9 * scale
     report(4, "two-path pullback, 100 triples", ok)
 
 

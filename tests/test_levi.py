@@ -12,7 +12,7 @@ from levislice import levi
 from levislice import pipeline
 from levislice.catalog import CATALOG
 from oracles import (compose_with_affine, levi_form_at, newton_reference,
-                     project_to_boundary, reports_one_by_one)
+                     project_to_boundary, pulled_back_mixed, reports_one_by_one)
 from rotated import rotated_domain
 
 DATA = Path(__file__).parent / "data"
@@ -434,14 +434,55 @@ def test_batched_slices_match_composed_slice_domains(monkeypatch, name):
             oracle.worst_probe.lambda_min, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_pulled_back_mixed_equals_the_row_major_einsum(rng, n):
-    for rows in (1, 7, 600):
-        frame = rng.standard_normal((rows, n, 2)) + 1j * rng.standard_normal((rows, n, 2))
-        mixed = rng.standard_normal((rows, n, n)) + 1j * rng.standard_normal((rows, n, n))
-        want = np.einsum("bli,blm,bmj->bij", frame, mixed, np.conj(frame))
-        got = levi._pulled_back_mixed(mixed, frame)
-        assert got.flags.c_contiguous and _same_bits(got, want)
+@functools.lru_cache(maxsize=None)
+def boundary_jets(kind: str, n: int):
+    """Jets at the boundary points that 40 box samples of a rotated domain in
+    C^n reach."""
+    dom = rotated_domain(kind, n, seed=n)
+    return E.eval_jet_batch(dom.ast, levi.sample_boundary(dom, 40, seed=n),
+                            holo=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["ellipsoid", "saddle"]), n=st.integers(2, 5),
+       seed=st.integers(0, 2**16))
+def test_closed_form_slice_minimum_equals_the_eigensolve(kind, n, seed):
+    # random frames of random scales through boundary points: the slice's
+    # closed form against the Householder basis and eigensolve of _levi_min
+    # on the oracle's pulled-back 2 x 2 mixed Hessian
+    jets = boundary_jets(kind, n)
+    B = len(jets.dz)
+    rng = np.random.default_rng(seed)
+    frame = rng.standard_normal((B, n, 2)) + 1j * rng.standard_normal((B, n, 2))
+    frame *= 10.0 ** rng.uniform(-2, 2, (B, 1, 1))
+    grad = levi._pulled_back_grad(jets.dz, frame)
+    mixed = pulled_back_mixed(jets.dzzb, frame)
+    ok, lam, Z, gn = levi._slice_levi_min(grad, jets.dzzb, frame)
+    want_ok, want_lam, want_Z, want_gn = levi._levi_min(grad, mixed)
+    assert _same_bits(ok, want_ok) and _same_bits(gn, want_gn) and ok.all()
+    scale = np.abs(mixed).max(axis=(1, 2))
+    assert np.all(np.abs(lam - want_lam) <= 1e-12 * scale)
+    assert np.all(np.abs(Z - want_Z) <= 1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_slice_rows_below_the_gradient_floor_count_as_degenerate():
+    # |d rho| = 7e-9 |z|: Newton, which needs 2 |d rho| >= GRAD_FLOOR,
+    # reaches the boundary, and the Levi stage finds every row below the floor
+    dom = levi.make_domain("7e-9*(abs2(z1)+abs2(z2)-1)")
+    [report] = levi.classify_slices(dom, np.zeros((1, 2)), np.eye(2)[None], 2.0,
+                                    40, 0)
+    assert report.verdict == levi.VERDICT_DEGENERATE and report.worst is None
+    assert report.degenerate_count == report.sample_count == 40
+    # a zero and a tiny gradient among ordinary rows: nan and zeros for them,
+    # and Z = (g2, -g1)/|g| with its larger entry made real positive
+    grad = np.array([[0.6, 0.8j], [0, 0], [1e-9, 0], [3, 4]], complex)
+    mixed = np.repeat(np.diag([2.0, 5.0])[None].astype(complex), 4, axis=0)
+    ok, lam, Z, gn = levi._slice_levi_min(grad, mixed, np.repeat(np.eye(2)[None], 4, 0))
+    assert ok.tolist() == [True, False, False, True]
+    assert np.isnan(lam[1:3]).all() and not Z[1:3].any()
+    assert np.allclose(Z[[0, 3]], [[0.8, 0.6j], [0.8, -0.6]], rtol=0, atol=1e-15)
+    assert np.allclose(lam[[0, 3]], [2 * 0.64 + 5 * 0.36] * 2, rtol=1e-15)
 
 
 def same_reports(got, want) -> bool:

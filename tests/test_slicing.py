@@ -6,7 +6,7 @@ from levislice import levi
 from levislice import slicing as sl
 from levislice.catalog import CATALOG
 from oracles import (OffPlaneError, compose_with_affine, levi_form_at, phi,
-                     phi_inv, slice_gradient_check)
+                     phi_inv, pulled_back_mixed, slice_gradient_check)
 from rotated import rotated_domain
 
 
@@ -64,12 +64,13 @@ def test_phi_inv_off_plane():
 # ---------------------------------------------------------------------------
 
 def pulled_back(dom, s, w):
-    """Value, gradient and mixed Hessian of rho_h at w by the chain rule of
-    levi's slice classification."""
+    """Value, gradient and mixed Hessian of rho_h at w by the chain rule: the
+    gradient as levi's slice classification pulls it back, the mixed Hessian
+    by the oracle's congruence."""
     jet = E.eval_jet(dom.ast, phi(s, w), holo=False)
     frame = s.frame[None]
     return (jet.val, levi._pulled_back_grad(jet.dz[None], frame)[0],
-            levi._pulled_back_mixed(jet.dzzb[None], frame)[0])
+            pulled_back_mixed(jet.dzzb[None], frame)[0])
 
 
 def test_pullback_canonical_ball():
