@@ -1,11 +1,12 @@
 """Independent reference implementations that the tests compare against.
 
 None of these run in a command.  The symbolic pullback (`compose_with_affine`)
-checks the chain-rule pullback of jets (`pulled_back_mixed` for the mixed
-Hessian, which the library no longer forms), `quadratic_as_expression` re-parses
-a quadratic witness, `levi_form_at` evaluates the Levi form in one direction
-at one point, `phi`, `gram_solve_2`, `phi_inv`, `slice_gradient_check` and
-`project_to_boundary` check slices and boundary projection point by point,
+checks the chain-rule pullback of jets, `pulled_back_mixed` forms the mixed
+Hessian in w that the library's slice classification does without,
+`quadratic_as_expression` re-parses a quadratic witness, `levi_form_at`
+evaluates the Levi form in one direction at one point, `phi`,
+`gram_solve_2`, `phi_inv`, `slice_gradient_check` and `project_to_boundary`
+check slices and boundary projection point by point,
 `sweep_slices_one_by_one` builds the forward sweep's slices one at a time,
 `newton_reference` is the boundary Newton with a row-major pack, and
 `reports_one_by_one` builds per-slice reports in a loop.

@@ -11,6 +11,7 @@ from levislice import expr as E
 from levislice import levi
 from levislice import linalg as la
 from levislice import pipeline
+from levislice import slicing as sl
 from levislice.catalog import CATALOG, load_domain_spec
 from oracles import sweep_slices_one_by_one
 from rotated import rotated_domain
@@ -119,6 +120,28 @@ def test_witness_slice_newton_takes_few_iterations(monkeypatch, name, seed):
     run = pipeline.verify_theorem(dom, 200, seed)
     assert run.reclassification.verdict == levi.VERDICT_NONPSEUDOCONVEX
     assert len(iterations) == 1 and 0 < iterations[0] <= 10
+
+
+def test_witness_chain_classifies_the_slice_it_validated(monkeypatch):
+    # the reclassification gets the certificate's Slice itself; its frame is
+    # not built and tested for dependence a second time
+    made, classified = [], []
+    make_slice, classify_slice = sl.make_slice, pipeline.classify_slice
+
+    def recorded_make(*args):
+        made.append(make_slice(*args))
+        return made[-1]
+
+    def recorded_classify(domain, s, *args):
+        classified.append(s)
+        return classify_slice(domain, s, *args)
+
+    monkeypatch.setattr(sl, "make_slice", recorded_make)
+    monkeypatch.setattr(pipeline, "classify_slice", recorded_classify)
+    run = pipeline.verify_theorem(CATALOG["saddle2"].domain(), 60, seed=1)
+    assert run.reclassification.verdict == levi.VERDICT_NONPSEUDOCONVEX
+    assert len(made) == len(classified) == 1
+    assert made[0] is classified[0] is run.certificate.slice
 
 
 def test_sweep_needs_a_slice_and_a_point():
