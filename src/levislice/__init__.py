@@ -17,7 +17,6 @@ from .hormander import (QuadraticWitness, VerificationRecord,
 from .levi import (Domain, LeviProbe, LeviReport, classify, classify_slices,
                    make_domain, restricted_levi_min, sample_boundary,
                    square_box)
-from .linalg import hermitian_eig, tangent_null_basis
 from .pipeline import (ForwardSweep, PipelineError, TheoremRun,
                        verify_theorem)
 from .slicing import Slice, WitnessCertificate, make_slice, witness_slice
@@ -25,7 +24,6 @@ from .slicing import Slice, WitnessCertificate, make_slice, witness_slice
 __all__ = [
     "Ast", "Jet", "parse", "eval_jet", "eval_jet_batch",
     "eval_raw", "check_real_valued",
-    "hermitian_eig", "tangent_null_basis",
     "Domain", "LeviProbe", "LeviReport", "make_domain",
     "square_box", "sample_boundary",
     "restricted_levi_min", "classify", "classify_slices",

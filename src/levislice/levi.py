@@ -32,6 +32,10 @@ class BoundaryNotFoundError(Exception):
     pass
 
 
+class DegenerateGradientError(DomainError):
+    """The holomorphic gradient at a point is below GRAD_FLOOR."""
+
+
 VERDICT_PSEUDOCONVEX = "pseudoconvex-at-samples"
 VERDICT_NONPSEUDOCONVEX = "nonpseudoconvex"
 VERDICT_DEGENERATE = "degenerate"
@@ -278,32 +282,19 @@ def _levi_min(grad: np.ndarray, mixed: np.ndarray):
 
     Returns (ok, lam, Z, gn): ok marks gradients of at least GRAD_FLOOR; for
     those rows lam is the smallest eigenvalue of the Levi form on the complex
-    tangent space and Z a unit minimizer.  Other rows hold nan and zeros;
-    when every row is ok, nothing is scattered.
+    tangent space and Z a unit minimizer.  Degenerate rows pass as norm inf,
+    so their basis is e2..en, and come out as nan and zeros.
     """
     gn = np.linalg.norm(grad, axis=1)
     ok = gn >= GRAD_FLOOR
-    every = ok.all()
-    if not every:
-        if not ok.any():
-            return ok, np.full(len(grad), np.nan), np.zeros(grad.shape, complex), gn
-        grad, mixed = grad.compress(ok, axis=0), mixed.compress(ok, axis=0)
-    basis = la.tangent_null_basis(grad, GRAD_FLOOR,
-                                  norms=gn if every else gn.compress(ok))
+    basis = la.tangent_null_basis(grad, np.where(ok, gn, np.inf))
     restricted = np.swapaxes(basis, 1, 2) @ mixed @ np.conj(basis)
     eigvals, vecs = la.hermitian_eig(restricted)
     # with restricted = P^T H conj(P), the Levi form of P v is
     # conj(v)^H restricted conj(v), so the minimizer is P conj(eigvec)
     Z = (basis @ np.conj(vecs[:, :, :1]))[:, :, 0]
     Z /= np.linalg.norm(Z, axis=1)[:, None]
-    lam = eigvals[:, 0]
-    if every:
-        return ok, lam, Z, gn
-    rows = np.flatnonzero(ok)
-    lam_all = np.full(len(ok), np.nan)
-    Z_all = np.zeros((len(ok), Z.shape[1]), complex)
-    lam_all[rows], Z_all[rows] = lam, Z
-    return ok, lam_all, Z_all, gn
+    return ok, np.where(ok, eigvals[:, 0], np.nan), np.where(ok[:, None], Z, 0), gn
 
 
 def _slice_levi_min(grad: np.ndarray, mixed: np.ndarray, frame: np.ndarray):
@@ -351,7 +342,7 @@ def restricted_levi_min(domain: Domain, M) -> LeviProbe:
     jet = ex.eval_jet(domain.ast, M, holo=False)
     ok, lam, Z, gn = _levi_min(jet.dz[None, :], jet.dzzb[None])
     if not ok[0]:
-        raise la.DegenerateGradientError(f"gradient norm {gn[0]:.3e} below floor")
+        raise DegenerateGradientError(f"gradient norm {gn[0]:.3e} below floor")
     return LeviProbe(point=M.copy(), lambda_min=float(lam[0]), direction=Z[0],
                      grad_norm=float(gn[0]))
 

@@ -1,9 +1,9 @@
 """Small dense complex linear algebra, batched over a leading axis.
 
-Hermitian eigendecompositions of single matrices or stacks (LAPACK through
-numpy.linalg.eigh), orthonormal bases of complex tangent spaces via a
-Householder reflector per row, row norms equal to the one-row norm, and
-the dependence test behind affine slices.
+Hermitian eigendecompositions of stacks (LAPACK through numpy.linalg.eigh),
+orthonormal bases of complex tangent spaces from gradients and their given
+norms via a Householder reflector per row, row norms equal to the one-row
+norm, and the dependence test behind affine slices.
 """
 
 from __future__ import annotations
@@ -13,55 +13,24 @@ import numpy as np
 GRAM_DET_FLOOR = 1e-14
 
 
-class LinalgError(Exception):
-    pass
-
-
-class DegenerateGradientError(LinalgError):
-    pass
-
-
-def _symmetrized(a) -> np.ndarray:
-    """(A + A^H)/2 for one m x m matrix or a stack (..., m, m), m >= 1."""
-    a = np.asarray(a, complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise LinalgError(f"expected square matrices, got shape {a.shape}")
-    if a.shape[-1] < 1:
-        raise LinalgError("expected matrices of dimension >= 1")
-    return (a + np.conj(np.swapaxes(a, -1, -2))) / 2.0
-
-
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix or a stack (..., m, m).
+    """Eigendecomposition of (A + A^H)/2 for a stack A (..., m, m): the
+    eigenvalues ascending and the eigenvectors as matching columns."""
+    a = np.asarray(a, complex)
+    return np.linalg.eigh((a + np.conj(np.swapaxes(a, -1, -2))) / 2.0)
 
-    Returns (eigenvalues ascending, eigenvectors as matching columns), with
-    the same leading axes as the input.  The input is symmetrized first.
+
+def tangent_null_basis(g, norms) -> np.ndarray:
+    """Orthonormal bases of {Z : sum_j g_j Z_j = 0}, (B, n, n-1), for a stack
+    of gradients g (B, n) with their norms (B,).
+
+    Row k's basis is columns 2..n of the Householder reflector sending
+    conj(g_k)/norms[k] to a multiple of e1; a row of norm inf gets e2..en.
+    Column phases are normalized so the largest entry of each column is
+    real positive.
     """
-    return np.linalg.eigh(_symmetrized(a))
-
-
-def tangent_null_basis(g, grad_floor: float, norms=None) -> np.ndarray:
-    """Orthonormal bases of {Z : sum_j g_j Z_j = 0}; a gradient of norm below
-    grad_floor raises DegenerateGradientError.  `norms`, the rows' norms as
-    np.linalg.norm(g, axis=1) gives them, spares taking them again.
-
-    For one gradient g of length n, the basis is the columns of an
-    n x (n-1) matrix; for a stack (B, n) the result is (B, n, n-1).  Each is
-    built from the Householder reflector sending conj(g)/|g| to a multiple
-    of e1, keeping columns 2..n.  Column phases are normalized so the
-    largest entry of each column is real positive.
-    """
-    g = np.asarray(g, complex)
-    single = g.ndim == 1
-    g = np.atleast_2d(g)
     n = g.shape[1]
-    gn = np.linalg.norm(g, axis=1) if norms is None else np.atleast_1d(norms)
-    if np.any(gn < grad_floor):
-        raise DegenerateGradientError(
-            f"|gradient| = {gn.min():.3e} below floor {grad_floor:.1e}")
-    if n < 2:
-        raise LinalgError("tangent basis requires dimension >= 2")
-    x = np.conj(g) / gn[:, None]
+    x = np.conj(g) / norms[:, None]
     x0 = np.abs(x[:, 0])
     v = x.copy()
     v[:, 0] += np.where(x0 > 0, x[:, 0] / np.where(x0 > 0, x0, 1.0), 1.0)
@@ -70,8 +39,7 @@ def tangent_null_basis(g, grad_floor: float, norms=None) -> np.ndarray:
     basis = np.eye(n)[:, 1:] - 2.0 * outer / vv[:, None, None]
     top = np.take_along_axis(basis, np.argmax(np.abs(basis), axis=1)[:, None, :],
                              axis=1)
-    basis = basis * (np.conj(top) / np.abs(top))
-    return basis[0] if single else basis
+    return basis * (np.conj(top) / np.abs(top))
 
 
 def row_norms(x) -> np.ndarray:

@@ -72,7 +72,7 @@ def inward_step(domain: Domain, M, grad) -> tuple[np.ndarray, np.ndarray]:
     """
     gn = la.row_norms(grad)
     if np.any(gn < levi.GRAD_FLOOR):
-        raise la.DegenerateGradientError(f"gradient norm {gn.min():.3e} below floor")
+        raise levi.DegenerateGradientError(f"gradient norm {gn.min():.3e} below floor")
     nu = np.conj(grad) * (1.0 / gn)[:, None]
     t = 0.1 * (1.0 + la.row_norms(M))
     points = np.empty_like(M)

@@ -320,6 +320,14 @@ def test_restricted_levi_min_saddle3_origin():
     assert abs(probe.direction[2]) <= 1e-10  # minimizer lies in span{e1, e2}
 
 
+@pytest.mark.filterwarnings("error")
+def test_restricted_levi_min_raises_where_the_gradient_vanishes():
+    # d rho = conj(z) is zero at the centre of the ball
+    with pytest.raises(levi.DegenerateGradientError) as err:
+        levi.restricted_levi_min(domain_of("ball"), [0, 0])
+    assert isinstance(err.value, levi.DomainError)
+
+
 def test_restricted_min_equals_levi_at_direction(rng):
     # lambda_min is attained: the Levi form at the reported direction
     dom = domain_of("saddle2")
@@ -335,7 +343,7 @@ def test_restricted_min_lower_bounds_random_tangents(rng):
     M = project_to_boundary(dom, [0.8, 0.7 + 0.2j])
     probe = levi.restricted_levi_min(dom, M)
     g = E.eval_jet(dom.ast, M).dz
-    basis = la.tangent_null_basis(g, levi.GRAD_FLOOR)
+    basis = la.tangent_null_basis(g[None], np.linalg.norm(g)[None])[0]
     for _ in range(50):
         coeff = rng.standard_normal(1) + 1j * rng.standard_normal(1)
         W = basis @ coeff
@@ -463,6 +471,35 @@ def test_closed_form_slice_minimum_equals_the_eigensolve(kind, n, seed):
     scale = np.abs(mixed).max(axis=(1, 2))
     assert np.all(np.abs(lam - want_lam) <= 1e-12 * scale)
     assert np.all(np.abs(Z - want_Z) <= 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["ellipsoid", "saddle"]), n=st.integers(2, 5),
+       seed=st.integers(0, 2**16), rows=st.sampled_from(["some", "all", "none"]))
+def test_levi_min_rows_below_the_floor_leave_the_others_bit_for_bit(kind, n, seed,
+                                                                     rows):
+    # gradients of random rows scaled below GRAD_FLOOR, some to exactly zero:
+    # they come out nan and zeros and are counted, and every other row is
+    # what it is classified alone; with RuntimeWarning an error (pyproject.toml),
+    # no row warns
+    jets = boundary_jets(kind, n)
+    B = len(jets.dz)
+    rng = np.random.default_rng(seed)
+    low = {"some": rng.random(B) < 0.3, "all": np.ones(B, bool),
+           "none": np.zeros(B, bool)}[rows]
+    scale = np.where(rng.random(B) < 0.3, 0.0, rng.uniform(1e-6, 0.99, B))
+    gn = np.linalg.norm(jets.dz, axis=1)
+    grad = jets.dz * np.where(low, scale * levi.GRAD_FLOOR / gn, 1.0)[:, None]
+    ok, lam, Z, gn = levi._levi_min(grad, jets.dzzb)
+    assert _same_bits(ok, ~low)
+    assert np.isnan(lam[low]).all() and not Z[low].any()
+    for i in np.flatnonzero(ok):
+        alone = levi._levi_min(grad[i:i + 1], jets.dzzb[i:i + 1])
+        assert all(_same_bits(got[i:i + 1], want)
+                   for got, want in zip((ok, lam, Z, gn), alone))
+    [report] = levi._reports(np.zeros(B, int), 1, grad, ok, lam, Z, gn)
+    assert report.degenerate_count == low.sum() and report.sample_count == B
+    assert _same_bits(report.lambdas, lam[ok])
 
 
 @pytest.mark.filterwarnings("error")
