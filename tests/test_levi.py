@@ -488,8 +488,8 @@ def test_levi_min_rows_below_the_floor_leave_the_others_bit_for_bit(kind, n, see
     low = {"some": rng.random(B) < 0.3, "all": np.ones(B, bool),
            "none": np.zeros(B, bool)}[rows]
     scale = np.where(rng.random(B) < 0.3, 0.0, rng.uniform(1e-6, 0.99, B))
-    gn = np.linalg.norm(jets.dz, axis=1)
-    grad = jets.dz * np.where(low, scale * levi.GRAD_FLOOR / gn, 1.0)[:, None]
+    norms = np.linalg.norm(jets.dz, axis=1)
+    grad = jets.dz * np.where(low, scale * levi.GRAD_FLOOR / norms, 1.0)[:, None]
     ok, lam, Z, gn = levi._levi_min(grad, jets.dzzb)
     assert _same_bits(ok, ~low)
     assert np.isnan(lam[low]).all() and not Z[low].any()
