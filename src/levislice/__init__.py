@@ -9,8 +9,8 @@ verifies the whole chain numerically.
 
 __version__ = "0.1.0"
 
-from .expr import (Ast, Jet, check_real_valued, eval_jet, eval_jet_batch,
-                   eval_raw, parse)
+from .expr import (Ast, Error, Jet, check_real_valued, eval_jet,
+                   eval_jet_batch, eval_raw, parse)
 from .hormander import (QuadraticWitness, VerificationRecord,
                         build_quadratic_witness, eval_quadratic,
                         sample_containment, verify_quadratic_witness)
@@ -22,7 +22,7 @@ from .pipeline import (ForwardSweep, PipelineError, TheoremRun,
 from .slicing import Slice, WitnessCertificate, make_slice, witness_slice
 
 __all__ = [
-    "Ast", "Jet", "parse", "eval_jet", "eval_jet_batch",
+    "Error", "Ast", "Jet", "parse", "eval_jet", "eval_jet_batch",
     "eval_raw", "check_real_valued",
     "Domain", "LeviProbe", "LeviReport", "make_domain",
     "square_box", "sample_boundary",

@@ -23,10 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import expr as ex
 from .levi import Domain, make_domain
 
 
-class DomainFileError(Exception):
+class DomainFileError(ex.Error):
     pass
 
 
@@ -61,11 +62,8 @@ class DomainSpec:
 
 
 def _box(box_pairs) -> np.ndarray:
-    rows = []
-    for lo, hi in box_pairs:
-        rows.append((lo, hi))  # real part
-        rows.append((lo, hi))  # imaginary part
-    return np.array(rows, float)
+    """The (2n, 2) box: each pair bounds a real and then an imaginary part."""
+    return np.repeat(np.array(box_pairs, float), 2, axis=0)
 
 
 @functools.lru_cache(maxsize=DOMAIN_CACHE_SIZE)

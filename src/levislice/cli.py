@@ -33,12 +33,12 @@ from . import __version__
 from . import expr as ex
 from . import hormander as hm
 from . import levi
-from .catalog import CATALOG, DomainFileError, load_domain_spec
+from .catalog import CATALOG, load_domain_spec
 from .levi import (VERDICT_DEGENERATE, VERDICT_NONPSEUDOCONVEX,
                    VERDICT_PSEUDOCONVEX, Domain)
 from .pipeline import (SLICE_WINDOW, PipelineError, classify_slice,
                        verify_theorem)
-from .slicing import SliceError, make_slice
+from .slicing import make_slice
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -53,7 +53,7 @@ VERDICT_EXIT = {
 }
 
 
-class InputError(Exception):
+class InputError(ex.Error):
     pass
 
 
@@ -298,8 +298,7 @@ def main(argv=None) -> int:
     except PipelineError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PIPELINE
-    except (InputError, DomainFileError, ex.ExprError, levi.DomainError,
-            levi.BoundaryNotFoundError, SliceError, OSError, ValueError) as err:
+    except (ex.Error, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as err:

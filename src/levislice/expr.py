@@ -57,7 +57,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class ExprError(Exception):
+class Error(Exception):
+    """Base class of every failure the library raises."""
+
+
+class ExprError(Error):
     """Base class for expression failures."""
 
 
@@ -847,7 +851,7 @@ def sample_box(box, count: int, seed) -> np.ndarray:
     box = np.asarray(box, float)
     rng = np.random.default_rng(seed)
     reals = box[:, 0] + rng.random((count, box.shape[0])) * (box[:, 1] - box[:, 0])
-    return reals[:, 0::2] + 1j * reals[:, 1::2]
+    return reals.view(complex)
 
 
 def check_real_valued(ast: Ast, box: np.ndarray, a: np.ndarray | None = None,

@@ -34,11 +34,11 @@ from . import expr as ex
 from .levi import GRAD_FLOOR, LEVI_EPS, Domain, LeviProbe
 
 
-class WitnessPreconditionError(Exception):
+class WitnessPreconditionError(ex.Error):
     pass
 
 
-class ContainmentError(Exception):
+class ContainmentError(ex.Error):
     pass
 
 
@@ -215,7 +215,7 @@ def verify_quadratic_witness(domain: Domain, q: QuadraticWitness,
     Z = q.direction
     checks = {
         "q_zero_at_center": abs(eval_quadratic(q, q.center)) <= 1e-12,
-        "gradient_nonzero": float(np.linalg.norm(q.lin)) > GRAD_FLOOR,
+        "gradient_nonzero": float(np.linalg.norm(q.lin)) >= GRAD_FLOOR,
         "direction_tangent": abs(complex(np.sum(q.lin * Z))) <= 1e-10,
     }
     levi_value = levi_form_of_quadratic(q, Z)

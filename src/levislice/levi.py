@@ -24,11 +24,11 @@ from . import expr as ex
 from . import linalg as la
 
 
-class DomainError(Exception):
+class DomainError(ex.Error):
     pass
 
 
-class BoundaryNotFoundError(Exception):
+class BoundaryNotFoundError(ex.Error):
     pass
 
 
@@ -152,9 +152,7 @@ def sample_box_points(box: np.ndarray, count: int, seed) -> np.ndarray:
 
 
 def _in_inflated_box(box: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    reals = np.empty((pts.shape[0], 2 * pts.shape[1]))
-    reals[:, 0::2] = pts.real
-    reals[:, 1::2] = pts.imag
+    reals = np.ascontiguousarray(pts).view(float)
     center = (box[:, 0] + box[:, 1]) / 2.0
     half = (box[:, 1] - box[:, 0]) / 2.0 * (1.0 + BOX_INFLATION)
     return np.all(np.abs(reals - center) <= half, axis=1)
@@ -177,10 +175,11 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
     still moving are evaluated, packed batch axis last with their a (n, B)
     and frame (n, 2, B), so the einsums loop over the batch innermost; all
     step, then the pack shrinks if some point stopped.  A point fails, and
-    stops where it is, when rho, its real gradient norm or the point is not
-    finite or the norm is below GRAD_FLOOR; as overflow only fails points,
-    numpy need not warn of it.  Returns the final points and a convergence
-    mask.
+    stops where it is, only when rho, its real gradient norm or the point is
+    not finite; as overflow only fails points, numpy need not warn of it.  A
+    small gradient is no failure: whether a converged point is degenerate is
+    the Levi stage's test of |grad| against GRAD_FLOOR.  Returns the final
+    points and a convergence mask.
     """
     w = np.empty_like(w0)
     done = np.zeros(len(w), bool)
@@ -208,7 +207,7 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
             gn[over] = big * np.linalg.norm(g / big[:, None], axis=1)
         rgn = 2.0 * gn
         # rho may stay finite at a non-finite point
-        live = (rgn >= GRAD_FLOOR) & (rgn < np.inf) & np.isfinite(vals)
+        live = (rgn < np.inf) & np.isfinite(vals)
         finite = np.isfinite(pw)
         if not finite.all():
             live &= finite.all(axis=0)

@@ -37,7 +37,7 @@ SLICE_PROBES = 50           # boundary probes per slice in the forward sweep
 RECLASSIFY_SAMPLES = 200    # boundary probes on a witness slice
 
 
-class PipelineError(Exception):
+class PipelineError(ex.Error):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage!r}: {message}")
         self.stage = stage
@@ -45,12 +45,10 @@ class PipelineError(Exception):
 
 @contextmanager
 def _stage(name: str):
-    """Report a numerical failure inside the block as a failure of the stage."""
+    """Report a library failure inside the block as a failure of the stage."""
     try:
         yield
-    except (levi.DomainError, levi.BoundaryNotFoundError, sl.SliceError,
-            hm.WitnessPreconditionError, hm.ContainmentError,
-            ex.EvalError) as err:
+    except ex.Error as err:
         raise PipelineError(name, str(err)) from err
 
 
@@ -101,7 +99,8 @@ def forward_slice_sweep(domain: Domain, points, slices: int,
     """Empirical forward direction: random slices through boundary-adjacent
     points of a pseudoconvex-at-samples domain must classify the same way.
     The slices pass near the given boundary points, the probes of the
-    domain's classification, and are classified in one batch."""
+    domain's classification, and are classified in one batch.  Raises
+    levi.DomainError when no slice returns a probe."""
     bases, frames = sweep_slices(domain, points, slices, seed)
     # the box starts of all slices: one stream, apart from the frames' stream
     # and from the seed of the domain's classification
@@ -109,8 +108,7 @@ def forward_slice_sweep(domain: Domain, points, slices: int,
                                    SLICE_PROBES, (seed, 7920))
     lambdas = [float(r.lambdas[r.worst]) for r in results if r.worst is not None]
     if not lambdas:
-        raise PipelineError("forward-slices",
-                            f"none of {len(results)} slices returned a probe")
+        raise levi.DomainError(f"none of {len(results)} slices returned a probe")
     return ForwardSweep(count=len(results),
                         all_pseudoconvex=all(r.verdict == VERDICT_PSEUDOCONVEX
                                              for r in results),

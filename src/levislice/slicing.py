@@ -26,7 +26,7 @@ from .hormander import QuadraticWitness, build_quadratic_witness
 from .levi import Domain, LeviProbe
 
 
-class SliceError(Exception):
+class SliceError(ex.Error):
     pass
 
 

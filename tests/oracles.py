@@ -178,7 +178,7 @@ def slice_gradient_check(s: Slice, domain: Domain, mu) -> bool:
     """
     _, grads = ex.eval_value_grad(domain.ast, phi(s, mu)[None, :])
     grad_h = s.frame.T @ grads[0]
-    return bool(np.linalg.norm(grad_h) > levi.GRAD_FLOOR)
+    return bool(np.linalg.norm(grad_h) >= levi.GRAD_FLOOR)
 
 
 def project_to_boundary(domain: Domain, z0) -> np.ndarray:
@@ -254,7 +254,7 @@ def newton_reference(ast: Ast, w0: np.ndarray, a=None,
             big = np.abs(g).max(axis=1)
             gn[over] = big * np.linalg.norm(g / big[:, None], axis=1)
         rgn = 2.0 * gn
-        fail = (rgn < levi.GRAD_FLOOR) | ~np.isfinite(rgn) | ~np.isfinite(vals)
+        fail = ~np.isfinite(rgn) | ~np.isfinite(vals)
         finite = np.isfinite(pw)
         if not finite.all():
             fail |= ~finite.all(axis=1)

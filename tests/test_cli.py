@@ -1,11 +1,14 @@
 import dataclasses
+import importlib
 import json
+import pkgutil
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levislice
 from levislice import catalog, cli
 from levislice import hormander as hm
 from levislice import levi
@@ -147,6 +150,29 @@ def test_long_sum_classifies_and_deep_nesting_is_an_input_error(capsys, tmp_path
         code, out, err = run(capsys, "check", str(deep))
     assert code == cli.EXIT_INPUT and out == ""
     assert err.startswith("error: expression nested deeper than 200 levels")
+
+
+def test_boundary_below_the_gradient_floor_is_degenerate(capsys):
+    # |d rho| = 1e-9 |z| on the whole box: Newton accepts every sample, and
+    # the Levi stage finds each below levi.GRAD_FLOOR
+    code, payload = run_json(capsys, "check", str(DATA / "tiny_ball.dom"),
+                             "--samples", "50", "--seed", "1")
+    assert code == cli.EXIT_DEGENERATE
+    assert payload["verdict"] == "degenerate"
+    assert (payload["probe_count"], payload["degenerate_count"]) == (0, 50)
+
+
+def test_every_library_exception_derives_from_levislice_error():
+    # so that the CLI and the pipeline's stages catch levislice.Error alone;
+    # __main__ runs the CLI when imported and defines nothing
+    names = [f"levislice.{info.name}" for info in pkgutil.iter_modules(levislice.__path__)
+             if info.name != "__main__"]
+    classes = [cls for name in names
+               for cls in vars(importlib.import_module(name)).values()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__ == name]
+    assert len(classes) >= 12
+    assert [c for c in classes if not issubclass(c, levislice.Error)] == []
 
 
 def test_check_missing_file(capsys):
@@ -422,7 +448,7 @@ def test_forward_sweep_without_probes_is_a_pipeline_failure(capsys, monkeypatch)
     monkeypatch.setattr(levi, "classify_slices", all_degenerate)
     code, out, err = run(capsys, "verify-theorem", "ball", "--samples", "8")
     assert code == cli.EXIT_PIPELINE
-    assert "forward-slices" in err and "returned a probe" in err
+    assert err == "error: stage 'forward-slices': none of 8 slices returned a probe\n"
     assert out == ""
 
 

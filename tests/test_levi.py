@@ -208,6 +208,21 @@ def test_newton_accepts_only_points_within_tolerance_of_the_boundary():
     assert np.all(np.abs(vals) <= levi.BOUNDARY_EPS * (1.0 + rgn))
 
 
+def test_newton_converges_where_the_gradient_is_below_the_floor():
+    # on tiny_ball.dom |d rho| = 1e-9 |z|: Newton tests no gradient floor,
+    # so every row converges, and only the Levi stage calls it degenerate
+    dom = catalog.load_domain_spec(str(DATA / "tiny_ball.dom")).domain()
+    starts = levi.sample_box_points(dom.box, 50, 1)
+    w, done = levi._newton(dom.ast, starts)
+    assert done.all()
+    vals, grads = E.eval_value_grad(dom.ast, w)
+    rgn = 2.0 * np.linalg.norm(grads, axis=1)
+    assert np.all(rgn < levi.GRAD_FLOOR)
+    assert np.all(np.abs(vals) <= levi.BOUNDARY_EPS * (1.0 + rgn))
+    ref, ref_done = newton_reference(dom.ast, starts)
+    assert _same_bits(w, ref) and ref_done.all()
+
+
 def test_newton_fails_a_non_finite_point_where_rho_stays_finite():
     # rho leaves z1 out, so a non-finite z1 leaves rho and its gradient finite
     ast = E.parse("abs2(z2)-1")
@@ -504,8 +519,8 @@ def test_levi_min_rows_below_the_floor_leave_the_others_bit_for_bit(kind, n, see
 
 @pytest.mark.filterwarnings("error")
 def test_slice_rows_below_the_gradient_floor_count_as_degenerate():
-    # |d rho| = 7e-9 |z|: Newton, which needs 2 |d rho| >= GRAD_FLOOR,
-    # reaches the boundary, and the Levi stage finds every row below the floor
+    # |d rho| = 7e-9 |z|: Newton, which tests no floor, reaches the
+    # boundary, and the Levi stage finds every row below the floor
     dom = levi.make_domain("7e-9*(abs2(z1)+abs2(z2)-1)")
     [report] = levi.classify_slices(dom, np.zeros((1, 2)), np.eye(2)[None], 2.0,
                                     40, 0)
