@@ -519,8 +519,8 @@ def test_levi_min_rows_below_the_floor_leave_the_others_bit_for_bit(kind, n, see
 
 @pytest.mark.filterwarnings("error")
 def test_slice_rows_below_the_gradient_floor_count_as_degenerate():
-    # |d rho| = 7e-9 |z|: Newton, which tests no floor, reaches the
-    # boundary, and the Levi stage finds every row below the floor
+    # |d rho| = 7e-9 |z|: Newton, which tests no floor, accepts the samples,
+    # and the Levi stage finds every row below the floor
     dom = levi.make_domain("7e-9*(abs2(z1)+abs2(z2)-1)")
     [report] = levi.classify_slices(dom, np.zeros((1, 2)), np.eye(2)[None], 2.0,
                                     40, 0)
