@@ -4,24 +4,26 @@ At a boundary point M whose restricted Levi minimum is negative, the
 second-order Taylor jet of rho plus a strictly positive eps*|z - M|^2 term
 yields a real-valued quadratic q with q(M) = 0, nonzero gradient, a complex
 tangent direction of negative Levi form, and {q < 0} locally contained in
-the domain.  q is evaluated in real coordinates: d = z - M as
-x = (Re d1, Im d1, Re d2, ...) = d.view(float), the interleaved layout of
-complex128, gives q(M + d) = g.x + x^T A x, A symmetric.
+the domain.  With d = z - M, q(M + d) = 2 Re(lin.d) + Re(d^T holo2 d) +
+Re(d^T mixed2 dbar) + eps|d|^2.
 
-Containment is proved, not sampled.  With A_q = A - eps*I, A(xi) half the
-real Hessian of rho at xi and f = rho - q, Taylor's theorem with the
-Lagrange remainder gives, on the ball |x| <= r,
+Containment is proved, not sampled.  With f = rho - q, Taylor's theorem
+with the Lagrange remainder gives, on the ball |d| <= r,
 
-    f(M + x) <= f(M)+ + gamma |x| - (eps - delta) |x|^2,
+    f(M + d) <= f(M)+ + gamma |d| - (eps - delta) |d|^2,
 
-where delta bounds ||A(xi) - A_q||_2 over the ball and gamma bounds
-|grad rho(M) - g|, which is rounding error only.  When delta < eps, q < 0
-implies rho < 0 at every point of the ball outside the exception ball of
-radius r0, the positive root of the right-hand side.  delta comes from one
-jet walk over midpoint-radius discs (expr.enclose_jet_batch) on the polydisc
-around M, which contains the ball; f(M) and gamma from the same walk at the
-thin point M.  The radius is halved until the proof holds; if it never
-does, containment falls back to random sampling, as the record says.
+where gamma bounds 2|grad rho(M) - lin|, rounding error only, and delta
+bounds ||X||_2 + ||Y||_2 over the ball for X = dzdz rho(xi) - holo2 and
+Y = dzdzbar rho(xi) - mixed2, since |Re(d^T X d)| <= ||X||_2 |d|^2 and
+|Re(d^T Y dbar)| <= ||Y||_2 |d|^2.  Each norm is bounded by the larger of
+the largest row sum and column sum of entrywise bounds, as ||X||_2 <=
+max(||X||_1, ||X||_inf).  When delta < eps, q < 0 implies rho < 0 at every
+point of the ball outside the exception ball of radius r0, the positive root
+of the right-hand side.  delta comes from one jet walk over midpoint-radius
+discs (expr.enclose_jet_batch) on the polydisc around M, which contains the
+ball; f(M) and gamma from the same walk at the thin point M.  The radius is
+halved until the proof holds; if it never does, containment falls back to
+random sampling, as the record says.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .levi import GRAD_FLOOR, LEVI_EPS, Domain, LeviProbe
+from .levi import GRAD_FLOOR, LEVI_EPS, Domain, LeviProbe, levi_form
 
 
 class WitnessPreconditionError(ex.Error):
@@ -80,37 +82,17 @@ class VerificationRecord:
         return all(self.checks.values())
 
 
-def _real_congruence(X: np.ndarray, conj_right: bool) -> np.ndarray:
-    """Re(P^T X P), or Re(P^T X conj(P)), for the map P = I (x) [1, i] that
-    takes the real offsets x = d.view(float) to d.
-
-    The 2 x 2 block (j, k) is [[Re, -Im], [-Im, -Re]] of X_jk, or
-    [[Re, Im], [-Im, Re]]; the entries are copied, not multiplied out, and
-    equal the products with P's entries 0, 1 and i.
-    """
-    n = len(X)
-    out = np.empty((n, 2, n, 2))
-    out[:, 0, :, 0] = X.real
-    out[:, 0, :, 1] = X.imag if conj_right else -X.imag
-    out[:, 1, :, 0] = -X.imag
-    out[:, 1, :, 1] = X.real if conj_right else -X.real
-    return out.reshape(2 * n, 2 * n)
-
-
-def _eval_offsets(q: QuadraticWitness, x: np.ndarray) -> np.ndarray:
-    """q(M + d) at the (B, 2n) real offsets x = d.view(float); d = P x, so g
-    and A are real parts of P-congruences of q's blocks."""
-    g = 2.0 * np.conj(q.lin).view(float)
-    A = (_real_congruence(q.holo2, conj_right=False)
-         + _real_congruence(q.mixed2, conj_right=True))
-    A += q.eps * np.eye(len(A))
-    return x @ g + np.einsum("bk,bk->b", x @ A, x)
+def _eval_offsets(q: QuadraticWitness, d: np.ndarray) -> np.ndarray:
+    """q(M + d) at the (B, n) complex offsets d."""
+    mixed = q.mixed2 + q.eps * np.eye(len(q.lin))
+    quad = np.einsum("bj,bj->b", d, d @ q.holo2.T + np.conj(d) @ mixed.T).real
+    return 2.0 * (d @ q.lin).real + quad
 
 
 def eval_quadratic(q: QuadraticWitness, z) -> np.ndarray | float:
     """q(z) = 2 Re(lin . d) + Re(d^T holo2 d) + Re(d^T mixed2 dbar) + eps|d|^2."""
     z = np.asarray(z, complex)
-    out = _eval_offsets(q, (np.atleast_2d(z) - q.center).view(float))
+    out = _eval_offsets(q, np.atleast_2d(z) - q.center)
     return float(out[0]) if z.ndim == 1 else out
 
 
@@ -131,24 +113,10 @@ def build_quadratic_witness(domain: Domain, probe: LeviProbe) -> QuadraticWitnes
     )
 
 
-def levi_form_of_quadratic(q: QuadraticWitness, W) -> float:
-    """Levi form of q (constant in z): W^T (mixed2) conj(W) + eps |W|^2."""
-    W = np.asarray(W, complex)
-    base = np.einsum("jk,j,k->", q.mixed2, W, np.conj(W)).real
-    return float(base + q.eps * np.vdot(W, W).real)
-
-
-def _norm_bound(dev, conj_right: bool) -> float:
-    """Bound on ||S||_2 for the symmetric part S of Re(P^T X P), or of
-    Re(P^T X conj(P)), over the matrices X in the disc matrix dev.
-
-    Each entry of the congruence is +-Re or +-Im of one entry of X, so
-    |congruence of dev.mid| + rad of X_jk on the 2 x 2 block (j, k) bounds
-    the congruence entrywise; the larger of its largest row and column sums
-    bounds ||S||_2 even where rounding left X's blocks not quite symmetric.
-    """
-    rad = np.repeat(np.repeat(dev.rad, 2, axis=0), 2, axis=1)
-    bound = np.abs(_real_congruence(dev.mid, conj_right)) + rad
+def _norm_bound(dev) -> float:
+    """Bound on ||X||_2 over the disc matrix dev: the larger of the largest row
+    and column sums of |dev.mid| + dev.rad, which bounds |X| entrywise."""
+    bound = np.abs(dev.mid) + dev.rad
     return float(max(np.max(np.sum(bound, axis=0)), np.max(np.sum(bound, axis=1))))
 
 
@@ -156,7 +124,7 @@ def containment_bounds(domain: Domain, q: QuadraticWitness,
                        radius: float) -> tuple[float, float]:
     """(delta, r0) on the ball of `radius` around M, both rounded up.
 
-    delta bounds ||A(xi) - A_q||_2 over the ball, r0 the exception radius;
+    delta bounds the Hessian spread over the ball, r0 the exception radius;
     r0 is inf when delta >= eps.  Raises expr.EvalError when rho cannot be
     enclosed there (a divisor's disc may contain 0, or a bound overflows).
     """
@@ -164,8 +132,8 @@ def containment_bounds(domain: Domain, q: QuadraticWitness,
     # row 0: the polydisc of radius `radius`, which contains the ball;
     # row 1: the thin point M
     jet = ex.enclose_jet_batch(domain.ast, [M, M], [[radius], [0.0]])
-    delta = ROUND_UP * (_norm_bound(jet.dzz[0] - q.holo2, conj_right=False)
-                        + _norm_bound(jet.dzzb[0] - q.mixed2, conj_right=True))
+    delta = ROUND_UP * (_norm_bound(jet.dzz[0] - q.holo2)
+                        + _norm_bound(jet.dzzb[0] - q.mixed2))
     grad = jet.dz[1] - q.lin
     gamma = ROUND_UP * 2.0 * float(np.linalg.norm(np.abs(grad.mid) + grad.rad))
     f0 = ROUND_UP * max(float(jet.val.mid[1].real + jet.val.rad[1]), 0.0)
@@ -192,8 +160,9 @@ def sample_containment(domain: Domain, q: QuadraticWitness, samples: int,
         x = rng.standard_normal((samples, 2 * n))
         x /= np.linalg.norm(x, axis=1)[:, None]
         x *= (radius * rng.random(samples) ** (1.0 / (2 * n)))[:, None]
-        qv = _eval_offsets(q, x)
-        rv = ex.eval_raw(domain.ast, x.view(complex) + q.center).real
+        d = x.view(complex)
+        qv = _eval_offsets(q, d)
+        rv = ex.eval_raw(domain.ast, d + q.center).real
         if not np.any((qv < 0.0) & (rv >= 0.0)):
             return halvings, radius
     raise ContainmentError(
@@ -213,12 +182,14 @@ def verify_quadratic_witness(domain: Domain, q: QuadraticWitness,
     if samples < MIN_CONTAINMENT_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_CONTAINMENT_SAMPLES}")
     Z = q.direction
+    gn = float(np.linalg.norm(q.lin))
     checks = {
         "q_zero_at_center": abs(eval_quadratic(q, q.center)) <= 1e-12,
-        "gradient_nonzero": float(np.linalg.norm(q.lin)) >= GRAD_FLOOR,
-        "direction_tangent": abs(complex(np.sum(q.lin * Z))) <= 1e-10,
+        "gradient_nonzero": gn >= GRAD_FLOOR,
+        # Z is a unit vector, so the test is relative to |lin|
+        "direction_tangent": abs(complex(np.sum(q.lin * Z))) <= 1e-10 * gn,
     }
-    levi_value = levi_form_of_quadratic(q, Z)
+    levi_value = float(levi_form(q.mixed2[None], Z[None])[0] + q.eps * np.vdot(Z, Z).real)
     checks["negative_levi"] = levi_value < 0.0
 
     for halvings in range(MAX_HALVINGS + 1):

@@ -133,8 +133,9 @@ def witness_slice(domain: Domain, probe: LeviProbe,
 
     if np.linalg.norm(s.a + s.frame @ mu - M) > 1e-12 * (1.0 + np.linalg.norm(M)):
         raise WitnessError("a + frame mu != M")
+    # c = Z is a unit vector, so the test is relative to |grad|
     tangency = abs(levi._pulled_back_grad(grad, s.frame[None])[0, 1])
-    if tangency > 1e-10:
+    if tangency > 1e-10 * np.linalg.norm(grad):
         raise WitnessError(f"zeta not tangent to the slice boundary "
                            f"(|d rho_h/d w2| = {tangency:.3e})")
     # the Levi form of rho_h at mu along zeta is that of rho at M along c = Z

@@ -3,7 +3,9 @@
 None of these run in a command.  The symbolic pullback (`compose_with_affine`)
 checks the chain-rule pullback of jets, `pulled_back_mixed` forms the mixed
 Hessian in w that the library's slice classification does without,
-`quadratic_as_expression` re-parses a quadratic witness, `levi_form_at`
+`quadratic_as_expression` re-parses a quadratic witness,
+`real_form_matrix` writes a complex quadratic form as a real symmetric
+matrix, the reference for the containment proof's norm bound, `levi_form_at`
 evaluates the Levi form in one direction at one point, `phi`,
 `gram_solve_2`, `phi_inv`, `slice_gradient_check` and `project_to_boundary`
 check slices and boundary projection point by point,
@@ -116,6 +118,28 @@ def quadratic_as_expression(q: QuadraticWitness) -> str:
     abs_parts = "+".join(f"abs2({dvar[j]})" for j in range(n))
     terms.append(f"{repr(float(q.eps))}*({abs_parts})")
     return "+".join(terms)
+
+
+def real_form_matrix(X, conjugate: bool) -> np.ndarray:
+    """The symmetric real 2n x 2n matrix S with x^T S x = Re(d^T X d), or
+    Re(d^T X conj(d)) when `conjugate`, for the real offsets x = d.view(float).
+
+    S is read off the form by polarization on pairs of real unit vectors,
+    S_ab = (f(e_a + e_b) - f(e_a) - f(e_b)) / 2, with no formula for its
+    blocks; the mean with its transpose makes S symmetric to the bit.
+    """
+    X = np.asarray(X, complex)
+    m = 2 * len(X)
+    units = np.eye(m).view(complex)          # row a: the d of e_a
+
+    def form(d):
+        right = np.conj(d) if conjugate else d
+        return np.einsum("bj,jk,bk->b", d, X, right).real
+
+    pairs = (units[:, None, :] + units[None, :, :]).reshape(m * m, -1)
+    diag = form(units)
+    S = (form(pairs).reshape(m, m) - diag[:, None] - diag[None, :]) / 2.0
+    return (S + S.T) / 2.0
 
 
 # ---------------------------------------------------------------------------

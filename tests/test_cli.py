@@ -162,6 +162,33 @@ def test_boundary_below_the_gradient_floor_is_degenerate(capsys):
     assert (payload["probe_count"], payload["degenerate_count"]) == (0, 50)
 
 
+@pytest.mark.parametrize("rho, box, code", [
+    ("1e160*(re(z2)-abs2(z1))", "-1,1,-1,1", cli.EXIT_NONPSEUDOCONVEX),
+    ("1e160*(abs2(z1)+abs2(z2)-1)", "-1.5,1.5,-1.5,1.5", cli.EXIT_OK)])
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_levi_stage_takes_gradient_norms_without_overflow(capsys, tmp_path, rho,
+                                                         box, code, seed):
+    # |d rho| is about 1e160, so its squares overflow: the saddle's rows were
+    # taken as norm inf, got the basis e2..en and passed as pseudoconvex, and
+    # the ball's grad_norm read Infinity after a RuntimeWarning
+    path = tmp_path / "huge.dom"
+    path.write_text(f"n = 2\nrho = {rho}\nbox = {box}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, payload = run_json(capsys, "check", str(path), "--samples", "25",
+                                "--seed", seed)
+    assert got == code
+    assert 1e159 < payload["worst"]["grad_norm"] < 1e161
+
+
+def test_huge_saddle_file_is_nonpseudoconvex(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(capsys, "check", str(DATA / "huge_saddle.dom"))
+    assert code == cli.EXIT_NONPSEUDOCONVEX
+    assert payload["worst"]["lambda_min"] < -1e159
+
+
 def test_every_library_exception_derives_from_levislice_error():
     # so that the CLI and the pipeline's stages catch levislice.Error alone;
     # __main__ runs the CLI when imported and defines nothing
@@ -352,6 +379,19 @@ def test_witness_slice_reclassifies_at_the_scale_of_the_inward_step(capsys, name
                                  "--samples", samples, "--seed", seed)
     assert code == cli.EXIT_OK
     assert payload["witness_slice_reclassification"]["verdict"] == "nonpseudoconvex"
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_witness_tangency_is_relative_to_the_gradient(capsys, seed):
+    # scaled_saddle.dom: with |d rho| = 5e7 the rounding of the tangency sum
+    # exceeded an absolute 1e-10 at seeds 1 and 3, so the direction_tangent
+    # check failed (exit 5) on a correct witness
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(capsys, "verify-theorem", str(DATA / "scaled_saddle.dom"),
+                                 "--samples", "50", "--seed", seed)
+    assert code == cli.EXIT_OK
+    assert all(payload["hormander"]["checks"].values())
 
 
 @pytest.mark.parametrize("value", ["50", "0", "-1"])

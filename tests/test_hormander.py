@@ -1,14 +1,17 @@
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levislice import expr as E
 from levislice import hormander as hm
 from levislice import levi
 from levislice.catalog import CATALOG, parse_domain_file
-from oracles import levi_form_at, quadratic_as_expression
+from oracles import levi_form_at, quadratic_as_expression, real_form_matrix
 from rotated import rotated_domain
 
 
@@ -124,9 +127,9 @@ def test_witnesses_with_holo2_are_covered():
 
 
 def test_levi_of_quadratic_is_half_lambda():
-    _, probe, q = saddle2_witness()
-    assert hm.levi_form_of_quadratic(q, q.direction) == pytest.approx(
-        probe.lambda_min / 2, abs=1e-12)
+    dom, probe, q = saddle2_witness()
+    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=5)
+    assert record.levi_value == pytest.approx(probe.lambda_min / 2, abs=1e-12)
 
 
 def test_quadratic_expression_cross_check(rng):
@@ -138,13 +141,62 @@ def test_quadratic_expression_cross_check(rng):
     parsed = E.eval_raw(ast, pts).real
     assert np.max(np.abs(direct - parsed)) <= 1e-10
     qdom = levi.make_domain(ast, box=levi.square_box(2, 2.0))
+    bumped = q.mixed2 + q.eps * np.eye(2)
     assert levi_form_at(qdom, q.center, q.direction) == pytest.approx(
-        hm.levi_form_of_quadratic(q, q.direction), abs=1e-10)
+        levi.levi_form(bumped[None], q.direction[None])[0], abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
+
+SCALES = [10.0 ** k for k in range(-3, 4)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       mid_scale=st.sampled_from(SCALES), rad_scale=st.sampled_from(SCALES),
+       pattern=st.sampled_from(["dense", "sparse", "row", "column"]))
+def test_norm_bound_covers_every_matrix_in_the_discs(n, seed, mid_scale, rad_scale,
+                                                     pattern):
+    # _norm_bound(dev) bounds ||X||_2 for every X in the discs, and so
+    # |Re(d^T X d)| and |Re(d^T X dbar)| over |d|^2 and the spectral norm of
+    # each form's real 2n x 2n matrix; the zero patterns of the midpoints
+    # make row and column sums differ
+    rng = np.random.default_rng(seed)
+    keep = {"dense": np.ones((n, n), bool), "sparse": rng.random((n, n)) < 0.4,
+            "row": np.arange(n)[:, None] == 0, "column": np.arange(n)[None, :] == 0}
+    mid = mid_scale * keep[pattern] * (rng.standard_normal((n, n))
+                                       + 1j * rng.standard_normal((n, n)))
+    rad = rad_scale * rng.random((n, n))
+    bound = hm._norm_bound(SimpleNamespace(mid=mid, rad=rad)) * (1.0 + 1e-12)
+    d = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
+    dd = np.sum(np.abs(d) ** 2, axis=1)
+    # matrices on the discs' edges: the one that moves each entry away from 0
+    # first, then random phases
+    for u in [np.exp(1j * np.angle(mid))] + [
+            np.exp(2j * np.pi * rng.random((n, n))) for _ in range(3)]:
+        X = mid + rad * u
+        assert np.linalg.norm(X, 2) <= bound
+        for conjugate in (False, True):
+            right = np.conj(d) if conjugate else d
+            values = np.abs(np.einsum("bj,jk,bk->b", d, X, right).real) / dd
+            assert values.max() <= bound
+            assert np.linalg.norm(real_form_matrix(X, conjugate), 2) <= bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_real_form_matrix_reproduces_the_forms(n, rng):
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    d = rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))
+    x = d.view(float)
+    for conjugate in (False, True):
+        S = real_form_matrix(X, conjugate)
+        right = np.conj(d) if conjugate else d
+        assert np.array_equal(S, S.T)
+        assert np.allclose(np.einsum("ba,ac,bc->b", x, S, x),
+                           np.einsum("bj,jk,bk->b", d, X, right).real)
+
 
 def test_verify_saddle2():
     dom, _, q = saddle2_witness()

@@ -1,13 +1,19 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from levislice import expr as E
 from levislice import levi
 from levislice import slicing as sl
-from levislice.catalog import CATALOG
+from levislice.catalog import CATALOG, parse_domain_file
 from oracles import (OffPlaneError, compose_with_affine, levi_form_at, phi,
                      phi_inv, pulled_back_mixed, slice_gradient_check)
 from rotated import rotated_domain
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def domain_of(name):
@@ -172,6 +178,21 @@ def test_witness_slice_rejects_positive_probe():
     probe = levi.restricted_levi_min(dom, [1, 0])
     with pytest.raises(sl.WitnessError):
         sl.witness_slice(dom, probe)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_witness_slice_tangency_is_relative_to_the_gradient(seed):
+    # |d rho| = 5e7 at the witness points of scaled_saddle.dom, where
+    # |sum_j (d rho)_j Z_j| rounds to 3.5e-9 (seed 1) and 1.2e-10 (seed 3):
+    # an absolute bound of 1e-10 rejected both tangent directions
+    dom = parse_domain_file(DATA / "scaled_saddle.dom").domain()
+    probe = levi.classify(dom, 50, seed).worst_probe
+    cert = sl.witness_slice(dom, probe)
+    assert cert.lambda_slice == pytest.approx(probe.lambda_min, rel=1e-9)
+    # a direction off the tangent space still fails, at any scale
+    tampered = dataclasses.replace(probe, direction=np.array([0, 1], complex))
+    with pytest.raises(sl.WitnessError, match="not tangent"):
+        sl.witness_slice(dom, tampered)
 
 
 def test_inward_step_halves_until_inside():
