@@ -232,8 +232,8 @@ def test_proof_halves_radius():
     record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=1)
     assert record.all_passed
     assert record.method == "proven"
-    assert record.halvings == 5
-    assert record.radius == q.radius / 32
+    assert record.halvings == 4
+    assert record.radius == q.radius / 16
     assert record.hessian_bound < q.eps
     assert record.exception_radius < record.radius
 
