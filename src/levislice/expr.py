@@ -43,9 +43,14 @@ Newton to drop.
 The same walk also runs on midpoint-radius discs instead of points: over a
 polydisc it returns discs that enclose every value the jet takes there,
 rounding included.  The quadratic witness proves its containment with it.
-Disc walks are not taped; each runs the walk directly.  A trace would fold
-the operations on constants into plain complex numbers, and their rounding
-would drop out of the enclosure.
+The disc walk is traced once per column count too, on a tape of its own:
+its constants are thin discs, so an operation on point-independent values
+runs as disc arithmetic at trace time, and its rounded radius enters the
+tape with it.  enclose_jet_batch replays that tape on a batch of polydiscs
+and yields the disc walk's bits.  The one difference is the pruning: the
+walk also forms a zero power's base, which the replay skips, so where only
+that base divides by a disc around 0 the replay returns the power's 1 and
+the walk raises.
 """
 
 from __future__ import annotations
@@ -98,8 +103,9 @@ class Ast:
     """
     nodes: tuple
     n: int  # number of complex variables (largest index that occurs)
-    # the traced jet walk, one _Tape per column count of the points;
-    # filled on first evaluation and no part of the expression's identity
+    # the traced jet walks, filled on first evaluation and no part of the
+    # expression's identity: one _Tape per column count of the points, and
+    # one disc tape per column count under the key (columns, True)
     _tapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -348,6 +354,17 @@ _SLACK = 2.0 ** -45
 _TINY = 2.0 ** -1000
 
 
+def _on_discs(op):
+    """The binary disc method op, with its other operand taken as a disc.  A
+    _Sym operand is left to the _Sym, which records the operation in the
+    walk's operand order."""
+    def method(self, other):
+        if isinstance(other, _Sym):
+            return NotImplemented
+        return op(self, _Disc.of(other))
+    return method
+
+
 class _Disc:
     """Complex midpoint-radius array: entry k stands for the closed disc
     |z - mid[k]| <= rad[k], with rad a float array of mid's shape.
@@ -357,7 +374,8 @@ class _Disc:
     midpoint and radius is added to the radius, as in Rump, "Fast and
     parallel interval arithmetic", BIT 39 (1999).  A plain array or number
     operand is taken as exact.  The numpy ufuncs the jet walk applies
-    dispatch here, so the walk runs on discs unchanged.
+    dispatch here, so the walk runs on discs unchanged; with a _Sym operand
+    they and the binary operators defer to it, so a disc walk can be traced.
     """
 
     __slots__ = ("mid", "rad")
@@ -385,30 +403,31 @@ class _Disc:
     def swapaxes(self, a: int, b: int) -> "_Disc":
         return _Disc(self.mid.swapaxes(a, b), self.rad.swapaxes(a, b))
 
+    @_on_discs
     def __add__(self, other) -> "_Disc":
-        other = _Disc.of(other)
         mid = self.mid + other.mid
         return _Disc(mid, _rounded(self.rad + other.rad, np.abs(mid)))
 
+    @_on_discs
     def __sub__(self, other) -> "_Disc":
-        other = _Disc.of(other)
         mid = self.mid - other.mid
         return _Disc(mid, _rounded(self.rad + other.rad, np.abs(mid)))
 
     def __neg__(self) -> "_Disc":
         return _Disc(-self.mid, self.rad)
 
+    @_on_discs
     def __mul__(self, other) -> "_Disc":
         # |xy - ab| <= |a| s + r |b| + r s for |x - a| <= r, |y - b| <= s
-        other = _Disc.of(other)
         a, b = np.abs(self.mid), np.abs(other.mid)
         rad = a * other.rad + self.rad * (b + other.rad)
         return _Disc(self.mid * other.mid, _rounded(rad, a * b))
 
     __rmul__ = __mul__
 
+    @_on_discs
     def __rtruediv__(self, other) -> "_Disc":
-        return _Disc.of(other) * self.reciprocal()
+        return other * self.reciprocal()
 
     def conj(self) -> "_Disc":
         return _Disc(np.conj(self.mid), self.rad)
@@ -433,7 +452,8 @@ class _Disc:
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         op = _DISC_UFUNCS.get(ufunc)
-        if method != "__call__" or kwargs or op is None:
+        if (method != "__call__" or kwargs or op is None
+                or any(isinstance(x, _Sym) for x in inputs)):
             return NotImplemented
         return op(*map(_Disc.of, inputs))
 
@@ -452,26 +472,28 @@ _DISC_UFUNCS = {np.add: _Disc.__add__, np.subtract: _Disc.__sub__,
 class _Walk:
     """One evaluation of an AST's full second-order jet on a batch of points.
 
-    Every block is formed, the holomorphic ones included: on a traced walk
-    the tape's programs pick the blocks each caller reads, and the direct
-    walks (discs, tests) want them all.  The walk takes the node table in
+    Every block is formed, the holomorphic ones included: the tape's
+    programs pick the blocks each caller reads, and the direct walks of the
+    tests compare them all.  The walk takes the node table in
     order, so a node the parser shared (abs2's argument, a repeated z_j or
     subexpression) is evaluated once, and no node costs a Python frame: a
     long or deep expression cannot exhaust the stack.  The operations skip
     structural zeros: a term with a missing factor is not formed.
 
     The points are a (B, columns) complex array, a _Disc of that shape or
-    the _Sym of a tape being traced; the walk touches its numbers only
-    through arithmetic, numpy ufuncs, indexing, reshape and swapaxes,
-    _zero_to_nan and the hook const, which serve all three number types.
-    Its control flow depends on the AST alone, never on a value: that is
-    what lets one trace stand for every batch.
+    the _Sym of a tape being traced; with discs set, the walk's numbers are
+    discs: a disc batch, or a _Sym that a disc batch replaces.  The walk
+    touches its numbers only through arithmetic, numpy ufuncs, indexing,
+    reshape and swapaxes, _zero_to_nan and the hook const, which serve all
+    three number types.  Its control flow depends on the AST alone, never on
+    a value: that is what lets one trace stand for every batch.
     """
 
-    def __init__(self, nodes: tuple, points, columns: int):
+    def __init__(self, nodes: tuple, points, columns: int, discs: bool = False):
         self.nodes = nodes
         self.points = points
         self.columns = columns
+        self.discs = discs
 
     def run(self) -> Jet:
         """The root jet, one jet per node in table order.  Overflow, invalid
@@ -487,7 +509,7 @@ class _Walk:
         """A constant of the walk's number type; a thin disc among discs, so
         that arithmetic on constants is enclosed too."""
         c = np.complex128(value)
-        return _Disc.of(c) if isinstance(self.points, _Disc) else c
+        return _Disc.of(c) if self.discs else c
 
     def jet(self, node: tuple, jets: list) -> Jet:
         """The jet of node from the jets of the nodes before it."""
@@ -537,7 +559,7 @@ class _Walk:
     def inv(self, u: Jet) -> Jet:
         # a disc divisor is left to _Disc.reciprocal, which raises where the
         # disc may hold 0
-        w = 1.0 / (u.val if isinstance(u.val, _Disc) else _zero_to_nan(u.val))
+        w = 1.0 / (u.val if self.discs else _zero_to_nan(u.val))
         w2 = w * w
         w3 = w * w * w
 
@@ -591,7 +613,7 @@ def _zero_to_nan(x):
 def _elementwise(fn, args) -> "_Sym":
     """Record fn(*args), an operation that broadcasts its operands."""
     tape = next(a.tape for a in args if isinstance(a, _Sym))
-    return tape.record(fn, args, max(map(np.ndim, args)))
+    return tape.record(fn, args, max(getattr(a, "ndim", 0) for a in args))
 
 
 def _binary(fn):
@@ -710,10 +732,11 @@ class _Tape:
         return r
 
 
-def _trace(nodes: tuple, columns: int) -> _Tape:
-    """Run the walk once on a symbolic batch of points with these columns."""
+def _trace(nodes: tuple, columns: int, discs: bool = False) -> _Tape:
+    """Run the walk once on a symbolic batch of points with these columns;
+    of discs, if discs is set."""
     tape = _Tape()
-    jet = _Walk(nodes, _Sym(tape, 0, 2), columns).run()
+    jet = _Walk(nodes, _Sym(tape, 0, 2), columns, discs).run()
     for name in ("val", "dz", "dzz", "dzzb"):
         block = getattr(jet, name)
         tape.blocks[name] = None if block is None else tape.slot(block)
@@ -730,15 +753,17 @@ def _as_points(ast: Ast, points) -> np.ndarray:
     return arr
 
 
-def _tape(ast: Ast, points: np.ndarray) -> _Tape:
-    """The expression's tape for points of this column count, traced on
-    first use.  A trace never raises on a value: a constant zero divisor is
-    a NaN constant on the tape, and every evaluation that checks its rows
-    raises."""
+def _tape(ast: Ast, points: np.ndarray, discs: bool = False) -> _Tape:
+    """The expression's tape for points of this column count, or for discs,
+    traced on first use.  A point trace never raises on a value: a constant
+    zero divisor is a NaN constant on the tape, and every evaluation that
+    checks its rows raises.  A disc trace raises EvalError where a constant
+    divisor's disc may hold 0, and then caches nothing."""
     columns = points.shape[1]
-    if columns not in ast._tapes:
-        ast._tapes[columns] = _trace(ast.nodes, columns)
-    return ast._tapes[columns]
+    key = (columns, True) if discs else columns
+    if key not in ast._tapes:
+        ast._tapes[key] = _trace(ast.nodes, columns, discs)
+    return ast._tapes[key]
 
 
 def _run(ast: Ast, points, blocks: tuple) -> Jet:
@@ -823,21 +848,23 @@ def enclose_jet_batch(ast: Ast, centers, radii) -> Jet:
     (B,), dz (B, n), dzz and dzzb (B, n, n) as _Disc arrays with fields mid
     and rad: each entry of the jet at each point of the row's polydisc lies
     in its disc.  Raises EvalError when a divisor's disc may contain 0 or a
-    bound is not finite.
+    bound is not finite.  Replays the expression's disc tape.
     """
     centers = _as_points(ast, centers)
     points = _Disc(centers, np.broadcast_to(np.asarray(radii, float), centers.shape))
     B, n = centers.shape
-    jet = _Walk(ast.nodes, points, n).run()
+    tape = _tape(ast, centers, discs=True)
+    code, outputs = tape.program(("val", "dz", "dzz", "dzzb"))
+    registers = tape.replay(points, code)
 
-    def full(block, ndim):
-        block = _Disc.of(0.0 if block is None else block)
-        shape = (B,) + (n,) * ndim
+    def full(name):
+        slot = outputs[name]
+        block = _Disc.of(0.0 if slot is None else registers[slot])
+        shape = (B,) + (n,) * name.count("z")
         if not (np.all(np.isfinite(block.mid)) and np.all(np.isfinite(block.rad))):
             raise EvalError("non-finite bound in enclosure")
         return _Disc(np.broadcast_to(block.mid, shape), np.broadcast_to(block.rad, shape))
-    return Jet(full(jet.val, 0), dz=full(jet.dz, 1), dzz=full(jet.dzz, 2),
-               dzzb=full(jet.dzzb, 2))
+    return Jet(full("val"), dz=full("dz"), dzz=full("dzz"), dzzb=full("dzzb"))
 
 
 def sample_box(box, count: int, seed) -> np.ndarray:

@@ -19,11 +19,12 @@ Y = dzdzbar rho(xi) - mixed2, since |Re(d^T X d)| <= ||X||_2 |d|^2 and
 the largest row sum and column sum of entrywise bounds, as ||X||_2 <=
 max(||X||_1, ||X||_inf).  When delta < eps, q < 0 implies rho < 0 at every
 point of the ball outside the exception ball of radius r0, the positive root
-of the right-hand side.  delta comes from one jet walk over midpoint-radius
-discs (expr.enclose_jet_batch) on the polydisc around M, which contains the
-ball; f(M) and gamma from the same walk at the thin point M.  The radius is
-halved until the proof holds; if it never does, containment falls back to
-random sampling, as the record says.
+of the right-hand side.  delta comes from one replay of the expression's
+disc tape, the jet walk over midpoint-radius discs traced once
+(expr.enclose_jet_batch), on the polydisc around M, which contains the
+ball; f(M) and gamma from the same replay at the thin point M.  The radius
+is halved until the proof holds; if it never does, containment falls back
+to random sampling, as the record says.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
+from . import linalg as la
 from .levi import GRAD_FLOOR, LEVI_EPS, Domain, LeviProbe, levi_form
 
 
@@ -182,7 +184,7 @@ def verify_quadratic_witness(domain: Domain, q: QuadraticWitness,
     if samples < MIN_CONTAINMENT_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_CONTAINMENT_SAMPLES}")
     Z = q.direction
-    gn = float(np.linalg.norm(q.lin))
+    gn = float(la.row_norms(q.lin[None])[0])
     checks = {
         "q_zero_at_center": abs(eval_quadratic(q, q.center)) <= 1e-12,
         "gradient_nonzero": gn >= GRAD_FLOOR,

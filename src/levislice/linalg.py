@@ -45,12 +45,26 @@ def tangent_null_basis(g, norms) -> np.ndarray:
 def row_norms(x) -> np.ndarray:
     """Euclidean norms of the rows of a complex (B, n) array.
 
-    Each equals np.linalg.norm of its row alone, bit for bit.  The one-row
-    norm sums its squares through BLAS dot; np.linalg.norm(x, axis=1) sums
-    them otherwise and can differ in the last bit.  A stack of row-by-column
-    matmuls calls the same dot once per row.
+    A row whose squares do not overflow gets np.linalg.norm of the row
+    alone, bit for bit.  The one-row norm sums its squares through BLAS dot;
+    np.linalg.norm(x, axis=1) sums them otherwise and can differ in the last
+    bit.  A stack of row-by-column matmuls calls the same dot once per row.
+    A row whose squares overflow is scaled by its largest entry, so a finite
+    row gets a finite norm, and a non-finite row comes out NaN: the rule of
+    levi._grad_norms.
     """
     x = np.asarray(x, complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _dot_norms(x)
+        over = np.isinf(norms)
+        if over.any():
+            rows = x[over]
+            big = np.abs(rows).max(axis=1)
+            norms[over] = big * _dot_norms(rows / big[:, None])
+    return norms
+
+
+def _dot_norms(x) -> np.ndarray:
     re, im = x.real, x.imag
     return np.sqrt((re[:, None, :] @ re[:, :, None]
                     + im[:, None, :] @ im[:, :, None])[:, 0, 0])

@@ -126,7 +126,7 @@ def witness_slice(domain: Domain, probe: LeviProbe,
     p0, t = inward_step(domain, M[None], grad)
 
     step = M - p0[0]
-    length = float(np.linalg.norm(step))
+    length = float(la.row_norms(step[None])[0])
     s = make_slice(p0[0], step / length, Z)
     mu = np.array([length + 0j, 0.0 + 0j])
     zeta = np.array([0.0 + 0j, 1.0 + 0j])
@@ -135,7 +135,7 @@ def witness_slice(domain: Domain, probe: LeviProbe,
         raise WitnessError("a + frame mu != M")
     # c = Z is a unit vector, so the test is relative to |grad|
     tangency = abs(levi._pulled_back_grad(grad, s.frame[None])[0, 1])
-    if tangency > 1e-10 * np.linalg.norm(grad):
+    if tangency > 1e-10 * la.row_norms(grad)[0]:
         raise WitnessError(f"zeta not tangent to the slice boundary "
                            f"(|d rho_h/d w2| = {tangency:.3e})")
     # the Levi form of rho_h at mu along zeta is that of rho at M along c = Z

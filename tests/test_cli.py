@@ -189,6 +189,20 @@ def test_huge_saddle_file_is_nonpseudoconvex(capsys):
     assert payload["worst"]["lambda_min"] < -1e159
 
 
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_verify_theorem_takes_witness_norms_without_overflow(capsys, seed):
+    # the witness gradient norm, the inward step and the slice's length and
+    # tangency squared |d rho| = 1e160 and overflowed: RuntimeWarnings, then
+    # "b, c numerically dependent" (exit 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(capsys, "verify-theorem", str(DATA / "huge_saddle.dom"),
+                                 "--samples", "25", "--seed", seed)
+    assert code == cli.EXIT_OK
+    assert all(payload["hormander"]["checks"].values())
+    assert payload["witness_slice_reclassification"]["verdict"] == "nonpseudoconvex"
+
+
 def test_every_library_exception_derives_from_levislice_error():
     # so that the CLI and the pipeline's stages catch levislice.Error alone;
     # __main__ runs the CLI when imported and defines nothing

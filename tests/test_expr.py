@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -343,11 +344,13 @@ def traces(monkeypatch):
     return calls
 
 
-def test_theorem_pipeline_traces_its_expression_once(traces):
+def test_theorem_pipeline_traces_one_float_and_one_disc_tape(traces):
     domain = CATALOG["saddle3"].domain()
     run = pipeline.verify_theorem(domain, 200, seed=7)
     assert run.reclassification is not None  # the whole witness chain ran
-    assert len(traces) == 1 and len(domain.ast._tapes) == 1
+    # the points' tape, and the disc tape of the containment proof
+    assert [args[1:] for args in traces] == [(3, False), (3, True)]
+    assert list(domain.ast._tapes) == [3, (3, True)]
 
 
 def test_tapes_stay_out_of_expression_identity(traces, rng):
@@ -362,10 +365,22 @@ def test_tapes_stay_out_of_expression_identity(traces, rng):
     assert repr(a) == repr(E.parse(SADDLE))
 
 
-def test_disc_walks_record_no_tape(traces, rng):
+def test_enclosures_replay_one_disc_tape_beside_the_float_tape(traces, rng):
     ast = E.parse("exp(re(z1^3)/(1+abs2(z2)))-im(z2)")
-    E.enclose_jet_batch(ast, random_points(rng, 2, 3, scale=0.5), 0.01)
-    assert traces == [] and ast._tapes == {}
+    pts = random_points(rng, 2, 3, scale=0.5)
+    E.eval_jet_batch(ast, pts)
+    tape = ast._tapes[2]
+    code, registers, programs = list(tape.code), list(tape.registers), dict(tape.programs)
+    for radius in (0.01, 0.0, 0.02):
+        E.enclose_jet_batch(ast, pts, radius)
+    assert [args[1:] for args in traces] == [(2, False), (2, True)]
+    assert list(ast._tapes) == [2, (2, True)]
+    assert list(ast._tapes[2, True].programs) == [DISC_BLOCKS]
+    # the float tape is as it was, to its register objects and programs
+    assert ast._tapes[2] is tape
+    assert tape.code == code and tape.programs == programs
+    assert all(now is then for now, then in zip(tape.registers, registers))
+    assert len(tape.registers) == len(registers)
 
 
 def test_cached_tape_raises_where_a_divisor_vanishes(rng):
@@ -469,6 +484,91 @@ def test_points_of_any_dtype_replay_the_complex_tape(dtype, traces, rng):
     for got, want in zip(every_block(pts), every_block(pts.astype(complex))):
         assert same_bits(got, want)
     assert len(traces) == 1 and list(ast._tapes) == [2]
+
+
+# ---------------------------------------------------------------------------
+# the disc tape: the disc walk traced once, replayed per batch of polydiscs
+# ---------------------------------------------------------------------------
+
+DISC_BLOCKS = ("val", "dz", "dzz", "dzzb")
+
+
+def live(nodes):
+    """nodes, with each node the root does not read made a constant.  A zero
+    power reads no base: the tape prunes the base, which the walk forms."""
+    read = {len(nodes) - 1}
+    for k in range(len(nodes) - 1, -1, -1):
+        kind, *args = nodes[k]
+        if k in read and kind not in ("var", "const") and (kind, args[-1]) != ("pow", 0):
+            read.update(args[:1] if kind in ("conj", "exp", "pow") else args)
+    return tuple(node if k in read else ("const", 0j) for k, node in enumerate(nodes))
+
+
+def parts(block) -> tuple:
+    return (block.mid, block.rad) if isinstance(block, E._Disc) else (block,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodes=TREES, seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.0, 1e-3, 0.5, 4.0]))
+# a zero power of a divisor whose disc holds 0: the walk raises, the tape
+# prunes the base
+@example(nodes=apply("pow", apply("div", TWO, apply("sub", (("var", 1),), TWO)),
+                     extra=(0,)), seed=0, scale=4.0)
+def test_disc_replay_matches_direct_disc_walk_bit_for_bit(nodes, seed, scale):
+    rng = np.random.default_rng(seed)
+    ast = E.Ast(nodes, 3)
+    for B in (1, 2, 7):
+        centers = random_points(rng, 3, B)
+        discs = E._Disc(centers, np.broadcast_to(scale * rng.random((B, 1)), centers.shape))
+        # a divisor's disc may hold 0 at scale 0.5 and 4, and both then raise
+        try:
+            want = E._Walk(live(nodes), discs, 3, discs=True).run()
+        except E.EvalError:
+            want = None
+        try:
+            got = replayed(E._tape(ast, centers, discs=True), discs, DISC_BLOCKS)
+        except E.EvalError:
+            got = None
+        assert (got is None) == (want is None)
+        for name, block in (got or {}).items():
+            reference = getattr(want, name)
+            assert (block is None) == (reference is None), name
+            assert block is None or (type(block) is type(reference) and all(
+                same_bits(x, y) for x, y in zip(parts(block), parts(reference)))), name
+    assert list(ast._tapes) == [(3, True)]
+
+
+def test_zero_power_of_a_disc_around_zero_is_one():
+    # the disc walk raises on the base 1/(z1 - z1); the tape prunes it
+    ast = E.parse("abs2(z2)+(1/(z1-z1))^0")
+    centers, radius = np.array([[0.5, 0.25j]]), 0.1
+    discs = E._Disc(centers, np.full(centers.shape, radius))
+    with pytest.raises(E.EvalError, match="may contain zero"):
+        E._Walk(ast.nodes, discs, 2, discs=True).run()
+    got = E.enclose_jet_batch(ast, centers, radius)
+    want = E.enclose_jet_batch(E.parse("abs2(z2)+1"), centers, radius)
+    for name in DISC_BLOCKS:
+        assert all(same_bits(x, y) for x, y in zip(parts(getattr(got, name)),
+                                                   parts(getattr(want, name)))), name
+
+
+def test_disc_tape_keeps_the_rounding_of_its_constants():
+    # the product (0.1+0.2i)*0.3 rounds; the float tape folds it into one
+    # complex number, the disc tape into a disc that holds the exact product
+    ast = E.parse("(0.1+0.2*i)*0.3*z1")
+    centers = np.array([[0.5 + 0.5j]])
+    E.eval_raw(ast, centers)
+    E.enclose_jet_batch(ast, centers, 0.0)
+    (_, (c, _), _), = [op for op in ast._tapes[1, True].code if len(op[1]) == 2]
+    (_, (f, _), _), = [op for op in ast._tapes[1].code if len(op[1]) == 2]
+    disc, folded = ast._tapes[1, True].registers[c], ast._tapes[1].registers[f]
+    assert isinstance(disc, E._Disc) and disc.rad > 0.0
+    assert type(folded) is np.complex128 and folded == disc.mid
+    exact = (Fraction(0.1) * Fraction(0.3), Fraction(0.2) * Fraction(0.3))
+    mid = (Fraction(disc.mid.real), Fraction(disc.mid.imag))
+    assert mid != exact
+    assert sum((x - y) ** 2 for x, y in zip(mid, exact)) <= Fraction(float(disc.rad)) ** 2
 
 
 # ---------------------------------------------------------------------------

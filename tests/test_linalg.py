@@ -202,6 +202,20 @@ def test_row_norms_equal_the_one_row_norm_to_the_bit(rng, n):
     assert la.row_norms(x).tobytes() == want.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_row_norms_rescale_only_rows_whose_squares_overflow(rng):
+    x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    x[1] *= 1e160
+    x[3, 2] = np.inf
+    got = la.row_norms(x)
+    # the squares of rows 0, 2 and 4 are finite: their norms keep their bits
+    keep = [0, 2, 4]
+    want = np.array([np.linalg.norm(x[k]) for k in keep])
+    assert got[keep].tobytes() == want.tobytes()
+    assert abs(got[1] / (1e160 * np.linalg.norm(x[1] / 1e160)) - 1.0) < 1e-15
+    assert np.isnan(got[3])
+
+
 def test_dependent_rows_match_gram_solve(rng):
     b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     c = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
