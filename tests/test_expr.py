@@ -376,6 +376,10 @@ def test_enclosures_replay_one_disc_tape_beside_the_float_tape(traces, rng):
     assert [args[1:] for args in traces] == [(2, False), (2, True)]
     assert list(ast._tapes) == [2, (2, True)]
     assert list(ast._tapes[2, True].programs) == [DISC_BLOCKS]
+    # a divisor disc is left to the disc reciprocal, which raises where the
+    # disc may hold 0: only the float tape turns zero divisors into NaN
+    assert E._zero_to_nan in {fn for fn, _, _ in tape.code}
+    assert E._zero_to_nan not in {fn for fn, _, _ in ast._tapes[2, True].code}
     # the float tape is as it was, to its register objects and programs
     assert ast._tapes[2] is tape
     assert tape.code == code and tape.programs == programs
@@ -407,6 +411,19 @@ def test_constant_zero_divisor_raises_on_every_call(traces, rng):
         with pytest.raises(E.EvalError, match="non-finite value in evaluation"):
             E.eval_raw(ast, random_points(rng, 1, 4))
     assert len(traces) == 1 and list(ast._tapes) == [1]
+
+
+def test_disc_trace_that_raises_caches_nothing(traces, rng):
+    # the disc of the constant divisor 2 - 2 holds 0, so the disc trace
+    # raises, every call traces again, and the float tape stays alone
+    ast = E.parse("abs2(z1)+1/(2-2)")
+    with pytest.raises(E.EvalError):
+        E.eval_raw(ast, random_points(rng, 1, 4))
+    for _ in range(3):
+        with pytest.raises(E.EvalError, match="may contain zero"):
+            E.enclose_jet_batch(ast, random_points(rng, 1, 2), 0.01)
+    assert [args[1:] for args in traces] == [(1, False)] + [(1, True)] * 3
+    assert list(ast._tapes) == [1]
 
 
 def test_pruned_programs_are_pure_dataflow(rng):
