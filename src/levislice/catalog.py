@@ -36,8 +36,9 @@ DEFAULT_SEED = 7
 # Domains kept built per process: a bound on their count, not on memory.  A
 # domain's bytes grow with n and the length of rho.  The 60 generated
 # ellipsoids and saddles of the benchmark's check-generic workload (n = 2..5)
-# hold about 50 KB each with their tapes and pruned programs (tracemalloc,
-# after one `check` each), so 128 domains of that size hold about 6.5 MB.
+# hold about 68 KB each with their tapes, the preludes of constants
+# included, and pruned programs (tracemalloc, after one 50-sample classify
+# each), so 128 domains of that size hold about 8.7 MB.
 DOMAIN_CACHE_SIZE = 128
 
 

@@ -21,12 +21,13 @@ full-shape arrays.
 The walk is traced once per expression and replayed per batch (the tape of
 operator-overloading AD; Griewank & Walther, *Evaluating Derivatives*,
 2nd ed., ch. 6).  The trace runs it on a symbolic batch of points: every
-operation on a point-dependent value is recorded, and every operation on
-point-independent values alone runs at trace time and enters the tape as a
-constant.  That folds the one-hot d/dz of each variable, the c d/dz of
-every linear form, and the mixed and holomorphic Hessians of a quadric.
-Points are always taken as complex128, so the Ast keeps one tape per column
-count.  eval_raw, eval_value_grad, eval_jet_batch and eval_jet replay it,
+operation on a point-dependent value is recorded on the tape's code, and
+every operation on point-independent values alone on its prelude of
+constants, which runs at once on the float constants, with the walk's numpy
+calls.  That folds the c d/dz of every linear form and the mixed and
+holomorphic Hessians of a quadric; the one-hot d/dz of each variable is an
+exact array from the start.  Points are always taken as complex128, so the
+Ast keeps one tape per column count.  eval_raw, eval_value_grad, eval_jet_batch and eval_jet replay it,
 pruned to the root blocks they return: the tape's programs, not the walk,
 pick the blocks.  A replay releases each intermediate after its last
 reader, and yields the walk's bits exactly, because it makes the walk's
@@ -43,14 +44,15 @@ Newton to drop.
 The same walk also runs on midpoint-radius discs instead of points: over a
 polydisc it returns discs that enclose every value the jet takes there,
 rounding included.  The quadratic witness proves its containment with it.
-The disc walk is traced once per column count too, on a tape of its own:
-its constants are thin discs, so an operation on point-independent values
-runs as disc arithmetic at trace time, and its rounded radius enters the
-tape with it.  enclose_jet_batch replays that tape on a batch of polydiscs
-and yields the disc walk's bits.  The one difference is the pruning: the
-walk also forms a zero power's base, which the replay skips, so where only
-that base divides by a disc around 0 the replay returns the power's 1 and
-the walk raises.
+The same tape serves it.  The first enclosure runs the prelude again with
+each constant a thin disc, and keeps the disc registers on the tape: an
+operation on constants alone is then disc arithmetic, and its rounded
+radius stays with it, while the one-hot d/dz stay exact arrays.
+enclose_jet_batch replays the code on those registers and a batch of
+polydiscs, and yields the bits of the walk run directly on discs.  The one
+difference is the pruning of the code: the walk also forms a zero power's
+base, which the replay skips, so where only a point-dependent base divides
+by a disc around 0 the replay returns the power's 1 and the walk raises.
 """
 
 from __future__ import annotations
@@ -103,9 +105,9 @@ class Ast:
     """
     nodes: tuple
     n: int  # number of complex variables (largest index that occurs)
-    # the traced jet walks, filled on first evaluation and no part of the
-    # expression's identity: one _Tape per column count of the points, and
-    # one disc tape per column count under the key (columns, True)
+    # the traced jet walk, filled on first evaluation and no part of the
+    # expression's identity: one _Tape per column count of the points, whose
+    # disc registers the first enclosure adds
     _tapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -355,14 +357,8 @@ _TINY = 2.0 ** -1000
 
 
 def _on_discs(op):
-    """The binary disc method op, with its other operand taken as a disc.  A
-    _Sym operand is left to the _Sym, which records the operation in the
-    walk's operand order."""
-    def method(self, other):
-        if isinstance(other, _Sym):
-            return NotImplemented
-        return op(self, _Disc.of(other))
-    return method
+    """The binary disc method op, with its other operand taken as a disc."""
+    return lambda self, other: op(self, _Disc.of(other))
 
 
 class _Disc:
@@ -374,8 +370,7 @@ class _Disc:
     midpoint and radius is added to the radius, as in Rump, "Fast and
     parallel interval arithmetic", BIT 39 (1999).  A plain array or number
     operand is taken as exact.  The numpy ufuncs the jet walk applies
-    dispatch here, so the walk runs on discs unchanged; with a _Sym operand
-    they and the binary operators defer to it, so a disc walk can be traced.
+    dispatch here, so the tape replays on discs unchanged.
     """
 
     __slots__ = ("mid", "rad")
@@ -452,8 +447,7 @@ class _Disc:
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         op = _DISC_UFUNCS.get(ufunc)
-        if (method != "__call__" or kwargs or op is None
-                or any(isinstance(x, _Sym) for x in inputs)):
+        if method != "__call__" or kwargs or op is None:
             return NotImplemented
         return op(*map(_Disc.of, inputs))
 
@@ -480,20 +474,20 @@ class _Walk:
     long or deep expression cannot exhaust the stack.  The operations skip
     structural zeros: a term with a missing factor is not formed.
 
-    The points are a (B, columns) complex array, a _Disc of that shape or
-    the _Sym of a tape being traced; with discs set, the walk's numbers are
-    discs: a disc batch, or a _Sym that a disc batch replaces.  The walk
-    touches its numbers only through arithmetic, numpy ufuncs, indexing,
-    reshape and swapaxes, _zero_to_nan and the hook const, which serve all
-    three number types.  Its control flow depends on the AST alone, never on
-    a value: that is what lets one trace stand for every batch.
+    The points are the _Sym of a tape being traced, whose constants are
+    leaves of the tape's prelude, or a (B, columns) complex array, whose
+    constants are complex128; the tests' direct disc walk overrides const
+    to walk a _Disc of points.  The walk touches its numbers only through
+    arithmetic, numpy ufuncs, indexing, reshape and swapaxes, _zero_to_nan
+    and the hook const, which serve all three number types.  Its control
+    flow depends on the AST alone, never on a value: that is what lets one
+    trace stand for every batch, on points and on discs.
     """
 
-    def __init__(self, nodes: tuple, points, columns: int, discs: bool = False):
+    def __init__(self, nodes: tuple, points, columns: int):
         self.nodes = nodes
         self.points = points
         self.columns = columns
-        self.discs = discs
 
     def run(self) -> Jet:
         """The root jet, one jet per node in table order.  Overflow, invalid
@@ -506,10 +500,9 @@ class _Walk:
         return jets[-1]
 
     def const(self, value: complex):
-        """A constant of the walk's number type; a thin disc among discs, so
-        that arithmetic on constants is enclosed too."""
+        """A constant; a leaf of the prelude in a walk being traced."""
         c = np.complex128(value)
-        return _Disc.of(c) if self.discs else c
+        return self.points.tape.leaf(c) if isinstance(self.points, _Sym) else c
 
     def jet(self, node: tuple, jets: list) -> Jet:
         """The jet of node from the jets of the nodes before it."""
@@ -557,9 +550,7 @@ class _Walk:
                               _outer(u.dzb, v.dzb), _outer(v.dzb, u.dzb)))
 
     def inv(self, u: Jet) -> Jet:
-        # a disc divisor is left to _Disc.reciprocal, which raises where the
-        # disc may hold 0
-        w = 1.0 / (u.val if self.discs else _zero_to_nan(u.val))
+        w = 1.0 / _zero_to_nan(u.val)
         w2 = w * w
         w3 = w * w * w
 
@@ -600,9 +591,12 @@ class _Walk:
 
 def _zero_to_nan(x):
     """x with its exact zeros made NaN, so that dividing by it gives NaN, not
-    inf, in a row that divides by zero; recorded like any operation."""
+    inf, in a row that divides by zero; recorded like any operation.  A disc
+    is returned as it is: its reciprocal raises where the disc may hold 0."""
     if isinstance(x, _Sym):
         return _elementwise(_zero_to_nan, (x,))
+    if isinstance(x, _Disc):
+        return x
     return np.where(x == 0, np.nan, x)
 
 
@@ -617,19 +611,23 @@ def _elementwise(fn, args) -> "_Sym":
 
 
 def _binary(fn):
-    return (lambda self, other: _elementwise(fn, (self, other)),
-            lambda self, other: _elementwise(fn, (other, self)))
+    # the tape and the axes are taken from self, without _elementwise's
+    # search: binary operations are most of a trace's records
+    return (lambda self, other: self.tape.record(
+                fn, (self, other), max(self.ndim, getattr(other, "ndim", 0))),
+            lambda self, other: self.tape.record(
+                fn, (other, self), max(self.ndim, getattr(other, "ndim", 0))))
 
 
 class _Sym:
-    """A point-dependent array of a walk being traced.
+    """A value of a walk being traced: the points, a result that depends on
+    them, or a constant of the tape's prelude.
 
     An operation with a _Sym operand is recorded on its tape, with the
-    operands in the order the walk gave them, and returns a new _Sym.  An
-    operation on point-independent operands alone never reaches here: it
-    runs at trace time, and its result enters the tape as a constant.  Only
-    the number of axes is tracked; the leading one is the batch axis, whose
-    length the walk never reads, so a replay serves every batch length.
+    operands in the order the walk gave them, and returns a new _Sym.  Only
+    the number of axes is tracked; the leading one of a point-dependent
+    value is the batch axis, whose length the walk never reads, so a replay
+    serves every batch length.
     """
 
     __slots__ = ("tape", "slot", "ndim")
@@ -669,20 +667,28 @@ class _Sym:
 
 
 class _Tape:
-    """The point-dependent operations of one full second-order walk, in order.
+    """One full second-order walk, traced: a prelude on the constants and
+    code on the points.
 
-    A register file holds the points (slot 0), the constants folded at
-    trace time and one slot per recorded result.  An instruction is (fn,
-    argument slots, result slot).  `program` prunes the tape to what some
-    blocks of the root need, and `replay` runs such a program on a batch of
-    points.
+    A register file holds the points (slot 0), the constants and one slot
+    per recorded result.  An instruction is (fn, argument slots, result
+    slot).  An operation on constants alone goes on the prelude, which runs
+    it at once on the float constants; every other goes on the code.  The
+    float register file keeps only the constants that the code and the
+    blocks read.  `disc_registers` runs the prelude again with each const
+    leaf a thin disc, which gives the register file of an enclosure.
+    `program` prunes the code to what some blocks of the root need, and
+    `replay` runs such a program on a batch of points or of polydiscs.
     """
 
     def __init__(self):
         self.registers: list = [None]
+        self.leaves: list[int] = []  # the slots of the const nodes' values
+        self.prelude: list = []
         self.code: list[tuple] = []
         self.blocks: dict[str, int | None] = {}
         self.programs: dict[tuple, tuple] = {}
+        self.discs: list | None = None  # the disc register file, once built
 
     def slot(self, x) -> int:
         """The slot of a _Sym, or a new slot holding the constant x."""
@@ -691,10 +697,34 @@ class _Tape:
         self.registers.append(x)
         return len(self.registers) - 1
 
+    def leaf(self, c) -> _Sym:
+        """The value of a const node, a leaf of the prelude."""
+        self.leaves.append(self.slot(c))
+        return _Sym(self, self.leaves[-1], 0)
+
     def record(self, fn, args, ndim: int) -> _Sym:
-        args = tuple(map(self.slot, args))
-        out = self.slot(None)
-        self.code.append((fn, args, out))
+        """Record fn on the code if an operand depends on the points, which
+        hold None until the replay; else run it and record it on the
+        prelude."""
+        r = self.registers
+        slots = []
+        folded = True
+        for x in args:
+            if isinstance(x, _Sym):
+                slots.append(x.slot)
+                if r[x.slot] is None:
+                    folded = False
+            else:
+                slots.append(len(r))
+                r.append(x)
+        out = len(r)
+        slots = tuple(slots)
+        if folded:
+            r.append(fn(*[r[s] for s in slots]))
+            self.prelude.append((fn, slots, out))
+        else:
+            r.append(None)
+            self.code.append((fn, slots, out))
         return _Sym(self, out, ndim)
 
     def program(self, blocks: tuple) -> tuple:
@@ -719,10 +749,27 @@ class _Tape:
             self.programs[blocks] = (code[::-1], outputs)
         return self.programs[blocks]
 
-    def replay(self, points: np.ndarray, code) -> list:
-        """The register file after running code on the points: the
-        constants, the outputs, and None in every released slot."""
-        r = self.registers.copy()
+    def disc_registers(self) -> list:
+        """The register file of an enclosure, built on first use: the
+        prelude run again with each const leaf a thin disc and the one-hot
+        d/dz and other literal arrays exact, so that each constant the code
+        reads is a disc that holds its exact value.  Raises EvalError where
+        a constant divisor's disc may hold 0, and then keeps nothing."""
+        if self.discs is None:
+            r = self.registers.copy()
+            for s in self.leaves:
+                r[s] = _Disc.of(r[s])
+            with np.errstate(over="ignore", invalid="ignore"):
+                for fn, args, out in self.prelude:
+                    r[out] = fn(*[r[s] for s in args])
+            self.discs = [None if x is None else d for x, d in zip(self.registers, r)]
+        return self.discs
+
+    def replay(self, points, code) -> list:
+        """The register file after running code on a batch of points, or of
+        polydiscs given as a _Disc: the constants, the outputs, and None in
+        every released slot."""
+        r = (self.disc_registers() if isinstance(points, _Disc) else self.registers).copy()
         r[0] = points
         with np.errstate(over="ignore", invalid="ignore"):
             for fn, a, b, out, drop in code:
@@ -732,14 +779,20 @@ class _Tape:
         return r
 
 
-def _trace(nodes: tuple, columns: int, discs: bool = False) -> _Tape:
-    """Run the walk once on a symbolic batch of points with these columns;
-    of discs, if discs is set."""
+def _trace(nodes: tuple, columns: int) -> _Tape:
+    """Run the walk once on a symbolic batch of points with these columns.
+    A folded value that neither the code nor a block reads is then released:
+    only the prelude needs it, and only on discs, where it runs again."""
     tape = _Tape()
-    jet = _Walk(nodes, _Sym(tape, 0, 2), columns, discs).run()
+    jet = _Walk(nodes, _Sym(tape, 0, 2), columns).run()
     for name in ("val", "dz", "dzz", "dzzb"):
         block = getattr(jet, name)
         tape.blocks[name] = None if block is None else tape.slot(block)
+    read = {s for _, args, _ in tape.code for s in args}
+    read.update(tape.blocks.values())
+    for _, _, out in tape.prelude:
+        if out not in read:
+            tape.registers[out] = None
     return tape
 
 
@@ -753,17 +806,16 @@ def _as_points(ast: Ast, points) -> np.ndarray:
     return arr
 
 
-def _tape(ast: Ast, points: np.ndarray, discs: bool = False) -> _Tape:
-    """The expression's tape for points of this column count, or for discs,
-    traced on first use.  A point trace never raises on a value: a constant
-    zero divisor is a NaN constant on the tape, and every evaluation that
-    checks its rows raises.  A disc trace raises EvalError where a constant
-    divisor's disc may hold 0, and then caches nothing."""
+def _tape(ast: Ast, points: np.ndarray) -> _Tape:
+    """The expression's tape for points of this column count, traced on
+    first use.  The trace never raises on a value: a constant zero divisor
+    is a NaN constant in the float registers, and every evaluation that
+    checks its rows raises; every enclosure raises, since the divisor's
+    disc holds 0."""
     columns = points.shape[1]
-    key = (columns, True) if discs else columns
-    if key not in ast._tapes:
-        ast._tapes[key] = _trace(ast.nodes, columns, discs)
-    return ast._tapes[key]
+    if columns not in ast._tapes:
+        ast._tapes[columns] = _trace(ast.nodes, columns)
+    return ast._tapes[columns]
 
 
 def _run(ast: Ast, points, blocks: tuple) -> Jet:
@@ -848,13 +900,14 @@ def enclose_jet_batch(ast: Ast, centers, radii) -> Jet:
     (B,), dz (B, n), dzz and dzzb (B, n, n) as _Disc arrays with fields mid
     and rad: each entry of the jet at each point of the row's polydisc lies
     in its disc.  Raises EvalError when a divisor's disc may contain 0 or a
-    bound is not finite.  Replays the expression's disc tape.
+    bound is not finite.  Replays the expression's tape on its disc
+    registers, which the first enclosure builds from the prelude.
     """
     centers = _as_points(ast, centers)
     points = _Disc(centers, np.broadcast_to(np.asarray(radii, float), centers.shape))
     B, n = centers.shape
-    tape = _tape(ast, centers, discs=True)
-    code, outputs = tape.program(("val", "dz", "dzz", "dzzb"))
+    tape = _tape(ast, centers)
+    code, outputs = tape.program(("val", "dz", "dzzb", "dzz"))
     registers = tape.replay(points, code)
 
     def full(name):

@@ -20,7 +20,7 @@ the largest row sum and column sum of entrywise bounds, as ||X||_2 <=
 max(||X||_1, ||X||_inf).  When delta < eps, q < 0 implies rho < 0 at every
 point of the ball outside the exception ball of radius r0, the positive root
 of the right-hand side.  delta comes from one replay of the expression's
-disc tape, the jet walk over midpoint-radius discs traced once
+tape on discs, the jet walk over midpoint-radius discs
 (expr.enclose_jet_batch), on the polydisc around M, which contains the
 ball; f(M) and gamma from the same replay at the thin point M.  The radius
 is halved until the proof holds; if it never does, containment falls back

@@ -3,6 +3,8 @@
 None of these run in a command.  The symbolic pullback (`compose_with_affine`)
 checks the chain-rule pullback of jets, `pulled_back_mixed` forms the mixed
 Hessian in w that the library's slice classification does without,
+`DiscWalk` is the jet walk run directly on midpoint-radius discs, the
+reference for the enclosures the tape replays,
 `quadratic_as_expression` re-parses a quadratic witness,
 `real_form_matrix` writes a complex quadratic form as a real symmetric
 matrix, the reference for the containment proof's norm bound, `levi_form_at`
@@ -37,6 +39,19 @@ class OffPlaneError(SliceError):
 
 class DependentVectorsError(Exception):
     pass
+
+
+# ---------------------------------------------------------------------------
+# The direct disc walk
+# ---------------------------------------------------------------------------
+
+class DiscWalk(ex._Walk):
+    """The jet walk on a _Disc of points, node by node: each constant is a
+    thin disc, so arithmetic on constants is enclosed too, and a divisor's
+    disc that may hold 0 raises EvalError."""
+
+    def const(self, value: complex):
+        return ex._Disc.of(np.complex128(value))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 import levislice
 from levislice import catalog, cli
+from levislice import expr as E
 from levislice import hormander as hm
 from levislice import levi
 from levislice import pipeline
@@ -201,6 +202,28 @@ def test_verify_theorem_takes_witness_norms_without_overflow(capsys, seed):
     assert code == cli.EXIT_OK
     assert all(payload["hormander"]["checks"].values())
     assert payload["witness_slice_reclassification"]["verdict"] == "nonpseudoconvex"
+
+
+def test_constant_divisor_whose_disc_holds_zero_falls_back_to_sampling(
+        capsys, monkeypatch):
+    # 0.1 + 0.2 - 0.3 is a nonzero float, but its disc holds 0: every
+    # radius's enclosure raises, without tracing the expression again, and
+    # containment is sampled at the first radius
+    traces = []
+    trace = E._trace
+
+    def counted(*args):
+        traces.append(args)
+        return trace(*args)
+    monkeypatch.setattr(E, "_trace", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(capsys, "verify-theorem", str(DATA / "const_div_saddle.dom"),
+                                 "--samples", "50", "--seed", "1")
+    assert code == cli.EXIT_OK
+    assert payload["hormander"]["method"] == "sampled"
+    assert payload["hormander"]["halvings"] == 0
+    assert [args[1:] for args in traces] == [(2,)]
 
 
 def test_every_library_exception_derives_from_levislice_error():

@@ -11,7 +11,7 @@ from levislice import expr as E
 from levislice import levi, pipeline
 from levislice.catalog import CATALOG, parse_domain_file
 from fd_oracle import fd_wirtinger_jet
-from oracles import compose_with_affine
+from oracles import DiscWalk, compose_with_affine
 
 BALL = "abs2(z1)+abs2(z2)-1"
 SADDLE = "re(z2)-abs2(z1)"
@@ -344,13 +344,15 @@ def traces(monkeypatch):
     return calls
 
 
-def test_theorem_pipeline_traces_one_float_and_one_disc_tape(traces):
+def test_theorem_pipeline_traces_its_expression_once(traces):
     domain = CATALOG["saddle3"].domain()
     run = pipeline.verify_theorem(domain, 200, seed=7)
     assert run.reclassification is not None  # the whole witness chain ran
-    # the points' tape, and the disc tape of the containment proof
-    assert [args[1:] for args in traces] == [(3, False), (3, True)]
-    assert list(domain.ast._tapes) == [3, (3, True)]
+    # the probes and the containment proof replay one tape
+    assert run.record.method == "proven"
+    assert [args[1:] for args in traces] == [(3,)]
+    assert list(domain.ast._tapes) == [3]
+    assert domain.ast._tapes[3].discs is not None
 
 
 def test_tapes_stay_out_of_expression_identity(traces, rng):
@@ -365,7 +367,7 @@ def test_tapes_stay_out_of_expression_identity(traces, rng):
     assert repr(a) == repr(E.parse(SADDLE))
 
 
-def test_enclosures_replay_one_disc_tape_beside_the_float_tape(traces, rng):
+def test_enclosures_leave_the_float_tape_as_it_was(traces, rng):
     ast = E.parse("exp(re(z1^3)/(1+abs2(z2)))-im(z2)")
     pts = random_points(rng, 2, 3, scale=0.5)
     E.eval_jet_batch(ast, pts)
@@ -373,15 +375,14 @@ def test_enclosures_replay_one_disc_tape_beside_the_float_tape(traces, rng):
     code, registers, programs = list(tape.code), list(tape.registers), dict(tape.programs)
     for radius in (0.01, 0.0, 0.02):
         E.enclose_jet_batch(ast, pts, radius)
-    assert [args[1:] for args in traces] == [(2, False), (2, True)]
-    assert list(ast._tapes) == [2, (2, True)]
-    assert list(ast._tapes[2, True].programs) == [DISC_BLOCKS]
-    # a divisor disc is left to the disc reciprocal, which raises where the
-    # disc may hold 0: only the float tape turns zero divisors into NaN
-    assert E._zero_to_nan in {fn for fn, _, _ in tape.code}
-    assert E._zero_to_nan not in {fn for fn, _, _ in ast._tapes[2, True].code}
-    # the float tape is as it was, to its register objects and programs
-    assert ast._tapes[2] is tape
+    # the enclosures replay the program of eval_jet_batch on the disc
+    # registers, built once from the prelude
+    assert len(traces) == 1 and list(ast._tapes) == [2]
+    assert tape.programs[DISC_BLOCKS] is programs[DISC_BLOCKS]
+    assert len(tape.discs) == len(registers)
+    assert {type(tape.discs[s]) for s in tape.leaves} == {E._Disc}
+    # the float registers, code and programs are as they were, to their
+    # objects
     assert tape.code == code and tape.programs == programs
     assert all(now is then for now, then in zip(tape.registers, registers))
     assert len(tape.registers) == len(registers)
@@ -414,15 +415,17 @@ def test_constant_zero_divisor_raises_on_every_call(traces, rng):
 
 
 def test_disc_trace_that_raises_caches_nothing(traces, rng):
-    # the disc of the constant divisor 2 - 2 holds 0, so the disc trace
-    # raises, every call traces again, and the float tape stays alone
+    # the disc of the constant divisor 2 - 2 holds 0, so running the prelude
+    # on discs raises, keeps no disc registers, and raises again on every
+    # enclosure, with no new trace
     ast = E.parse("abs2(z1)+1/(2-2)")
     with pytest.raises(E.EvalError):
         E.eval_raw(ast, random_points(rng, 1, 4))
     for _ in range(3):
         with pytest.raises(E.EvalError, match="may contain zero"):
             E.enclose_jet_batch(ast, random_points(rng, 1, 2), 0.01)
-    assert [args[1:] for args in traces] == [(1, False)] + [(1, True)] * 3
+        assert ast._tapes[1].discs is None
+    assert [args[1:] for args in traces] == [(1,)]
     assert list(ast._tapes) == [1]
 
 
@@ -504,10 +507,10 @@ def test_points_of_any_dtype_replay_the_complex_tape(dtype, traces, rng):
 
 
 # ---------------------------------------------------------------------------
-# the disc tape: the disc walk traced once, replayed per batch of polydiscs
+# enclosures: the tape replayed on disc registers, per batch of polydiscs
 # ---------------------------------------------------------------------------
 
-DISC_BLOCKS = ("val", "dz", "dzz", "dzzb")
+DISC_BLOCKS = PROGRAMS[-1]  # the blocks an enclosure reads
 
 
 def live(nodes):
@@ -540,11 +543,11 @@ def test_disc_replay_matches_direct_disc_walk_bit_for_bit(nodes, seed, scale):
         discs = E._Disc(centers, np.broadcast_to(scale * rng.random((B, 1)), centers.shape))
         # a divisor's disc may hold 0 at scale 0.5 and 4, and both then raise
         try:
-            want = E._Walk(live(nodes), discs, 3, discs=True).run()
+            want = DiscWalk(live(nodes), discs, 3).run()
         except E.EvalError:
             want = None
         try:
-            got = replayed(E._tape(ast, centers, discs=True), discs, DISC_BLOCKS)
+            got = replayed(E._tape(ast, centers), discs, DISC_BLOCKS)
         except E.EvalError:
             got = None
         assert (got is None) == (want is None)
@@ -553,7 +556,7 @@ def test_disc_replay_matches_direct_disc_walk_bit_for_bit(nodes, seed, scale):
             assert (block is None) == (reference is None), name
             assert block is None or (type(block) is type(reference) and all(
                 same_bits(x, y) for x, y in zip(parts(block), parts(reference)))), name
-    assert list(ast._tapes) == [(3, True)]
+    assert list(ast._tapes) == [3]
 
 
 def test_zero_power_of_a_disc_around_zero_is_one():
@@ -562,7 +565,7 @@ def test_zero_power_of_a_disc_around_zero_is_one():
     centers, radius = np.array([[0.5, 0.25j]]), 0.1
     discs = E._Disc(centers, np.full(centers.shape, radius))
     with pytest.raises(E.EvalError, match="may contain zero"):
-        E._Walk(ast.nodes, discs, 2, discs=True).run()
+        DiscWalk(ast.nodes, discs, 2).run()
     got = E.enclose_jet_batch(ast, centers, radius)
     want = E.enclose_jet_batch(E.parse("abs2(z2)+1"), centers, radius)
     for name in DISC_BLOCKS:
@@ -571,17 +574,18 @@ def test_zero_power_of_a_disc_around_zero_is_one():
 
 
 def test_disc_tape_keeps_the_rounding_of_its_constants():
-    # the product (0.1+0.2i)*0.3 rounds; the float tape folds it into one
-    # complex number, the disc tape into a disc that holds the exact product
+    # the product (0.1+0.2i)*0.3 rounds; the prelude folds it into one
+    # complex number on floats, and into a disc that holds the exact product
+    # on discs
     ast = E.parse("(0.1+0.2*i)*0.3*z1")
     centers = np.array([[0.5 + 0.5j]])
     E.eval_raw(ast, centers)
     E.enclose_jet_batch(ast, centers, 0.0)
-    (_, (c, _), _), = [op for op in ast._tapes[1, True].code if len(op[1]) == 2]
-    (_, (f, _), _), = [op for op in ast._tapes[1].code if len(op[1]) == 2]
-    disc, folded = ast._tapes[1, True].registers[c], ast._tapes[1].registers[f]
+    tape = ast._tapes[1]
+    (_, (c, _), _), = [op for op in tape.code if len(op[1]) == 2]
+    disc, folded = tape.discs[c], tape.registers[c]
     assert isinstance(disc, E._Disc) and disc.rad > 0.0
-    assert type(folded) is np.complex128 and folded == disc.mid
+    assert type(folded) is np.complex128 and same_bits(folded, disc.mid)
     exact = (Fraction(0.1) * Fraction(0.3), Fraction(0.2) * Fraction(0.3))
     mid = (Fraction(disc.mid.real), Fraction(disc.mid.imag))
     assert mid != exact
