@@ -684,7 +684,7 @@ class _Tape:
     def __init__(self):
         self.registers: list = [None]
         self.leaves: list[int] = []  # the slots of the const nodes' values
-        self.prelude: list = []
+        self.prelude: list[tuple] = []
         self.code: list[tuple] = []
         self.blocks: dict[str, int | None] = {}
         self.programs: dict[tuple, tuple] = {}

@@ -586,6 +586,12 @@ def test_disc_tape_keeps_the_rounding_of_its_constants():
     disc, folded = tape.discs[c], tape.registers[c]
     assert isinstance(disc, E._Disc) and disc.rad > 0.0
     assert type(folded) is np.complex128 and same_bits(folded, disc.mid)
+    # the sum 0.1+0.2i and its terms, which only the prelude reads, are kept
+    # in neither register file
+    released = [out for _, _, out in tape.prelude
+                if out != c and out not in tape.blocks.values()]
+    assert released and all(tape.registers[s] is None and tape.discs[s] is None
+                            for s in released)
     exact = (Fraction(0.1) * Fraction(0.3), Fraction(0.2) * Fraction(0.3))
     mid = (Fraction(disc.mid.real), Fraction(disc.mid.imag))
     assert mid != exact
