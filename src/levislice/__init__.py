@@ -13,7 +13,7 @@ from .expr import (Ast, Error, Jet, check_real_valued, eval_jet,
                    eval_jet_batch, eval_raw, parse)
 from .hormander import (QuadraticWitness, VerificationRecord,
                         build_quadratic_witness, eval_quadratic,
-                        sample_containment, verify_quadratic_witness)
+                        verify_quadratic_witness)
 from .levi import (Domain, LeviProbe, LeviReport, classify, classify_slices,
                    make_domain, restricted_levi_min, sample_boundary,
                    square_box)
@@ -29,7 +29,7 @@ __all__ = [
     "restricted_levi_min", "classify", "classify_slices",
     "Slice", "WitnessCertificate", "make_slice", "witness_slice",
     "QuadraticWitness", "VerificationRecord", "build_quadratic_witness",
-    "eval_quadratic", "verify_quadratic_witness", "sample_containment",
+    "eval_quadratic", "verify_quadratic_witness",
     "verify_theorem", "TheoremRun", "ForwardSweep", "PipelineError",
     "__version__",
 ]

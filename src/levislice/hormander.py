@@ -23,8 +23,8 @@ of the right-hand side.  delta comes from one replay of the expression's
 tape on discs, the jet walk over midpoint-radius discs
 (expr.enclose_jet_batch), on the polydisc around M, which contains the
 ball; f(M) and gamma from the same replay at the thin point M.  The radius
-is halved until the proof holds; if it never does, containment falls back
-to random sampling, as the record says.
+is halved until the proof holds; if it never does, or rho cannot be
+enclosed even at the thin point M, the witness is refused.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ class ContainmentError(ex.Error):
 
 
 MAX_HALVINGS = 20
-# random points per radius of the sampling fallback: the default, and the
-# fewest accepted
-CONTAINMENT_SAMPLES = 10000
-MIN_CONTAINMENT_SAMPLES = 100
 # upward rounding of the few float operations that combine the enclosures
 # into delta, gamma and r0, each of which errs by a few units of 2**-53
 ROUND_UP = 1.0 + 2.0 ** -40
@@ -72,29 +68,27 @@ class VerificationRecord:
     checks: dict
     levi_value: float     # Levi form of q in direction Z (= lambda + eps)
     radius: float
-    samples: int          # size of the sampling fallback
-    seed: int
     halvings: int
-    method: str           # "proven" or "sampled"
-    hessian_bound: float | None      # delta of the proof; None when sampled
-    exception_radius: float | None   # r0 of the proof; None when sampled
+    hessian_bound: float      # delta of the proof
+    exception_radius: float   # r0 of the proof
 
     @property
     def all_passed(self) -> bool:
         return all(self.checks.values())
 
-
-def _eval_offsets(q: QuadraticWitness, d: np.ndarray) -> np.ndarray:
-    """q(M + d) at the (B, n) complex offsets d."""
-    mixed = q.mixed2 + q.eps * np.eye(len(q.lin))
-    quad = np.einsum("bj,bj->b", d, d @ q.holo2.T + np.conj(d) @ mixed.T).real
-    return 2.0 * (d @ q.lin).real + quad
+    @property
+    def samples(self) -> int:
+        # no point is sampled; the benchmark's tracer reads this (ROADMAP item 5)
+        return 0
 
 
 def eval_quadratic(q: QuadraticWitness, z) -> np.ndarray | float:
     """q(z) = 2 Re(lin . d) + Re(d^T holo2 d) + Re(d^T mixed2 dbar) + eps|d|^2."""
     z = np.asarray(z, complex)
-    out = _eval_offsets(q, np.atleast_2d(z) - q.center)
+    d = np.atleast_2d(z) - q.center
+    mixed = q.mixed2 + q.eps * np.eye(len(q.lin))
+    quad = np.einsum("bj,bj->b", d, d @ q.holo2.T + np.conj(d) @ mixed.T).real
+    out = 2.0 * (d @ q.lin).real + quad
     return float(out[0]) if z.ndim == 1 else out
 
 
@@ -146,43 +140,14 @@ def containment_bounds(domain: Domain, q: QuadraticWitness,
     return delta, float(r0)
 
 
-def sample_containment(domain: Domain, q: QuadraticWitness, samples: int,
-                       seed: int) -> tuple[int, float]:
-    """Containment by sampling: (halvings, radius) of the first radius at which
-    no sampled z in the ball around M has q(z) < 0 while rho(z) >= 0.
-
-    A violation halves the radius, at most MAX_HALVINGS times; then
-    ContainmentError.  The draws of halving h come from the stream
-    (seed, h).
-    """
-    n = len(q.center)
-    for halvings in range(MAX_HALVINGS + 1):
-        radius = q.radius / 2.0 ** halvings
-        rng = np.random.default_rng((seed, halvings))
-        x = rng.standard_normal((samples, 2 * n))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        x *= (radius * rng.random(samples) ** (1.0 / (2 * n)))[:, None]
-        d = x.view(complex)
-        qv = _eval_offsets(q, d)
-        rv = ex.eval_raw(domain.ast, d + q.center).real
-        if not np.any((qv < 0.0) & (rv >= 0.0)):
-            return halvings, radius
-    raise ContainmentError(
-        f"containment still violated after {MAX_HALVINGS} radius halvings")
-
-
-def verify_quadratic_witness(domain: Domain, q: QuadraticWitness,
-                             samples: int = CONTAINMENT_SAMPLES,
-                             seed: int = 0) -> VerificationRecord:
+def verify_quadratic_witness(domain: Domain, q: QuadraticWitness) -> VerificationRecord:
     """Run the five witness checks; shrink the radius until containment holds.
 
     Containment is proved at the first radius q.radius / 2**h, h <= 20, with
-    delta < eps and r0 below the radius (see the module docstring).  If no
-    radius proves it, `samples` random points per radius decide it, as in
-    sample_containment, which raises ContainmentError when that fails too.
+    delta < eps and r0 below the radius (see the module docstring).  Raises
+    ContainmentError when no radius proves it, and at once when rho cannot
+    be enclosed at the thin point M, which every radius's enclosure holds.
     """
-    if samples < MIN_CONTAINMENT_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_CONTAINMENT_SAMPLES}")
     Z = q.direction
     gn = float(la.row_norms(q.lin[None])[0])
     checks = {
@@ -199,15 +164,25 @@ def verify_quadratic_witness(domain: Domain, q: QuadraticWitness,
         try:
             delta, r0 = containment_bounds(domain, q, radius)
         except ex.EvalError:
+            if not halvings:
+                _enclose_center(domain, q)
             continue
         if r0 < radius:
-            method = "proven"
             break
     else:
-        halvings, radius = sample_containment(domain, q, samples, seed)
-        method, delta, r0 = "sampled", None, None
+        raise ContainmentError(
+            f"containment not proved at any of {MAX_HALVINGS + 1} radii")
     checks["containment"] = True
-    return VerificationRecord(checks=checks, levi_value=levi_value,
-                              radius=radius, samples=samples, seed=seed,
-                              halvings=halvings, method=method,
-                              hessian_bound=delta, exception_radius=r0)
+    return VerificationRecord(checks=checks, levi_value=levi_value, radius=radius,
+                              halvings=halvings, hessian_bound=delta,
+                              exception_radius=r0)
+
+
+def _enclose_center(domain: Domain, q: QuadraticWitness):
+    """Raise ContainmentError when rho cannot be enclosed at the thin point
+    M: then no radius's enclosure can be."""
+    try:
+        ex.enclose_jet_batch(domain.ast, q.center[None], 0.0)
+    except ex.EvalError as err:
+        raise ContainmentError(f"rho cannot be enclosed at the witness "
+                               f"center: {err}") from err

@@ -164,21 +164,6 @@ def _pulled_back_grad(grad: np.ndarray, frame) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _grad_norms(grad: np.ndarray) -> np.ndarray:
-    """Norms of the rows of grad (B, k), the one norm rule of Newton and the
-    Levi stage.  A row whose squares overflow is scaled by its largest
-    entry, so a finite gradient gets a finite norm; a non-finite row comes
-    out NaN; rows with a finite norm keep np.linalg.norm's bits."""
-    gn = np.linalg.norm(grad, axis=1)
-    over = np.isinf(gn)
-    if over.any():
-        g = grad[over]
-        big = np.abs(g).max(axis=1)
-        gn[over] = big * np.linalg.norm(g / big[:, None], axis=1)
-    return gn
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
             frame=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-direction Newton toward {rho = 0} on a batch of points, for at
@@ -211,7 +196,7 @@ def _newton(ast: ex.Ast, w0: np.ndarray, a=None,
         if frame is not None:
             grads = np.einsum("jkb,jb->kb", frame, grads.T).T
         # grads is row by row, as the norms must sum each row's squares
-        gn = _grad_norms(grads)
+        gn = la.row_norms(grads)
         rgn = 2.0 * gn
         # rho may stay finite at a non-finite point
         live = (rgn < np.inf) & np.isfinite(vals)
@@ -291,7 +276,7 @@ def _levi_min(grad: np.ndarray, mixed: np.ndarray):
     tangent space and Z a unit minimizer.  Degenerate rows pass as norm inf,
     so their basis is e2..en, and come out as nan and zeros.
     """
-    gn = _grad_norms(grad)
+    gn = la.row_norms(grad)
     ok = gn >= GRAD_FLOOR
     basis = la.tangent_null_basis(grad, np.where(ok, gn, np.inf))
     restricted = np.swapaxes(basis, 1, 2) @ mixed @ np.conj(basis)
@@ -309,7 +294,7 @@ def _slice_levi_min(grad: np.ndarray, mixed: np.ndarray, frame: np.ndarray):
     the tangent line in w is spanned by Z = (g2, -g1)/|g|, phased as
     `linalg.tangent_null_basis` phases a column, and the minimum is the Levi
     form at W = frame Z.  Degenerate rows divide by inf: Z = 0, no warning."""
-    gn = _grad_norms(grad)
+    gn = la.row_norms(grad)
     ok = gn >= GRAD_FLOOR
     Z = np.stack([grad[:, 1], -grad[:, 0]], axis=1) / np.where(ok, gn, np.inf)[:, None]
     top = np.take_along_axis(Z, np.abs(Z).argmax(axis=1)[:, None], axis=1)

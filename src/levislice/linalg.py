@@ -2,8 +2,8 @@
 
 Hermitian eigendecompositions of stacks (LAPACK through numpy.linalg.eigh),
 orthonormal bases of complex tangent spaces from gradients and their given
-norms via a Householder reflector per row, row norms equal to the one-row
-norm, and the dependence test behind affine slices.
+norms via a Householder reflector per row, overflow-safe row norms, and the
+dependence test behind affine slices.
 """
 
 from __future__ import annotations
@@ -42,32 +42,19 @@ def tangent_null_basis(g, norms) -> np.ndarray:
     return basis * (np.conj(top) / np.abs(top))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def row_norms(x) -> np.ndarray:
-    """Euclidean norms of the rows of a complex (B, n) array.
-
-    A row whose squares do not overflow gets np.linalg.norm of the row
-    alone, bit for bit.  The one-row norm sums its squares through BLAS dot;
-    np.linalg.norm(x, axis=1) sums them otherwise and can differ in the last
-    bit.  A stack of row-by-column matmuls calls the same dot once per row.
-    A row whose squares overflow is scaled by its largest entry, so a finite
-    row gets a finite norm, and a non-finite row comes out NaN: the rule of
-    levi._grad_norms.
-    """
-    x = np.asarray(x, complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = _dot_norms(x)
-        over = np.isinf(norms)
-        if over.any():
-            rows = x[over]
-            big = np.abs(rows).max(axis=1)
-            norms[over] = big * _dot_norms(rows / big[:, None])
-    return norms
-
-
-def _dot_norms(x) -> np.ndarray:
-    re, im = x.real, x.imag
-    return np.sqrt((re[:, None, :] @ re[:, :, None]
-                    + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+    """Norms of the rows of x (B, k), the one norm rule of Newton, the Levi
+    stage and the witness.  A row whose squares overflow is scaled by its
+    largest entry, so a finite row gets a finite norm; a non-finite row comes
+    out NaN; rows with a finite norm keep np.linalg.norm's bits."""
+    gn = np.linalg.norm(x, axis=1)
+    over = np.isinf(gn)
+    if over.any():
+        g = x[over]
+        big = np.abs(g).max(axis=1)
+        gn[over] = big * np.linalg.norm(g / big[:, None], axis=1)
+    return gn
 
 
 def dependent_rows(b, c) -> np.ndarray:

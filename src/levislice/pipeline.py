@@ -127,8 +127,7 @@ class TheoremRun:
     forward: ForwardSweep | None = None
 
 
-def verify_theorem(domain: Domain, samples: int, seed: int,
-                   containment_samples: int = hm.CONTAINMENT_SAMPLES) -> TheoremRun:
+def verify_theorem(domain: Domain, samples: int, seed: int) -> TheoremRun:
     """Classify the domain at `samples` boundary points, then check the
     direction of the theorem that its verdict calls for.
 
@@ -151,8 +150,7 @@ def verify_theorem(domain: Domain, samples: int, seed: int,
     probe = classification.worst_probe
     with _stage("hormander-witness"):
         quadratic = hm.build_quadratic_witness(domain, probe)
-        record = hm.verify_quadratic_witness(domain, quadratic,
-                                             samples=containment_samples, seed=seed)
+        record = hm.verify_quadratic_witness(domain, quadratic)
     if not record.all_passed:
         raise PipelineError("hormander-witness",
                             f"witness checks failed: {record.checks}")

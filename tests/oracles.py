@@ -7,7 +7,9 @@ Hessian in w that the library's slice classification does without,
 reference for the enclosures the tape replays,
 `quadratic_as_expression` re-parses a quadratic witness,
 `real_form_matrix` writes a complex quadratic form as a real symmetric
-matrix, the reference for the containment proof's norm bound, `levi_form_at`
+matrix, the reference for the containment proof's norm bound,
+`sample_containment` tests containment at random points, the reference for
+the containment proof, `levi_form_at`
 evaluates the Levi form in one direction at one point, `phi`,
 `gram_solve_2`, `phi_inv`, `slice_gradient_check` and `project_to_boundary`
 check slices and boundary projection point by point,
@@ -24,7 +26,8 @@ from levislice import expr as ex
 from levislice import levi
 from levislice import linalg as la
 from levislice.expr import Ast
-from levislice.hormander import QuadraticWitness
+from levislice.hormander import (MAX_HALVINGS, ContainmentError, QuadraticWitness,
+                                 eval_quadratic)
 from levislice.levi import Domain
 from levislice.slicing import MAX_BACKTRACK_HALVINGS, Slice, SliceError, make_slice
 
@@ -157,6 +160,31 @@ def real_form_matrix(X, conjugate: bool) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
+def sample_containment(domain: Domain, q: QuadraticWitness, samples: int,
+                       seed: int) -> tuple[int, float]:
+    """Containment by sampling: (halvings, radius) of the first radius at which
+    no sampled z in the ball around M has q(z) < 0 while rho(z) >= 0.
+
+    A violation halves the radius, at most MAX_HALVINGS times; then
+    ContainmentError.  The draws of halving h come from the stream
+    (seed, h).
+    """
+    n = len(q.center)
+    for halvings in range(MAX_HALVINGS + 1):
+        radius = q.radius / 2.0 ** halvings
+        rng = np.random.default_rng((seed, halvings))
+        x = rng.standard_normal((samples, 2 * n))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        x *= (radius * rng.random(samples) ** (1.0 / (2 * n)))[:, None]
+        z = x.view(complex) + q.center
+        qv = eval_quadratic(q, z)
+        rv = ex.eval_raw(domain.ast, z).real
+        if not np.any((qv < 0.0) & (rv >= 0.0)):
+            return halvings, radius
+    raise ContainmentError(
+        f"containment still violated after {MAX_HALVINGS} radius halvings")
+
+
 # ---------------------------------------------------------------------------
 # Point-by-point Levi form, slices and projection
 # ---------------------------------------------------------------------------
@@ -230,16 +258,18 @@ def project_to_boundary(domain: Domain, z0) -> np.ndarray:
 
 def sweep_slices_one_by_one(domain: Domain, points, slices: int, seed: int):
     """The slices of `pipeline.sweep_slices`, built slice by slice: each
-    base point by its own backtracking along the normal, with one-row norms,
-    then each frame by four draws of n from the one stream, and each pair
-    that `make_slice` rejects drawn again in slice order."""
+    base point by its own backtracking along the normal, then each frame by
+    four draws of n from the one stream, and each pair that `make_slice`
+    rejects drawn again in slice order.  Every norm is `linalg.row_norms` of
+    a one-row stack, the library's rule, which can differ from
+    np.linalg.norm of the row alone in the last bit."""
     _, grads = ex.eval_value_grad(domain.ast, points)
     bases = []
     for k in range(slices):
         M = points[k % len(points)]
         g = grads[k % len(points)]
-        nu = np.conj(g) * (1.0 / np.linalg.norm(g))
-        t = 0.1 * (1.0 + np.linalg.norm(M))
+        nu = np.conj(g) * (1.0 / la.row_norms(g[None])[0])
+        t = 0.1 * (1.0 + la.row_norms(M[None])[0])
         for _ in range(MAX_BACKTRACK_HALVINGS + 1):
             a = M - t * nu
             if ex.eval_raw(domain.ast, a[None])[0].real < -levi.BOUNDARY_EPS:
@@ -256,7 +286,8 @@ def sweep_slices_one_by_one(domain: Domain, points, slices: int, seed: int):
         for k in pending:
             re_b, im_b, re_c, im_c = (rng.standard_normal(domain.n) for _ in range(4))
             b, c = re_b + 1j * im_b, re_c + 1j * im_c
-            pairs[k] = (b * (1.0 / np.linalg.norm(b)), c * (1.0 / np.linalg.norm(c)))
+            pairs[k] = (b * (1.0 / la.row_norms(b[None])[0]),
+                        c * (1.0 / la.row_norms(c[None])[0]))
         pending = []
         for k, (b, c) in pairs.items():
             try:

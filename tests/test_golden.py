@@ -30,10 +30,10 @@ CASES = {
     "verify_ball": ("verify-theorem", "ball", "--samples", "25"),
     # fewer than 20 samples: the sweep's base points are the 12 probes
     "verify_ball_samples12": ("verify-theorem", "ball", "--samples", "12"),
-    "verify_saddle3": ("verify-theorem", "saddle3", "--containment-samples", "2000"),
+    "verify_saddle3": ("verify-theorem", "saddle3"),
     # the one case whose quadratic witness has holo2 != 0
     "verify_holo_saddle3": ("verify-theorem", str(DATA / "holo_saddle3.dom"),
-                            "--containment-samples", "20000", "--seed", "3"),
+                            "--seed", "3"),
 }
 
 

@@ -11,7 +11,8 @@ from levislice import expr as E
 from levislice import hormander as hm
 from levislice import levi
 from levislice.catalog import CATALOG, parse_domain_file
-from oracles import levi_form_at, quadratic_as_expression, real_form_matrix
+from oracles import (levi_form_at, quadratic_as_expression, real_form_matrix,
+                     sample_containment)
 from rotated import rotated_domain
 
 
@@ -128,7 +129,7 @@ def test_witnesses_with_holo2_are_covered():
 
 def test_levi_of_quadratic_is_half_lambda():
     dom, probe, q = saddle2_witness()
-    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=5)
+    record = hm.verify_quadratic_witness(dom, q)
     assert record.levi_value == pytest.approx(probe.lambda_min / 2, abs=1e-12)
 
 
@@ -200,28 +201,28 @@ def test_real_form_matrix_reproduces_the_forms(n, rng):
 
 def test_verify_saddle2():
     dom, _, q = saddle2_witness()
-    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=5)
+    record = hm.verify_quadratic_witness(dom, q)
     assert record.all_passed
     assert record.levi_value == pytest.approx(-0.5, abs=1e-12)
     assert record.radius >= 1e-4
-    assert record.samples == 2000
+    assert record.halvings == 0 and record.hessian_bound < q.eps
 
 
 def test_verify_saddle3():
     dom = domain_of("saddle3")
     probe = levi.restricted_levi_min(dom, [0, 0, 0])
     q = hm.build_quadratic_witness(dom, probe)
-    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=5)
+    record = hm.verify_quadratic_witness(dom, q)
     assert record.all_passed
     assert record.levi_value == pytest.approx(-0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_verify_halves_radius(seed):
-    # the sampling fallback; values written from the complex-coordinate
+    # the sampling reference; values written from the complex-coordinate
     # implementation
     dom, q = halving_witness()
-    halvings, radius = hm.sample_containment(dom, q, 2000, seed)
+    halvings, radius = sample_containment(dom, q, 2000, seed)
     assert halvings == 2
     assert radius == 0.046907330972367864
 
@@ -229,9 +230,8 @@ def test_verify_halves_radius(seed):
 def test_proof_halves_radius():
     # the cubic term's Hessian spread is below eps only on a smaller ball
     dom, q = halving_witness()
-    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=1)
+    record = hm.verify_quadratic_witness(dom, q)
     assert record.all_passed
-    assert record.method == "proven"
     assert record.halvings == 4
     assert record.radius == q.radius / 16
     assert record.hessian_bound < q.eps
@@ -245,10 +245,10 @@ PROVEN = {**WITNESSES, "halving": halving_witness}
 def test_proof_agrees_with_sampling(name):
     # at the proven radius, 1e5 random points find no violation
     dom, q = PROVEN[name]()
-    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=1)
-    assert record.all_passed and record.method == "proven"
+    record = hm.verify_quadratic_witness(dom, q)
+    assert record.all_passed
     at_proof = dataclasses.replace(q, radius=record.radius)
-    assert hm.sample_containment(dom, at_proof, 100000, 7) == (0, record.radius)
+    assert sample_containment(dom, at_proof, 100000, 7) == (0, record.radius)
 
 
 # exp and / in rho, and a pole of 1/(z2 - 0.08) inside the first polydisc
@@ -279,9 +279,9 @@ def test_proof_across_a_pole():
     q = hm.build_quadratic_witness(dom, levi.restricted_levi_min(dom, [0, 0]))
     with pytest.raises(E.EvalError):
         hm.containment_bounds(dom, q, q.radius)
-    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=1)
+    record = hm.verify_quadratic_witness(dom, q)
     assert record.all_passed
-    assert record.method == "sampled" or record.halvings >= 1
+    assert record.halvings >= 1
 
 
 def test_verify_raises_when_containment_never_holds():
@@ -289,19 +289,13 @@ def test_verify_raises_when_containment_never_holds():
     dom, q = halving_witness()
     flipped = dataclasses.replace(q, lin=-q.lin)
     with pytest.raises(hm.ContainmentError):
-        hm.verify_quadratic_witness(dom, flipped, samples=2000, seed=1)
-
-
-def test_verify_rejects_tiny_sample_count():
-    dom, _, q = saddle2_witness()
-    with pytest.raises(ValueError):
-        hm.verify_quadratic_witness(dom, q, samples=99)
+        hm.verify_quadratic_witness(dom, flipped)
 
 
 def test_verify_flags_nontangent_direction():
     dom, _, q = saddle2_witness()
     tampered = dataclasses.replace(q, direction=np.array([0, 1], complex))
-    record = hm.verify_quadratic_witness(dom, tampered, samples=500, seed=1)
+    record = hm.verify_quadratic_witness(dom, tampered)
     assert not record.checks["direction_tangent"]
     assert not record.all_passed
 
@@ -310,21 +304,21 @@ def test_verify_flags_oversized_bump():
     # eps = 2|lambda| makes the Levi form at Z positive: check 4 must fail
     dom, probe, q = saddle2_witness()
     tampered = dataclasses.replace(q, eps=2 * abs(probe.lambda_min))
-    record = hm.verify_quadratic_witness(dom, tampered, samples=500, seed=1)
+    record = hm.verify_quadratic_witness(dom, tampered)
     assert not record.checks["negative_levi"]
 
 
 def test_verify_deterministic():
     dom, _, q = saddle2_witness()
-    r1 = hm.verify_quadratic_witness(dom, q, samples=1000, seed=9)
-    r2 = hm.verify_quadratic_witness(dom, q, samples=1000, seed=9)
+    r1 = hm.verify_quadratic_witness(dom, q)
+    r2 = hm.verify_quadratic_witness(dom, q)
     assert r1 == r2
 
 
 def test_verify_sampled_negative_set_inside_domain(rng):
     # direct statistical restatement of containment at the final radius
     dom, _, q = saddle2_witness()
-    record = hm.verify_quadratic_witness(dom, q, samples=2000, seed=2)
+    record = hm.verify_quadratic_witness(dom, q)
     d = record.radius * (rng.standard_normal((5000, 2))
                          + 1j * rng.standard_normal((5000, 2)))
     d *= (rng.random(5000) ** 0.25 / np.linalg.norm(d, axis=1))[:, None]
