@@ -48,13 +48,13 @@ def row_norms(x) -> np.ndarray:
     stage and the witness.  A row whose squares overflow is scaled by its
     largest entry, so a finite row gets a finite norm; a non-finite row comes
     out NaN; rows with a finite norm keep np.linalg.norm's bits."""
-    gn = np.linalg.norm(x, axis=1)
-    over = np.isinf(gn)
+    norms = np.linalg.norm(x, axis=1)
+    over = np.isinf(norms)
     if over.any():
-        g = x[over]
-        big = np.abs(g).max(axis=1)
-        gn[over] = big * np.linalg.norm(g / big[:, None], axis=1)
-    return gn
+        rows = x[over]
+        big = np.abs(rows).max(axis=1)
+        norms[over] = big * np.linalg.norm(rows / big[:, None], axis=1)
+    return norms
 
 
 def dependent_rows(b, c) -> np.ndarray:

@@ -132,9 +132,9 @@ def verify_theorem(domain: Domain, samples: int, seed: int) -> TheoremRun:
     direction of the theorem that its verdict calls for.
 
     Raises PipelineError when a stage after the classification fails: a
-    witness check fails, the witness slice does not reclassify
-    nonpseudoconvex, or a forward slice classifies otherwise than
-    pseudoconvex.
+    witness check fails or its containment is not proved, the witness slice
+    does not reclassify nonpseudoconvex, or a forward slice classifies
+    otherwise than pseudoconvex.
     """
     classification = levi.classify(domain, samples, seed)
     if classification.verdict == VERDICT_DEGENERATE:

@@ -195,22 +195,25 @@ def test_gram_solve_residual_orthogonality(seed, n):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.filterwarnings("error")
-def test_row_norms_rescale_only_rows_whose_squares_overflow(rng):
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+def test_row_norms_equal_the_one_row_norm_to_the_bit(rng, n):
     # the one norm rule of Newton, the Levi stage and the witness: a row with
     # finite squares gets the bits of np.linalg.norm along axis 1, a finite
-    # row whose squares overflow a finite norm, and a non-finite row NaN
-    for n in (1, 2, 3, 5, 9):
-        x = (rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n))) \
-            * 10.0 ** rng.uniform(-8, 8, (400, 1))
-        x[1] *= 1e160
-        x[3, 0] = np.inf
-        x[5, -1] = np.nan
-        got = la.row_norms(x)
-        keep = np.ones(len(x), bool)
-        keep[[1, 3, 5]] = False
-        assert got[keep].tobytes() == np.linalg.norm(x[keep], axis=1).tobytes()
-        assert abs(got[1] / (1e160 * np.linalg.norm(x[1] / 1e160)) - 1.0) < 1e-15
-        assert np.isnan(got[3]) and np.isnan(got[5])
+    # row whose squares overflow a finite norm, a non-finite row NaN, and
+    # each row the norm it gets alone
+    x = (rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n))) \
+        * 10.0 ** rng.uniform(-8, 8, (400, 1))
+    x[1] *= 1e160
+    x[3, 0] = np.inf
+    x[5, -1] = np.nan
+    got = la.row_norms(x)
+    keep = np.ones(len(x), bool)
+    keep[[1, 3, 5]] = False
+    assert got[keep].tobytes() == np.linalg.norm(x[keep], axis=1).tobytes()
+    assert abs(got[1] / (1e160 * np.linalg.norm(x[1] / 1e160)) - 1.0) < 1e-15
+    assert np.isnan(got[3]) and np.isnan(got[5])
+    alone = np.array([la.row_norms(row[None])[0] for row in x])
+    assert got.tobytes() == alone.tobytes()
 
 
 def test_dependent_rows_match_gram_solve(rng):
