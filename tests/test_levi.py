@@ -234,6 +234,21 @@ def test_newton_fails_a_non_finite_point_where_rho_stays_finite():
     assert _same_bits(w[1], alone[0])
 
 
+def test_gradient_norms_survive_overflow_and_keep_the_bits_of_finite_rows():
+    # one norm rule for Newton and the Levi stage, linalg.row_norms: a finite
+    # row whose squares overflow gets a finite norm, a non-finite row NaN,
+    # any other row the bits of np.linalg.norm
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    g[3] *= 1e160
+    g[4, 1] = np.inf
+    g[5, 0] = np.nan
+    gn = levi.la.row_norms(g)
+    assert np.array_equal(gn[:3], np.linalg.norm(g[:3], axis=1))
+    assert gn[3] == pytest.approx(1e160 * np.linalg.norm(g[3] / 1e160), rel=1e-15)
+    assert np.isnan(gn[4]) and np.isnan(gn[5])
+
+
 @functools.lru_cache(maxsize=None)
 def newton_case(name: str):
     """(ast, box, a, frame) of a Newton input: an ambient domain (a and frame
